@@ -22,8 +22,7 @@ from gols.linesearch import (
     ALPHA_CAP,
     ALPHA_MIN,
     ArmijoConfig,
-    BisectionConfig,
-    GoldenSectionConfig,
+    BracketConfig,
     InexactConfig,
     LineSearchOutcome,
     armijo,
@@ -59,11 +58,10 @@ __all__ = [
     "BallEstimate",
     "BatchObjective",
     "BatchSampler",
-    "BisectionConfig",
+    "BracketConfig",
     "Dataset",
     "DirectionalProbe",
     "EvalCounter",
-    "GoldenSectionConfig",
     "InexactConfig",
     "KeyStream",
     "LineSearchOutcome",

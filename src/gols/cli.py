@@ -1,8 +1,8 @@
 """Experiment runner: train | scan | compare subcommands writing CSV files.
 
 All randomness flows from ``--seed``; identical invocations produce
-byte-identical outputs.  The environment variable ``GOLS_THREADS`` caps how
-many independent (resolver, repeat) cells run concurrently (default 1).
+byte-identical outputs.  Cells (one training run per resolver and repeat, or
+one scan per batch size and repeat) run one after another in one thread.
 Exit codes: 0 on success, 2 on a bad invocation, 1 on a runtime failure.
 """
 
@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +23,7 @@ from gols.data import BUILTIN_DATASETS, BatchSampler, builtin_dataset, load_csv,
 from gols.linesearch import make_resolver
 from gols.net import Network
 from gols.probe import BatchObjective, DirectionalProbe
-from gols.trainer import TrainConfig, train_on_dataset
+from gols.trainer import TRACE_COLUMNS, TrainConfig, train_on_dataset
 
 __all__ = ["main", "ExperimentSpec"]
 
@@ -217,8 +215,7 @@ def cmd_scan(spec: ExperimentSpec) -> None:
     direction = scaled_descent_direction(model, origin, spec.target_alpha)
     rows = len(split.train)
 
-    def run(cell):
-        size_index, repeat = cell
+    def run(size_index, repeat):
         size = spec.batch_sizes[size_index]
         if size == "full":
             probe = DirectionalProbe(model, origin, direction, policy="full")
@@ -232,9 +229,8 @@ def cmd_scan(spec: ExperimentSpec) -> None:
         return scan_line(probe, 0.0, spec.scan_step, spec.scan_steps,
                          batch_size=actual)
 
-    cells = [(si, rep) for si in range(len(spec.batch_sizes))
-             for rep in range(spec.repeats)]
-    results = dict(zip(cells, _run_cells(cells, run)))
+    results = {(si, rep): run(si, rep) for si in range(len(spec.batch_sizes))
+               for rep in range(spec.repeats)}
 
     spec.out.mkdir(parents=True, exist_ok=True)
     with open(spec.out / "scan_summary.csv", "w", newline="", encoding="utf-8") as fh:
@@ -266,8 +262,7 @@ def _run_training_grid(spec: ExperimentSpec) -> dict:
     split = split_3_1_1(spec.dataset, seed=(spec.seed, 9))
     net = Network(spec.dataset.num_features, spec.arch, spec.dataset.class_count)
 
-    def run(cell):
-        resolver_index, repeat = cell
+    def run(resolver_index, repeat):
         cfg = TrainConfig(
             iterations=spec.iterations,
             batch_size=spec.batch_size,
@@ -279,27 +274,9 @@ def _run_training_grid(spec: ExperimentSpec) -> dict:
         )
         return train_on_dataset(net, spec.dataset, split, cfg)
 
-    cells = [(ri, rep) for ri in range(len(spec.resolvers))
-             for rep in range(spec.repeats)]
-    results = _run_cells(cells, run)
-    return {(spec.resolvers[ri], rep): trace
-            for (ri, rep), trace in zip(cells, results)}
-
-
-def _run_cells(cells, fn):
-    workers = _worker_count()
-    if workers == 1 or len(cells) <= 1:
-        return [fn(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cells))
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("GOLS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    return {(resolver, rep): run(ri, rep)
+            for ri, resolver in enumerate(spec.resolvers)
+            for rep in range(spec.repeats)}
 
 
 def _safe(name: str) -> str:
@@ -309,15 +286,10 @@ def _safe(name: str) -> str:
 def _write_trace_csv(path, trace) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "alpha", "grad_norm", "train_loss",
-                         "validation_loss", "test_loss", "cost", "info_calls"])
+        writer.writerow(TRACE_COLUMNS)
         for row in trace.rows:
-            writer.writerow([row.iteration, repr(float(row.alpha)),
-                             repr(float(row.grad_norm)),
-                             repr(float(row.train_loss)),
-                             repr(float(row.validation_loss)),
-                             repr(float(row.test_loss)),
-                             row.cost, row.info_calls])
+            writer.writerow([value if isinstance(value, int) else repr(float(value))
+                             for value in row.astuple()])
 
 
 def _write_train_summary(path, spec: ExperimentSpec, traces: dict) -> None:

@@ -143,8 +143,7 @@ class BatchSampler:
 
     Each call to :meth:`sample` is an independent uniform draw without
     replacement within the batch; successive batches are independent of each
-    other.  A sampler owns its random stream and must not be shared between
-    threads.
+    other.  A sampler owns its random stream: every draw advances it.
     """
 
     def __init__(self, indices, batch_size: int, seed):

@@ -2,13 +2,18 @@
 
 All four resolvers consume a :class:`~gols.probe.DirectionalProbe` and return
 a :class:`LineSearchOutcome`.  The exact searches (golden section and the
-bisecting gradient-only search) bracket by exponential advance with the same
-constants and then refine; the inexact pair (Armijo's rule and the
-doubling/halving gradient-only search) accept the first step that satisfies
-their condition, growing or shrinking by a fixed factor.
+bisecting gradient-only search) open the same bracket from one
+:class:`BracketConfig`, grow it and then refine; the inexact pair (Armijo's
+rule and the doubling/halving gradient-only search) accept the first step
+that satisfies their condition, growing or shrinking by a fixed factor.
 
-Every accepted step is clamped into ``[alpha_min, alpha_max]``.  Callers that
-resolve steps for steepest descent should pass
+Each search is an ask/tell generator: it yields ``("value", alpha)`` or
+``("deriv", alpha)`` requests, receives F(alpha) or F'(alpha) in reply, and
+returns ``(alpha, reason, intervals)``.  It reads only the numbers it is sent
+and the running count of its requests.  One driver, :func:`_drive`, answers
+the requests through the probe, counts them, clamps the returned step into
+``[alpha_min, alpha_max]`` and builds the outcome.  Callers that resolve
+steps for steepest descent should pass
 ``alpha_max=effective_alpha_max(norm(g))`` so that unbounded descent
 directions cannot produce runaway steps.
 """
@@ -18,13 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from gols.probe import EvalCounter
+
 __all__ = [
     "ALPHA_MIN",
     "ALPHA_CAP",
     "RESOLVER_NAMES",
-    "GoldenSectionConfig",
+    "BracketConfig",
     "ArmijoConfig",
-    "BisectionConfig",
     "InexactConfig",
     "LineSearchOutcome",
     "effective_alpha_max",
@@ -42,9 +48,15 @@ _GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
 
 
 @dataclass(frozen=True)
-class GoldenSectionConfig:
+class BracketConfig:
+    """Settings of the exact searches, golden section and B-GOLS.
+
+    ``max_info_calls`` is checked before each growth or refinement step, not
+    before the opening evaluations, so a search can spend a few calls more.
+    """
+
     delta: float = 5.0             # first bracketing step
-    ratio: float = _GOLDEN         # bracket growth and interval reduction ratio
+    ratio: float = _GOLDEN         # bracket growth and golden-section reduction ratio
     tol: float = 1e-12             # refinement stops at this interval length
     max_info_calls: int = 1000
 
@@ -57,14 +69,6 @@ class ArmijoConfig:
     def __post_init__(self):
         if not 0.0 <= self.decrease_fraction <= 1.0:
             raise ValueError("decrease_fraction must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class BisectionConfig:
-    delta: float = 5.0
-    ratio: float = _GOLDEN
-    tol: float = 1e-12
-    max_info_calls: int = 1000
 
 
 @dataclass(frozen=True)
@@ -119,22 +123,61 @@ def effective_alpha_max(gradient_norm: float, cap: float = ALPHA_CAP) -> float:
     return min(1.0 / gradient_norm, cap)
 
 
-def _finish(probe, before, alpha, reason, alpha_min, alpha_max, intervals=None):
+def _drive(probe, search, alpha_min, alpha_max, *args) -> LineSearchOutcome:
+    """Run ``search(spent, alpha_min, alpha_max, *args)`` against ``probe``.
+
+    ``spent`` is the :class:`~gols.probe.EvalCounter` of the requests served
+    so far; searches check their budget against it.  The probe's methods are
+    looked up on every search, so wrappers installed on the class see each
+    evaluation.
+    """
+    spent = EvalCounter()
+    answer = {"value": probe.value, "deriv": probe.deriv}
+    requests = search(spent, alpha_min, alpha_max, *args)
+    try:
+        kind, alpha = next(requests)
+        while True:
+            if kind == "value":
+                spent.functions += 1
+            else:
+                spent.gradients += 1
+            kind, alpha = requests.send(answer[kind](alpha))
+    except StopIteration as done:
+        alpha, reason, intervals = done.value
     if alpha > alpha_max:
         alpha, reason = alpha_max, "cap_max"
     if alpha < alpha_min:
         alpha, reason = alpha_min, "cap_min"
-    f0, g0 = before
-    return LineSearchOutcome(
-        alpha=alpha,
-        function_evals=probe.counter.functions - f0,
-        gradient_evals=probe.counter.gradients - g0,
-        reason=reason,
-        intervals=intervals if intervals is not None else [],
-    )
+    return LineSearchOutcome(alpha, spent.functions, spent.gradients, reason,
+                             intervals)
 
 
-def golden_section(probe, config: GoldenSectionConfig | None = None, *,
+def _open_bracket(kind, cfg, alpha_max):
+    """Evaluate ``delta`` and ``delta + ratio * delta``; when the latter
+    overshoots ``alpha_max``, evaluate the midpoint of ``[0, alpha_max]`` and
+    ``alpha_max`` instead.
+
+    Returns ``(first, (mid, y_mid), (high, y_high))`` where ``first`` is the
+    ``(delta, y)`` pair evaluated first.
+    """
+    mid = cfg.delta
+    high = mid + cfg.ratio * cfg.delta
+    y_mid = yield kind, mid
+    y_high = yield kind, high
+    first = (mid, y_mid)
+    if high > alpha_max:
+        high = alpha_max
+        mid = 0.5 * high
+        y_mid = yield kind, mid
+        y_high = yield kind, high
+    return first, (mid, y_mid), (high, y_high)
+
+
+def _value(point):
+    return point[1]
+
+
+def golden_section(probe, config: BracketConfig | None = None, *,
                    alpha_max: float = ALPHA_CAP,
                    alpha_min: float = ALPHA_MIN) -> LineSearchOutcome:
     """Exact function-value search: bracket a minimizer, then golden section.
@@ -145,84 +188,54 @@ def golden_section(probe, config: GoldenSectionConfig | None = None, *,
     length falls below ``tol``.  The accepted step is the final interval
     midpoint.  Uses only loss evaluations, never the slope.
     """
-    cfg = config or GoldenSectionConfig()
-    before = probe.counter.snapshot()
-    budget = cfg.max_info_calls
-    intervals: list[float] = []
+    return _drive(probe, _golden_section, alpha_min, alpha_max,
+                  config or BracketConfig())
 
-    k = 1
-    f0 = probe.value(0.0)
-    best_alpha, best_f = 0.0, f0
 
-    low, f_low = 0.0, f0
-    mid = cfg.delta
-    high = mid + cfg.ratio * cfg.delta
-    f_mid = probe.value(mid)
-    k += 1
-    f_high = probe.value(high)
-    k += 1
-    if f_mid < best_f:
-        best_alpha, best_f = mid, f_mid
-    if high > alpha_max:
-        # Same re-midpointing as the bisecting search when the initial
-        # bracket overshoots the step cap.
-        high = alpha_max
-        mid = low + 0.5 * (high - low)
-        f_mid = probe.value(mid)
-        k += 1
-        f_high = probe.value(high)
-        k += 1
-    if f_high < best_f:
-        best_alpha, best_f = high, f_high
-    if f_mid < best_f:
-        best_alpha, best_f = mid, f_mid
+def _golden_section(spent, alpha_min, alpha_max, cfg):
+    f0 = yield "value", 0.0
+    first, (mid, f_mid), (high, f_high) = yield from _open_bracket(
+        "value", cfg, alpha_max)
+    # Lowest value seen, earliest first: the step returned when the budget
+    # runs out while the bracket grows.
+    best = min((0.0, f0), first, (high, f_high), (mid, f_mid), key=_value)
 
-    if f_mid >= f_low:
+    if f_mid >= f0:
         # First probe already increased: a minimizer sits below mid.
-        bracket = (low, mid)
+        a, b = 0.0, mid
     else:
-        j = 1
+        low, j = 0.0, 1
         while f_high < f_mid:
-            if k >= budget:
-                return _finish(probe, before, best_alpha, "budget",
-                               alpha_min, alpha_max, intervals)
-            low, f_low = mid, f_mid
-            mid, f_mid = high, f_high
+            if spent.info_calls >= cfg.max_info_calls:
+                return best[0], "budget", []
+            low, mid, f_mid = mid, high, f_high
             high = mid + cfg.ratio**j * cfg.delta
             j += 1
             if high > alpha_max:
-                return _finish(probe, before, alpha_max, "cap_max",
-                               alpha_min, alpha_max, intervals)
-            f_high = probe.value(high)
-            k += 1
-            if f_high < best_f:
-                best_alpha, best_f = high, f_high
-        bracket = (low, high)
+                return high, "cap_max", []
+            f_high = yield "value", high
+            best = min(best, (high, f_high), key=_value)
+        a, b = low, high
 
-    a, b = bracket
+    intervals = []
     inner_low = b - (b - a) / cfg.ratio
     inner_high = a + (b - a) / cfg.ratio
-    f_il = probe.value(inner_low)
-    k += 1
-    f_ih = probe.value(inner_high)
-    k += 1
-    while b - a > cfg.tol and k < budget:
+    f_il = yield "value", inner_low
+    f_ih = yield "value", inner_high
+    while b - a > cfg.tol and spent.info_calls < cfg.max_info_calls:
         if f_il < f_ih:
             b = inner_high
             inner_high, f_ih = inner_low, f_il
             inner_low = b - (b - a) / cfg.ratio
-            f_il = probe.value(inner_low)
+            f_il = yield "value", inner_low
         else:
             a = inner_low
             inner_low, f_il = inner_high, f_ih
             inner_high = a + (b - a) / cfg.ratio
-            f_ih = probe.value(inner_high)
-        k += 1
+            f_ih = yield "value", inner_high
         intervals.append(b - a)
-
     reason = "tolerance" if b - a <= cfg.tol else "budget"
-    return _finish(probe, before, 0.5 * (a + b), reason,
-                   alpha_min, alpha_max, intervals)
+    return 0.5 * (a + b), reason, intervals
 
 
 def armijo(probe, alpha_init: float, config: ArmijoConfig | None = None, *,
@@ -236,36 +249,35 @@ def armijo(probe, alpha_init: float, config: ArmijoConfig | None = None, *,
     (largest feasible step); otherwise it is shrunk until the first pass.
     Spends exactly one gradient evaluation, at the origin.
     """
-    cfg = config or ArmijoConfig()
-    before = probe.counter.snapshot()
-    f0 = probe.value(0.0)
-    slope0 = probe.deriv(0.0)
+    return _drive(probe, _armijo, alpha_min, alpha_max, alpha_init,
+                  config or ArmijoConfig())
+
+
+def _armijo(spent, alpha_min, alpha_max, alpha_init, cfg):
+    f0 = yield "value", 0.0
+    slope0 = yield "deriv", 0.0
 
     def acceptable(alpha, value):
         return value < f0 + alpha * cfg.decrease_fraction * slope0
 
     alpha = min(max(alpha_init, alpha_min), alpha_max)
-    if acceptable(alpha, probe.value(alpha)):
+    if acceptable(alpha, (yield "value", alpha)):
         while alpha < alpha_max:
             bigger = min(alpha * cfg.factor, alpha_max)
-            if acceptable(bigger, probe.value(bigger)):
-                alpha = bigger
-            else:
-                return _finish(probe, before, alpha, "tolerance",
-                               alpha_min, alpha_max)
-        return _finish(probe, before, alpha, "cap_max", alpha_min, alpha_max)
+            if not acceptable(bigger, (yield "value", bigger)):
+                return alpha, "tolerance", []
+            alpha = bigger
+        return alpha, "cap_max", []
 
     while True:
         alpha = alpha / cfg.factor
-        if alpha < alpha_min:
-            return _finish(probe, before, alpha_min, "cap_min",
-                           alpha_min, alpha_max)
-        if acceptable(alpha, probe.value(alpha)):
-            return _finish(probe, before, alpha, "tolerance",
-                           alpha_min, alpha_max)
+        # A step below alpha_min ends the search unevaluated; the driver
+        # clamps it and reports cap_min.
+        if alpha < alpha_min or acceptable(alpha, (yield "value", alpha)):
+            return alpha, "tolerance", []
 
 
-def bisection_gols(probe, config: BisectionConfig | None = None, *,
+def bisection_gols(probe, config: BracketConfig | None = None, *,
                    alpha_max: float = ALPHA_CAP,
                    alpha_min: float = ALPHA_MIN) -> LineSearchOutcome:
     """Exact gradient-only search: bisect the slope's negative-to-positive
@@ -277,52 +289,34 @@ def bisection_gols(probe, config: BisectionConfig | None = None, *,
     a three-point pattern and halves the interval per iteration.  Uses only
     gradient evaluations.
     """
-    cfg = config or BisectionConfig()
-    before = probe.counter.snapshot()
-    budget = cfg.max_info_calls
-    intervals: list[float] = []
+    return _drive(probe, _bisection_gols, alpha_min, alpha_max,
+                  config or BracketConfig())
 
-    low = 0.0
-    mid = cfg.delta
-    high = mid + cfg.ratio * cfg.delta
-    k = 0
-    mid_slope = probe.deriv(mid)
-    k += 1
-    high_slope = probe.deriv(high)
-    k += 1
-    if high > alpha_max:
-        high = alpha_max
-        mid = low + 0.5 * (high - low)
-        mid_slope = probe.deriv(mid)
-        k += 1
-        high_slope = probe.deriv(high)
-        k += 1
 
-    bracketed = True
+def _bisection_gols(spent, alpha_min, alpha_max, cfg):
+    _, (mid, mid_slope), (high, high_slope) = yield from _open_bracket(
+        "deriv", cfg, alpha_max)
     j = 1
-    while high_slope < 0 and bracketed and k < budget:
+    while high_slope < 0 and spent.info_calls < cfg.max_info_calls:
         mid, mid_slope = high, high_slope
         high = mid + cfg.ratio**j * cfg.delta
         j += 1
-        high_slope = probe.deriv(high)
-        k += 1
+        high_slope = yield "deriv", high
         if high > alpha_max:
-            bracketed = False
+            return high, "cap_max", []
 
-    if not bracketed:
-        return _finish(probe, before, alpha_max, "cap_max",
-                       alpha_min, alpha_max, intervals)
-
+    intervals = []
+    low = 0.0
     length = high - low
-    while length > cfg.tol and high > alpha_min and k < budget:
+    while (length > cfg.tol and high > alpha_min
+           and spent.info_calls < cfg.max_info_calls):
         if mid_slope < 0 and high_slope >= 0:
             low = mid
         elif mid_slope >= 0:
             high, high_slope = mid, mid_slope
         length = high - low
         mid = low + 0.5 * length
-        mid_slope = probe.deriv(mid)
-        k += 1
+        mid_slope = yield "deriv", mid
         intervals.append(length)
 
     if length <= cfg.tol:
@@ -331,8 +325,7 @@ def bisection_gols(probe, config: BisectionConfig | None = None, *,
         reason = "cap_min"
     else:
         reason = "budget"
-    return _finish(probe, before, 0.5 * (high + low), reason,
-                   alpha_min, alpha_max, intervals)
+    return 0.5 * (high + low), reason, intervals
 
 
 def inexact_gols(probe, alpha_init: float, config: InexactConfig | None = None, *,
@@ -347,47 +340,33 @@ def inexact_gols(probe, alpha_init: float, config: InexactConfig | None = None, 
     current behaviour (and accepts the initial step immediately).  Uses only
     gradient evaluations.
     """
-    cfg = config or InexactConfig()
-    before = probe.counter.snapshot()
-    budget = cfg.max_info_calls
+    return _drive(probe, _inexact_gols, alpha_min, alpha_max, alpha_init,
+                  config or InexactConfig())
 
-    k = 1
-    slope0 = probe.deriv(0.0)
+
+def _inexact_gols(spent, alpha_min, alpha_max, alpha_init, cfg):
+    slope0 = yield "deriv", 0.0
     alpha = min(max(alpha_init, alpha_min), alpha_max)
-    slope = probe.deriv(alpha)
-    k += 1
+    slope = yield "deriv", alpha
     band = abs((1.0 - cfg.relaxation) * slope0)
+    if slope == band:
+        return alpha, "tolerance", []
 
-    if slope > band:
-        mode = "halve"
-    elif slope < band:
-        mode = "grow"
-    else:
-        mode = None
-
-    reason = "tolerance"
-    while mode is not None and k < budget:
-        if mode == "halve":
+    halve = slope > band
+    while spent.info_calls < cfg.max_info_calls:
+        if halve:
             alpha = alpha / cfg.eta
-            slope = probe.deriv(alpha)
-            k += 1
-            if slope < band:
-                mode = None
+            done = (yield "deriv", alpha) < band
         else:
             alpha = alpha * cfg.eta
-            slope = probe.deriv(alpha)
-            k += 1
-            if slope > band:
+            done = (yield "deriv", alpha) > band
+            if done:
                 alpha = alpha / cfg.eta
-                mode = None
-        if alpha < alpha_min:
-            mode, alpha, reason = None, alpha_min, "cap_min"
-        if alpha > alpha_max:
-            mode, alpha, reason = None, alpha_max, "cap_max"
-
-    if mode is not None:
-        reason = "budget"
-    return _finish(probe, before, alpha, reason, alpha_min, alpha_max)
+        # A step outside the bounds ends the search; the driver clamps it
+        # and reports cap_min or cap_max.
+        if done or not alpha_min <= alpha <= alpha_max:
+            return alpha, "tolerance", []
+    return alpha, "budget", []
 
 
 RESOLVER_NAMES = ("gs", "arls", "bgols", "igols")

@@ -3,7 +3,7 @@
 Networks have one or two fully connected hidden layers and logistic
 activations on every node, hidden and output alike.  All operations are pure
 functions of a flat parameter vector: a ``Network`` instance carries only the
-architecture, never weights, so it can be shared freely across threads.
+architecture, never weights, so one instance serves every run and scan.
 """
 
 from __future__ import annotations

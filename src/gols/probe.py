@@ -134,8 +134,8 @@ class DirectionalProbe:
     """F(alpha) = loss at ``origin + alpha * direction``, with accounting.
 
     The direction is used exactly as given (unnormalized).  Counters only
-    ever increase; a probe owns its sampler stream, so share objectives
-    between threads but not probes.
+    ever increase.  A non-finite F or F' raises ``ValueError`` rather than
+    reach a search, whose comparisons a NaN would silently steer.
     """
 
     def __init__(self, model, origin, direction, policy="resample",
@@ -181,14 +181,15 @@ class DirectionalProbe:
         """F(alpha) under the probe's sampling policy; counts one loss eval."""
         point = self._point(alpha)
         self.counter.functions += 1
-        return float(self.model.loss(point, self._sample()))
+        return _finite("F", alpha, self.model.loss(point, self._sample()))
 
     def deriv(self, alpha) -> float:
         """F'(alpha), the gradient projected onto the direction; counts one
         gradient eval."""
         point = self._point(alpha)
         self.counter.gradients += 1
-        return float(self.model.grad(point, self._sample()) @ self.direction)
+        return _finite("F'", alpha,
+                       self.model.grad(point, self._sample()) @ self.direction)
 
     def value_and_deriv(self, alpha):
         """F and F' at one step size sharing a single sample draw."""
@@ -196,6 +197,13 @@ class DirectionalProbe:
         sample = self._sample()
         self.counter.functions += 1
         self.counter.gradients += 1
-        value = float(self.model.loss(point, sample))
-        slope = float(self.model.grad(point, sample) @ self.direction)
+        value = _finite("F", alpha, self.model.loss(point, sample))
+        slope = _finite("F'", alpha, self.model.grad(point, sample) @ self.direction)
         return value, slope
+
+
+def _finite(name, alpha, number) -> float:
+    number = float(number)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite {name}({alpha!r}) = {number!r}")
+    return number

@@ -11,7 +11,7 @@ iteration on top of whatever the search spends).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,20 +29,11 @@ __all__ = [
     "train_on_dataset",
 ]
 
-TRACE_COLUMNS = (
-    "iteration",
-    "alpha",
-    "grad_norm",
-    "train_loss",
-    "validation_loss",
-    "test_loss",
-    "cost",
-    "info_calls",
-)
-
 
 @dataclass
 class TraceRow:
+    """One trace CSV row; the field order is the column order."""
+
     iteration: int
     alpha: float
     grad_norm: float
@@ -53,8 +44,10 @@ class TraceRow:
     info_calls: int
 
     def astuple(self):
-        return (self.iteration, self.alpha, self.grad_norm, self.train_loss,
-                self.validation_loss, self.test_loss, self.cost, self.info_calls)
+        return tuple(getattr(self, name) for name in TRACE_COLUMNS)
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
 
 
 @dataclass

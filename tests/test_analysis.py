@@ -62,6 +62,11 @@ class TestScanLine:
         assert probe.counter.functions == 21
         assert probe.counter.gradients == 21
 
+    def test_non_finite_slope_rejected(self):
+        probe = make_1d_probe(lambda a: a, lambda a: 1.0 if a <= 3.0 else np.nan)
+        with pytest.raises(ValueError, match="non-finite"):
+            scan_line(probe)
+
     def test_bad_step_rejected(self):
         probe = make_1d_probe(lambda a: a, lambda a: 1.0)
         with pytest.raises(ValueError):

@@ -167,14 +167,3 @@ class TestSpecHandling:
         config = tmp_path / "spec.json"
         config.write_text(json.dumps({"learning_rate": 0.1}))
         assert main(["train", "--config", str(config)]) == 2
-
-    def test_threaded_run_matches_serial_bytes(self, tmp_path, monkeypatch):
-        args = ["train", "--dataset", "iris", "--resolver", "igols,arls",
-                "--repeats", "2", "--iterations", "4"]
-        serial, threaded = tmp_path / "serial", tmp_path / "threaded"
-        monkeypatch.setenv("GOLS_THREADS", "1")
-        run_ok(args + ["--out", str(serial)])
-        monkeypatch.setenv("GOLS_THREADS", "4")
-        run_ok(args + ["--out", str(threaded)])
-        for name in sorted(p.name for p in serial.iterdir()):
-            assert (serial / name).read_bytes() == (threaded / name).read_bytes()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,7 @@ from gols.linesearch import (
     ALPHA_CAP,
     ALPHA_MIN,
     ArmijoConfig,
-    BisectionConfig,
-    GoldenSectionConfig,
+    BracketConfig,
     InexactConfig,
     armijo,
     bisection_gols,
@@ -65,7 +66,7 @@ class TestGoldenSection:
         assert out.reason == "cap_max"
 
     def test_budget_returns_best_so_far(self, quadratic_probe):
-        out = golden_section(quadratic_probe, GoldenSectionConfig(max_info_calls=4))
+        out = golden_section(quadratic_probe, BracketConfig(max_info_calls=4))
         assert out.reason == "budget"
         assert ALPHA_MIN <= out.alpha <= ALPHA_CAP
 
@@ -153,7 +154,7 @@ class TestBisectionGols:
 
     def test_budget_exhaustion(self):
         probe = make_1d_probe(lambda a: 0.5 * (a - 2.5) ** 2, lambda a: a - 2.5)
-        out = bisection_gols(probe, BisectionConfig(max_info_calls=3))
+        out = bisection_gols(probe, BracketConfig(max_info_calls=3))
         assert out.reason == "budget"
 
 
@@ -264,3 +265,141 @@ class TestMakeResolver:
             InexactConfig(eta=1.0)
         with pytest.raises(ValueError):
             InexactConfig(relaxation=-0.1)
+
+
+SHAPES = {
+    "quadratic": make_quadratic_probe,  # minimizer at 1
+    "ascent": lambda: make_1d_probe(lambda a: a, lambda a: 1.0),
+    "descent": lambda: make_1d_probe(lambda a: -a, lambda a: -1.0),
+    "flat": lambda: make_1d_probe(lambda a: 1.0, lambda a: 0.0),
+    "root": lambda: make_1d_probe(lambda a: 0.5 * (a - 2.5) ** 2, lambda a: a - 2.5),
+}
+
+# (alpha, function_evals, gradient_evals, reason) of each resolver started
+# at alpha_init = 0.25, keyed by (resolver, shape, alpha_max).
+PINNED = {
+    ("gs", "quadratic", 0.3): (0.3, 5, 0, "cap_max"),
+    ("gs", "quadratic", 50.0): (1.0000000000001577, 66, 0, "tolerance"),
+    ("gs", "quadratic", 1e7): (1.0000000000001577, 66, 0, "tolerance"),
+    ("gs", "ascent", 0.3): (1e-08, 61, 0, "cap_min"),
+    ("gs", "ascent", 50.0): (1e-08, 66, 0, "cap_min"),
+    ("gs", "ascent", 1e7): (1e-08, 66, 0, "cap_min"),
+    ("gs", "descent", 0.3): (0.3, 5, 0, "cap_max"),
+    ("gs", "descent", 50.0): (50.0, 5, 0, "cap_max"),
+    ("gs", "descent", 1e7): (1e7, 31, 0, "cap_max"),
+    ("gs", "flat", 0.3): (0.1499999999996112, 61, 0, "tolerance"),
+    ("gs", "flat", 50.0): (4.999999999999554, 66, 0, "tolerance"),
+    ("gs", "flat", 1e7): (4.999999999999554, 66, 0, "tolerance"),
+    ("gs", "root", 0.3): (0.3, 5, 0, "cap_max"),
+    ("gs", "root", 50.0): (2.499999999999724, 66, 0, "tolerance"),
+    ("gs", "root", 1e7): (2.499999999999724, 66, 0, "tolerance"),
+    ("arls", "quadratic", 0.3): (0.3, 3, 1, "cap_max"),
+    ("arls", "quadratic", 50.0): (1.0, 5, 1, "tolerance"),
+    ("arls", "quadratic", 1e7): (1.0, 5, 1, "tolerance"),
+    ("arls", "ascent", 0.3): (1e-08, 26, 1, "cap_min"),
+    ("arls", "ascent", 50.0): (1e-08, 26, 1, "cap_min"),
+    ("arls", "ascent", 1e7): (1e-08, 26, 1, "cap_min"),
+    ("arls", "descent", 0.3): (0.3, 3, 1, "cap_max"),
+    ("arls", "descent", 50.0): (50.0, 10, 1, "cap_max"),
+    ("arls", "descent", 1e7): (1e7, 28, 1, "cap_max"),
+    ("arls", "flat", 0.3): (1e-08, 26, 1, "cap_min"),
+    ("arls", "flat", 50.0): (1e-08, 26, 1, "cap_min"),
+    ("arls", "flat", 1e7): (1e-08, 26, 1, "cap_min"),
+    ("arls", "root", 0.3): (0.3, 3, 1, "cap_max"),
+    ("arls", "root", 50.0): (2.0, 6, 1, "tolerance"),
+    ("arls", "root", 1e7): (2.0, 6, 1, "tolerance"),
+    ("bgols", "quadratic", 0.3): (0.3, 0, 5, "cap_max"),
+    ("bgols", "quadratic", 50.0): (0.9999999999999432, 0, 46, "tolerance"),
+    ("bgols", "quadratic", 1e7): (0.9999999999999432, 0, 46, "tolerance"),
+    ("bgols", "ascent", 0.3): (1e-08, 0, 29, "cap_min"),
+    ("bgols", "ascent", 50.0): (1e-08, 0, 32, "cap_min"),
+    ("bgols", "ascent", 1e7): (1e-08, 0, 32, "cap_min"),
+    ("bgols", "descent", 0.3): (0.3, 0, 5, "cap_max"),
+    ("bgols", "descent", 50.0): (50.0, 0, 5, "cap_max"),
+    ("bgols", "descent", 1e7): (1e7, 0, 31, "cap_max"),
+    ("bgols", "flat", 0.3): (1e-08, 0, 29, "cap_min"),
+    ("bgols", "flat", 50.0): (1e-08, 0, 32, "cap_min"),
+    ("bgols", "flat", 1e7): (1e-08, 0, 32, "cap_min"),
+    ("bgols", "root", 0.3): (0.3, 0, 5, "cap_max"),
+    ("bgols", "root", 50.0): (2.499999999999716, 0, 46, "tolerance"),
+    ("bgols", "root", 1e7): (2.499999999999716, 0, 46, "tolerance"),
+    ("igols", "quadratic", 0.3): (0.3, 0, 3, "cap_max"),
+    ("igols", "quadratic", 50.0): (2.0, 0, 6, "tolerance"),
+    ("igols", "quadratic", 1e7): (2.0, 0, 6, "tolerance"),
+    ("igols", "ascent", 0.3): (0.25, 0, 2, "tolerance"),
+    ("igols", "ascent", 50.0): (0.25, 0, 2, "tolerance"),
+    ("igols", "ascent", 1e7): (0.25, 0, 2, "tolerance"),
+    ("igols", "descent", 0.3): (0.3, 0, 3, "cap_max"),
+    ("igols", "descent", 50.0): (50.0, 0, 10, "cap_max"),
+    ("igols", "descent", 1e7): (1e7, 0, 28, "cap_max"),
+    ("igols", "flat", 0.3): (0.25, 0, 2, "tolerance"),
+    ("igols", "flat", 50.0): (0.25, 0, 2, "tolerance"),
+    ("igols", "flat", 1e7): (0.25, 0, 2, "tolerance"),
+    ("igols", "root", 0.3): (0.3, 0, 3, "cap_max"),
+    ("igols", "root", 50.0): (4.0, 0, 7, "tolerance"),
+    ("igols", "root", 1e7): (4.0, 0, 7, "tolerance"),
+}
+
+# max_info_calls is checked before each growth or refinement step, not
+# before the opening evaluations, so it is not a hard maximum: golden
+# section with a budget of 3 or 4 spends 5 calls.  Under a cap the opening
+# bracket is re-midpointed; golden section still counts its first point at
+# delta = 5 as the best step so far, which the clamp turns into cap_max.
+BUDGET_EDGES = [
+    (golden_section, "quadratic", 3, ALPHA_CAP, (2.5, 5, 0, "budget")),
+    (golden_section, "quadratic", 4, ALPHA_CAP, (2.5, 5, 0, "budget")),
+    (golden_section, "quadratic", 7, ALPHA_CAP, (0.954915028125263, 7, 0, "budget")),
+    (golden_section, "quadratic", 8, ALPHA_CAP, (1.3196601125010516, 8, 0, "budget")),
+    (golden_section, "descent", 3, 0.3, (0.3, 5, 0, "cap_max")),
+    (golden_section, "descent", 3, 5.0, (5.0, 5, 0, "budget")),
+    (bisection_gols, "root", 3, ALPHA_CAP, (2.5, 0, 3, "budget")),
+    (bisection_gols, "root", 4, ALPHA_CAP, (1.25, 0, 4, "budget")),
+    (bisection_gols, "root", 7, ALPHA_CAP, (2.34375, 0, 7, "budget")),
+    (bisection_gols, "root", 8, ALPHA_CAP, (2.421875, 0, 8, "budget")),
+    (bisection_gols, "descent", 3, 0.3, (0.15, 0, 4, "budget")),
+]
+
+
+def _summary(out):
+    return (out.alpha, out.function_evals, out.gradient_evals, out.reason)
+
+
+class TestPinnedOutcomes:
+    @pytest.mark.parametrize("name,shape,alpha_max", sorted(PINNED))
+    def test_resolver_outcome(self, name, shape, alpha_max):
+        out = make_resolver(name)(SHAPES[shape](), 0.25, alpha_max)
+        assert _summary(out) == PINNED[name, shape, alpha_max]
+
+    @pytest.mark.parametrize("search,shape,budget,alpha_max,expected", BUDGET_EDGES)
+    def test_exact_search_budget_edge(self, search, shape, budget, alpha_max, expected):
+        out = search(SHAPES[shape](), BracketConfig(max_info_calls=budget),
+                     alpha_max=alpha_max)
+        assert _summary(out) == expected
+
+    @pytest.mark.parametrize("budget,expected", [
+        (2, (1e-08, 0, 2, "budget")),
+        (3, (2e-08, 0, 3, "budget")),
+        (8, (6.4e-07, 0, 8, "budget")),
+    ])
+    def test_inexact_gols_budget_edge(self, budget, expected):
+        out = inexact_gols(make_quadratic_probe(), 1e-8,
+                           InexactConfig(max_info_calls=budget))
+        assert _summary(out) == expected
+
+
+NON_FINITE_LINES = {
+    "nan_everywhere": (lambda a: math.nan, lambda a: math.nan),
+    # Descent up to alpha = 3 and NaN beyond: every search from 0.25 steps
+    # past 3.
+    "nan_past_3": (lambda a: -a if a <= 3.0 else math.nan,
+                   lambda a: -1.0 if a <= 3.0 else math.nan),
+}
+
+
+class TestNonFiniteLines:
+    @pytest.mark.parametrize("line", sorted(NON_FINITE_LINES))
+    @pytest.mark.parametrize("name", ["gs", "arls", "bgols", "igols"])
+    def test_non_finite_value_is_rejected(self, name, line):
+        probe = make_1d_probe(*NON_FINITE_LINES[line])
+        with pytest.raises(ValueError, match="non-finite"):
+            make_resolver(name)(probe, 0.25, ALPHA_CAP)

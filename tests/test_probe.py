@@ -176,6 +176,14 @@ class TestValidation:
             with pytest.raises(ValueError):
                 probe.deriv(bad)
 
+    def test_non_finite_loss_or_slope_rejected(self):
+        for bad in [np.nan, np.inf, -np.inf]:
+            model = SyntheticObjective(lambda x: bad, lambda x: np.array([bad]))
+            probe = DirectionalProbe(model, np.zeros(1), np.ones(1), policy="full")
+            for evaluate in (probe.value, probe.deriv, probe.value_and_deriv):
+                with pytest.raises(ValueError, match="non-finite"):
+                    evaluate(1.0)
+
     def test_resample_without_sampler_rejected(self):
         model = quadratic_bowl([1.0])
         with pytest.raises(ValueError):
