@@ -7,6 +7,12 @@ per node when resampling).  Local minima are strict interior dips of the loss
 samples; slope sign changes are counted between adjacent nodes where the
 derivative turns from negative to non-negative, which is where a sub-sampled
 descent direction bottoms out regardless of how noisy the loss values are.
+
+The probe draws every node's sample first, in node order, exactly as a
+node-by-node walk would, and then evaluates all nodes in one stacked call
+(:meth:`DirectionalProbe.scan`), in blocks of at most 1024 batch rows.  F and
+F' may differ from a node-by-node evaluation in the last bits wherever the
+stacked arithmetic sums in another order.
 """
 
 from __future__ import annotations
@@ -75,11 +81,10 @@ def scan_line(probe: DirectionalProbe, alpha_start=0.0, step=0.1, steps=100,
     """
     if step <= 0:
         raise ValueError("step must be positive")
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
     alphas = alpha_start + step * np.arange(steps + 1)
-    values = np.empty_like(alphas)
-    slopes = np.empty_like(alphas)
-    for i, alpha in enumerate(alphas):
-        values[i], slopes[i] = probe.value_and_deriv(alpha)
+    values, slopes = probe.scan(alphas)
     return ScanResult(alphas, values, slopes, batch_size=batch_size)
 
 

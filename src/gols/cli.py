@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -123,11 +124,25 @@ def build_spec(args) -> ExperimentSpec:
 
     batch_sizes = []
     for token in str(merged["batch_sizes"]).replace(" ", "").split(","):
-        batch_sizes.append("full" if token == "full" else int(token))
+        size = "full" if token == "full" else int(token)
+        if size != "full" and size < 1:
+            raise ValueError("batch sizes must be at least 1")
+        batch_sizes.append(size)
 
     repeats = int(merged["repeats"])
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
+    command = args.command
+    if command in ("train", "compare"):
+        if int(merged["iterations"]) < 1:
+            raise ValueError("iterations must be at least 1")
+        if int(merged["batch_size"]) < 1:
+            raise ValueError("batch size must be at least 1")
+    if command == "scan":
+        if not 0.0 < float(merged["scan_step"]) < math.inf:
+            raise ValueError("scan step must be positive and finite")
+        if int(merged["scan_steps"]) < 2:
+            raise ValueError("scan steps must be at least 2")
 
     name = str(merged["dataset"])
     if name in BUILTIN_DATASETS:
@@ -137,7 +152,6 @@ def build_spec(args) -> ExperimentSpec:
     else:
         raise ValueError(f"dataset {name!r} is neither builtin nor an existing file")
 
-    command = args.command
     if command == "compare" and len(resolvers) < 2:
         raise ValueError("compare needs at least two resolvers")
 

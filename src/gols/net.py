@@ -119,6 +119,61 @@ class Network:
             upstream = delta @ mats[c][:, 1:]
         return self.pack(grads)
 
+    def losses_and_slopes(self, points, inputs, targets, direction):
+        """Loss and gradient·direction at ``N`` parameter points at once.
+
+        ``points`` is ``(N, num_params)``; ``inputs`` and ``targets`` are
+        ``(N, P, ·)`` stacks holding each point's own batch of ``P`` rows, or
+        ``(1, P, ·)`` for one batch shared by every point.  One stacked forward
+        pass and backprop returns the ``N`` losses and the ``N`` slopes
+        ``gradient(...) @ direction``, which match :meth:`loss` and
+        :meth:`gradient` up to rounding in the last bits.
+        """
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.num_params:
+            raise ValueError(
+                f"points have shape {points.shape}, expected (N, {self.num_params})"
+            )
+        direction = self._check_params(direction)
+        inputs = np.asarray(inputs, dtype=float)
+        targets = np.asarray(targets, dtype=float)
+        if (inputs.ndim != 3 or inputs.shape[2] != self.input_dim
+                or targets.ndim != 3 or targets.shape[2] != self.output_dim
+                or inputs.shape[:2] != targets.shape[:2]
+                or inputs.shape[0] not in (1, len(points)) or inputs.shape[1] < 1):
+            raise ValueError(
+                f"inputs {inputs.shape} and targets {targets.shape} are not "
+                f"(N or 1, P, {self.input_dim}) and (N or 1, P, {self.output_dim})"
+            )
+        n = len(points)
+        mats, start = [], 0
+        for rows, cols in self.weight_shapes:
+            stop = start + rows * cols
+            mats.append(points[:, start:stop].reshape(n, rows, cols))
+            start = stop
+        acts = [inputs]
+        for w in mats:
+            acts.append(sigmoid(acts[-1] @ w[:, :, 1:].transpose(0, 2, 1)
+                                + w[:, None, :, 0]))
+        p, k = targets.shape[1:]
+        r = acts[-1] - targets
+        losses = (100.0 / (k * p)) * np.sum(r * r, axis=(1, 2))
+        upstream = (200.0 / (k * p)) * r
+        grads = np.empty((n, self.num_params))
+        for c in range(len(mats) - 1, -1, -1):
+            rows, cols = self.weight_shapes[c]
+            start -= rows * cols
+            g = grads[:, start:start + rows * cols].reshape(n, rows, cols)
+            a = acts[c + 1]
+            delta = upstream * a * (1.0 - a)
+            g[:, :, 0] = delta.sum(axis=1)
+            g[:, :, 1:] = delta.transpose(0, 2, 1) @ acts[c]
+            upstream = delta @ mats[c][:, :, 1:]
+        # vecdot takes one dot product per row, the one that
+        # ``gradient(...) @ direction`` takes; a matrix-vector product
+        # ``grads @ direction`` rounds differently on about half the rows.
+        return losses, np.vecdot(grads, direction)
+
     # -- validation ---------------------------------------------------------
 
     def _check_params(self, params):

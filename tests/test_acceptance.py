@@ -4,7 +4,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
 per criterion.  The scan criteria (4, 5) run on the bundled iris corpus; the
 training criteria (6, 7, 8) share one fixture of forty 3000-iteration runs
 on the bundled blobs data with a two-hidden-layer network, where the
-quality-ordering regime (a flat initial plateau) actually occurs.
+quality-ordering regime (a flat initial plateau) actually occurs.  That
+fixture takes minutes, so criteria 6-8 are marked ``slow``:
+``pytest -m "not slow"`` runs everything else in seconds.
 
 Known red: criterion 4's local-minima monotonicity from batch size 1 to 10
 does not hold on any bundled dataset (the sign-change counts behave as
@@ -232,6 +234,7 @@ def test_criterion_5_ball_shrinks_with_batch_size(scan_study):
            f"eps(batch 10) = {eps10:.3f} >= eps(batch 50) = {eps50:.3f} >= 0")
 
 
+@pytest.mark.slow
 def test_criterion_6_cost_ordering(training_runs):
     traces, elapsed = training_runs
     per_iter = {}
@@ -253,6 +256,7 @@ def test_criterion_6_cost_ordering(training_runs):
            f"{elapsed:.0f}s < 600s")
 
 
+@pytest.mark.slow
 def test_criterion_7_training_quality_ordering(training_runs):
     traces, _ = training_runs
 
@@ -276,6 +280,7 @@ def test_criterion_7_training_quality_ordering(training_runs):
            f"bgols <= gs in {exact_wins}/10 repeats (both need >= 8)")
 
 
+@pytest.mark.slow
 def test_criterion_8_step_caps_on_full_traces(training_runs):
     traces, _ = training_runs
     checked = 0

@@ -72,6 +72,12 @@ class TestScanLine:
         with pytest.raises(ValueError):
             scan_line(probe, step=0.0)
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_too_few_steps_rejected(self, steps):
+        probe = make_1d_probe(lambda a: a, lambda a: 1.0)
+        with pytest.raises(ValueError, match="steps"):
+            scan_line(probe, steps=steps)
+
 
 class TestCountLocalMinima:
     def test_monotone_samples_have_none(self):

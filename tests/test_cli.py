@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -107,6 +108,15 @@ class TestScanCommand:
         assert float(row[2]) > 0.0  # minima counts vary across repeats
         assert float(row[4]) >= 0.0
 
+    def test_seeded_scan_summary_is_pinned(self, tmp_path):
+        # Recorded when every scan node was still evaluated on its own; the
+        # stacked evaluation must reproduce the same summary bytes.
+        run_ok(["scan", "--dataset", "iris", "--batch-sizes", "1,10,full",
+                "--repeats", "3", "--seed", "3", "--out", str(tmp_path)])
+        digest = hashlib.sha256((tmp_path / "scan_summary.csv").read_bytes())
+        assert digest.hexdigest() == (
+            "f25e872086524981d01c099d5b2c3e6a3b4a906a0c17254bdfdab0a0e89693c9")
+
     def test_scan_rerun_byte_identical(self, tmp_path):
         args = ["scan", "--dataset", "iris", "--repeats", "2",
                 "--batch-sizes", "10,full", "--scan-steps", "15", "--seed", "3"]
@@ -162,6 +172,23 @@ class TestSpecHandling:
         run_ok(["train", "--config", str(config), "--repeats", "1"])
         traces = list((tmp_path / "from_config").glob("train_*_rep*.csv"))
         assert len(traces) == 1  # the flag overrode the config's repeats
+
+    @pytest.mark.parametrize("args", [
+        ["train", "--iterations", "0"],
+        ["train", "--batch-size", "0"],
+        ["compare", "--resolver", "igols,arls", "--iterations", "-1"],
+        ["compare", "--resolver", "igols,arls", "--batch-size", "-2"],
+        ["scan", "--batch-sizes", "10,0"],
+        ["scan", "--scan-step", "0"],
+        ["scan", "--scan-step", "-0.1"],
+        ["scan", "--scan-steps", "1"],
+        ["scan", "--scan-steps", "0"],
+        ["scan", "--scan-steps", "-3"],
+    ], ids=" ".join)
+    def test_impossible_number_is_usage_error(self, tmp_path, args):
+        out = tmp_path / "out"
+        assert main(args + ["--dataset", "iris", "--out", str(out)]) == 2
+        assert not out.exists()  # rejected before any work
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "spec.json"

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gols.data import BatchSampler, builtin_dataset, split_3_1_1
 from gols.net import Network
 from gols.probe import (
+    POLICIES,
     BatchObjective,
     DirectionalProbe,
     EvalCounter,
@@ -193,3 +196,97 @@ class TestValidation:
         model = quadratic_bowl([1.0])
         with pytest.raises(ValueError):
             DirectionalProbe(model, np.zeros(1), np.ones(1), policy="sometimes")
+
+
+def per_node(probe, alphas):
+    """Reference for ``probe.scan``: one ``value_and_deriv`` call per node."""
+    pairs = [probe.value_and_deriv(alpha) for alpha in alphas]
+    return np.array([f for f, _ in pairs]), np.array([fp for _, fp in pairs])
+
+
+class TestStackedScan:
+    @given(
+        hidden=st.lists(st.integers(1, 6), min_size=1, max_size=2),
+        rows=st.integers(1, 150),
+        batch_share=st.floats(0.0, 1.0),
+        nodes=st.integers(1, 60),
+        policy=st.sampled_from(POLICIES),
+        seed=st.integers(0, 2**31),
+    )
+    # Each example spans several blocks of at most 1024 stacked rows: 60
+    # nodes of 150, 75 and 150 rows make 10, 5 and 10 blocks.
+    @example(hidden=[5, 4], rows=150, batch_share=1.0, nodes=60,
+             policy="resample", seed=1)
+    @example(hidden=[3], rows=150, batch_share=0.5, nodes=60,
+             policy="fixed", seed=2)
+    @example(hidden=[2, 6], rows=150, batch_share=0.0, nodes=60,
+             policy="full", seed=3)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_node_evaluation(self, hidden, rows, batch_share, nodes,
+                                         policy, seed):
+        rng = np.random.default_rng(seed)
+        net = Network(int(rng.integers(1, 6)), hidden, int(rng.integers(1, 5)))
+        model = BatchObjective(net, rng.normal(size=(rows, net.input_dim)),
+                               rng.uniform(size=(rows, net.output_dim)))
+        batch = 1 + int(batch_share * (rows - 1))
+        origin = rng.uniform(-1.0, 1.0, net.num_params)
+        direction = rng.normal(size=net.num_params)
+        alphas = np.sort(rng.uniform(-1.0, 5.0, nodes))
+
+        def probe():
+            sampler = BatchSampler(np.arange(rows), batch, seed=seed)
+            return DirectionalProbe(model, origin, direction, policy=policy,
+                                    sampler=sampler), sampler
+
+        stacked, stacked_sampler = probe()
+        looped, looped_sampler = probe()
+        values, slopes = stacked.scan(alphas)
+        ref_values, ref_slopes = per_node(looped, alphas)
+        for got, want in ((values, ref_values), (slopes, ref_slopes)):
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        assert stacked.counter.snapshot() == looped.counter.snapshot() == (nodes, nodes)
+        assert np.array_equal(stacked_sampler.sample(), looped_sampler.sample())
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_synthetic_objective_matches_loop_exactly(self, policy):
+        model = SyntheticObjective(lambda x: 0.5 * float(x @ x), lambda x: x,
+                                   noise_value=0.3, noise_grad=0.3)
+        alphas = np.linspace(0.0, 3.0, 31)
+        keys = KeyStream(4), KeyStream(4)
+        stacked, looped = (DirectionalProbe(model, np.ones(2), np.array([-1.0, 0.5]),
+                                            policy=policy, sampler=key)
+                           for key in keys)
+        values, slopes = stacked.scan(alphas)
+        ref_values, ref_slopes = per_node(looped, alphas)
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(slopes, ref_slopes)
+        assert stacked.counter.snapshot() == looped.counter.snapshot()
+        assert keys[0].sample() == keys[1].sample()
+
+    @pytest.mark.parametrize("policy", ["resample", "full"])
+    def test_nan_row_names_first_bad_alpha(self, iris_objective, policy):
+        net, obj = iris_objective
+        inputs = obj.inputs.copy()
+        inputs[7] = np.nan
+        model = BatchObjective(net, inputs, obj.targets)
+        alphas = 0.1 * np.arange(40)
+        stacked, looped = (
+            DirectionalProbe(model, net.init_params(5), np.ones(net.num_params),
+                             policy=policy,
+                             sampler=BatchSampler(np.arange(obj.num_rows), 10, seed=8))
+            for _ in range(2))
+        with pytest.raises(ValueError) as want:
+            per_node(looped, alphas)
+        first_bad = looped.counter.functions - 1
+        assert f"F({float(alphas[first_bad])!r})" in str(want.value)
+        assert (first_bad > 0) == (policy == "resample")
+        with pytest.raises(ValueError) as got:
+            stacked.scan(alphas)
+        assert str(got.value) == str(want.value)
+
+    def test_non_finite_alpha_rejected(self):
+        probe = DirectionalProbe(quadratic_bowl([1.0]), np.zeros(1), np.ones(1),
+                                 policy="full")
+        with pytest.raises(ValueError, match="finite"):
+            probe.scan(np.array([0.0, np.nan]))
