@@ -143,6 +143,8 @@ def build_spec(args) -> ExperimentSpec:
             raise ValueError("scan step must be positive and finite")
         if int(merged["scan_steps"]) < 2:
             raise ValueError("scan steps must be at least 2")
+        if not 0.0 < float(merged["target_alpha"]) < math.inf:
+            raise ValueError("target alpha must be positive and finite")
 
     name = str(merged["dataset"])
     if name in BUILTIN_DATASETS:

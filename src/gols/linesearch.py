@@ -12,7 +12,7 @@ Each search is an ask/tell generator: it yields ``("value", alpha)`` or
 returns ``(alpha, reason, intervals)``.  It reads only the numbers it is sent
 and the running count of its requests.  One driver, :func:`_drive`, answers
 the requests through the probe, counts them, clamps the returned step into
-``[alpha_min, alpha_max]`` and builds the outcome.  Callers that resolve
+``[ALPHA_MIN, alpha_max]`` and builds the outcome.  Callers that resolve
 steps for steepest descent should pass
 ``alpha_max=effective_alpha_max(norm(g))`` so that unbounded descent
 directions cannot produce runaway steps.
@@ -110,21 +110,21 @@ class LineSearchOutcome:
         return self.function_evals + self.gradient_evals
 
 
-def effective_alpha_max(gradient_norm: float, cap: float = ALPHA_CAP) -> float:
+def effective_alpha_max(gradient_norm: float) -> float:
     """Largest permissible step along a descent direction of this steepness.
 
-    Returns ``min(1 / gradient_norm, cap)``; a vanishing gradient norm keeps
-    the plain cap.
+    Returns ``min(1 / gradient_norm, ALPHA_CAP)``; a vanishing gradient norm
+    keeps the plain cap.
     """
     if gradient_norm < 0:
         raise ValueError("gradient norm cannot be negative")
     if gradient_norm == 0.0:
-        return cap
-    return min(1.0 / gradient_norm, cap)
+        return ALPHA_CAP
+    return min(1.0 / gradient_norm, ALPHA_CAP)
 
 
-def _drive(probe, search, alpha_min, alpha_max, *args) -> LineSearchOutcome:
-    """Run ``search(spent, alpha_min, alpha_max, *args)`` against ``probe``.
+def _drive(probe, search, alpha_max, *args) -> LineSearchOutcome:
+    """Run ``search(spent, alpha_max, *args)`` against ``probe``.
 
     ``spent`` is the :class:`~gols.probe.EvalCounter` of the requests served
     so far; searches check their budget against it.  The probe's methods are
@@ -133,7 +133,7 @@ def _drive(probe, search, alpha_min, alpha_max, *args) -> LineSearchOutcome:
     """
     spent = EvalCounter()
     answer = {"value": probe.value, "deriv": probe.deriv}
-    requests = search(spent, alpha_min, alpha_max, *args)
+    requests = search(spent, alpha_max, *args)
     try:
         kind, alpha = next(requests)
         while True:
@@ -146,8 +146,8 @@ def _drive(probe, search, alpha_min, alpha_max, *args) -> LineSearchOutcome:
         alpha, reason, intervals = done.value
     if alpha > alpha_max:
         alpha, reason = alpha_max, "cap_max"
-    if alpha < alpha_min:
-        alpha, reason = alpha_min, "cap_min"
+    if alpha < ALPHA_MIN:
+        alpha, reason = ALPHA_MIN, "cap_min"
     return LineSearchOutcome(alpha, spent.functions, spent.gradients, reason,
                              intervals)
 
@@ -178,8 +178,7 @@ def _value(point):
 
 
 def golden_section(probe, config: BracketConfig | None = None, *,
-                   alpha_max: float = ALPHA_CAP,
-                   alpha_min: float = ALPHA_MIN) -> LineSearchOutcome:
+                   alpha_max: float = ALPHA_CAP) -> LineSearchOutcome:
     """Exact function-value search: bracket a minimizer, then golden section.
 
     Bracketing advances from ``delta`` by growing steps ``ratio**j * delta``
@@ -188,11 +187,10 @@ def golden_section(probe, config: BracketConfig | None = None, *,
     length falls below ``tol``.  The accepted step is the final interval
     midpoint.  Uses only loss evaluations, never the slope.
     """
-    return _drive(probe, _golden_section, alpha_min, alpha_max,
-                  config or BracketConfig())
+    return _drive(probe, _golden_section, alpha_max, config or BracketConfig())
 
 
-def _golden_section(spent, alpha_min, alpha_max, cfg):
+def _golden_section(spent, alpha_max, cfg):
     f0 = yield "value", 0.0
     first, (mid, f_mid), (high, f_high) = yield from _open_bracket(
         "value", cfg, alpha_max)
@@ -239,8 +237,7 @@ def _golden_section(spent, alpha_min, alpha_max, cfg):
 
 
 def armijo(probe, alpha_init: float, config: ArmijoConfig | None = None, *,
-           alpha_max: float = ALPHA_CAP,
-           alpha_min: float = ALPHA_MIN) -> LineSearchOutcome:
+           alpha_max: float = ALPHA_CAP) -> LineSearchOutcome:
     """Inexact function-value search enforcing a sufficient-decrease bound.
 
     A step is acceptable when ``F(alpha) < F(0) + alpha * p * F'(0)`` with
@@ -249,18 +246,18 @@ def armijo(probe, alpha_init: float, config: ArmijoConfig | None = None, *,
     (largest feasible step); otherwise it is shrunk until the first pass.
     Spends exactly one gradient evaluation, at the origin.
     """
-    return _drive(probe, _armijo, alpha_min, alpha_max, alpha_init,
+    return _drive(probe, _armijo, alpha_max, alpha_init,
                   config or ArmijoConfig())
 
 
-def _armijo(spent, alpha_min, alpha_max, alpha_init, cfg):
+def _armijo(spent, alpha_max, alpha_init, cfg):
     f0 = yield "value", 0.0
     slope0 = yield "deriv", 0.0
 
     def acceptable(alpha, value):
         return value < f0 + alpha * cfg.decrease_fraction * slope0
 
-    alpha = min(max(alpha_init, alpha_min), alpha_max)
+    alpha = min(max(alpha_init, ALPHA_MIN), alpha_max)
     if acceptable(alpha, (yield "value", alpha)):
         while alpha < alpha_max:
             bigger = min(alpha * cfg.factor, alpha_max)
@@ -271,15 +268,14 @@ def _armijo(spent, alpha_min, alpha_max, alpha_init, cfg):
 
     while True:
         alpha = alpha / cfg.factor
-        # A step below alpha_min ends the search unevaluated; the driver
+        # A step below ALPHA_MIN ends the search unevaluated; the driver
         # clamps it and reports cap_min.
-        if alpha < alpha_min or acceptable(alpha, (yield "value", alpha)):
+        if alpha < ALPHA_MIN or acceptable(alpha, (yield "value", alpha)):
             return alpha, "tolerance", []
 
 
 def bisection_gols(probe, config: BracketConfig | None = None, *,
-                   alpha_max: float = ALPHA_CAP,
-                   alpha_min: float = ALPHA_MIN) -> LineSearchOutcome:
+                   alpha_max: float = ALPHA_CAP) -> LineSearchOutcome:
     """Exact gradient-only search: bisect the slope's negative-to-positive
     sign change.
 
@@ -289,11 +285,10 @@ def bisection_gols(probe, config: BracketConfig | None = None, *,
     a three-point pattern and halves the interval per iteration.  Uses only
     gradient evaluations.
     """
-    return _drive(probe, _bisection_gols, alpha_min, alpha_max,
-                  config or BracketConfig())
+    return _drive(probe, _bisection_gols, alpha_max, config or BracketConfig())
 
 
-def _bisection_gols(spent, alpha_min, alpha_max, cfg):
+def _bisection_gols(spent, alpha_max, cfg):
     _, (mid, mid_slope), (high, high_slope) = yield from _open_bracket(
         "deriv", cfg, alpha_max)
     j = 1
@@ -308,7 +303,7 @@ def _bisection_gols(spent, alpha_min, alpha_max, cfg):
     intervals = []
     low = 0.0
     length = high - low
-    while (length > cfg.tol and high > alpha_min
+    while (length > cfg.tol and high > ALPHA_MIN
            and spent.info_calls < cfg.max_info_calls):
         if mid_slope < 0 and high_slope >= 0:
             low = mid
@@ -321,7 +316,7 @@ def _bisection_gols(spent, alpha_min, alpha_max, cfg):
 
     if length <= cfg.tol:
         reason = "tolerance"
-    elif high <= alpha_min:
+    elif high <= ALPHA_MIN:
         reason = "cap_min"
     else:
         reason = "budget"
@@ -329,8 +324,7 @@ def _bisection_gols(spent, alpha_min, alpha_max, cfg):
 
 
 def inexact_gols(probe, alpha_init: float, config: InexactConfig | None = None, *,
-                 alpha_max: float = ALPHA_CAP,
-                 alpha_min: float = ALPHA_MIN) -> LineSearchOutcome:
+                 alpha_max: float = ALPHA_CAP) -> LineSearchOutcome:
     """Inexact gradient-only search by doubling or halving the step.
 
     The acceptance band is ``|(1 - relaxation) * F'(0)|``: a slope above it
@@ -340,13 +334,13 @@ def inexact_gols(probe, alpha_init: float, config: InexactConfig | None = None, 
     current behaviour (and accepts the initial step immediately).  Uses only
     gradient evaluations.
     """
-    return _drive(probe, _inexact_gols, alpha_min, alpha_max, alpha_init,
+    return _drive(probe, _inexact_gols, alpha_max, alpha_init,
                   config or InexactConfig())
 
 
-def _inexact_gols(spent, alpha_min, alpha_max, alpha_init, cfg):
+def _inexact_gols(spent, alpha_max, alpha_init, cfg):
     slope0 = yield "deriv", 0.0
-    alpha = min(max(alpha_init, alpha_min), alpha_max)
+    alpha = min(max(alpha_init, ALPHA_MIN), alpha_max)
     slope = yield "deriv", alpha
     band = abs((1.0 - cfg.relaxation) * slope0)
     if slope == band:
@@ -364,7 +358,7 @@ def _inexact_gols(spent, alpha_min, alpha_max, alpha_init, cfg):
                 alpha = alpha / cfg.eta
         # A step outside the bounds ends the search; the driver clamps it
         # and reports cap_min or cap_max.
-        if done or not alpha_min <= alpha <= alpha_max:
+        if done or not ALPHA_MIN <= alpha <= alpha_max:
             return alpha, "tolerance", []
     return alpha, "budget", []
 

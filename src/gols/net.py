@@ -4,6 +4,13 @@ Networks have one or two fully connected hidden layers and logistic
 activations on every node, hidden and output alike.  All operations are pure
 functions of a flat parameter vector: a ``Network`` instance carries only the
 architecture, never weights, so one instance serves every run and scan.
+
+One forward pass (``_activations``) and one backprop (``_backprop``) serve
+every evaluation.  Both work on weights with any leading axes, so the
+per-point :meth:`Network.loss` and :meth:`Network.gradient` run them on one
+parameter vector and :meth:`Network.losses_and_slopes` on a stack of them.
+``_backprop`` writes into per-layer views of one flat gradient array, which
+is already in :meth:`Network.pack` order.
 """
 
 from __future__ import annotations
@@ -67,13 +74,7 @@ class Network:
 
     def unpack(self, params: np.ndarray) -> list[np.ndarray]:
         """Views of the flat vector as per-layer weight matrices."""
-        params = self._check_params(params)
-        mats, start = [], 0
-        for rows, cols in self.weight_shapes:
-            stop = start + rows * cols
-            mats.append(params[start:stop].reshape(rows, cols))
-            start = stop
-        return mats
+        return self._layers(self._check_params(params))
 
     def pack(self, matrices) -> np.ndarray:
         """Flatten per-layer weight matrices back into a parameter vector."""
@@ -90,44 +91,29 @@ class Network:
     def forward(self, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Predictions for a batch, one row per sample, entries in (0, 1)."""
         inputs = self._check_inputs(inputs)
-        a = inputs
-        for w in self.unpack(params):
-            a = sigmoid(a @ w[:, 1:].T + w[:, 0])
-        return a
+        return _activations(self.unpack(params), inputs)[-1]
 
     def loss(self, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray) -> float:
         inputs, targets = self._check_batch(inputs, targets)
-        r = self.forward(params, inputs) - targets
-        p, k = targets.shape
-        return float(100.0 / (k * p) * np.sum(r * r))
+        return float(_loss(_activations(self.unpack(params), inputs)[-1] - targets))
 
     def gradient(self, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Analytic gradient of :meth:`loss`, flattened in pack order."""
         inputs, targets = self._check_batch(inputs, targets)
-        mats = self.unpack(params)
-        acts = [inputs]
-        for w in mats:
-            acts.append(sigmoid(acts[-1] @ w[:, 1:].T + w[:, 0]))
-        p, k = targets.shape
-        upstream = (200.0 / (k * p)) * (acts[-1] - targets)
-        grads = [np.empty(shape) for shape in self.weight_shapes]
-        for c in range(len(mats) - 1, -1, -1):
-            a = acts[c + 1]
-            delta = upstream * a * (1.0 - a)
-            grads[c][:, 0] = delta.sum(axis=0)
-            grads[c][:, 1:] = delta.T @ acts[c]
-            upstream = delta @ mats[c][:, 1:]
-        return self.pack(grads)
+        grad = np.empty(self.num_params)
+        _backprop(self.unpack(params), self._layers(grad), inputs, targets)
+        return grad
 
     def losses_and_slopes(self, points, inputs, targets, direction):
         """Loss and gradient·direction at ``N`` parameter points at once.
 
         ``points`` is ``(N, num_params)``; ``inputs`` and ``targets`` are
         ``(N, P, ·)`` stacks holding each point's own batch of ``P`` rows, or
-        ``(1, P, ·)`` for one batch shared by every point.  One stacked forward
-        pass and backprop returns the ``N`` losses and the ``N`` slopes
-        ``gradient(...) @ direction``, which match :meth:`loss` and
-        :meth:`gradient` up to rounding in the last bits.
+        ``(1, P, ·)`` for one batch shared by every point.  The forward pass
+        and backprop are the ones :meth:`loss` and :meth:`gradient` run, over
+        the stack at once; the ``N`` slopes are ``gradient(...) @ direction``.
+        Both equal the per-point results except where numpy sums a stacked
+        matrix product in another order than a single one.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.num_params:
@@ -145,34 +131,24 @@ class Network:
                 f"inputs {inputs.shape} and targets {targets.shape} are not "
                 f"(N or 1, P, {self.input_dim}) and (N or 1, P, {self.output_dim})"
             )
-        n = len(points)
-        mats, start = [], 0
-        for rows, cols in self.weight_shapes:
-            stop = start + rows * cols
-            mats.append(points[:, start:stop].reshape(n, rows, cols))
-            start = stop
-        acts = [inputs]
-        for w in mats:
-            acts.append(sigmoid(acts[-1] @ w[:, :, 1:].transpose(0, 2, 1)
-                                + w[:, None, :, 0]))
-        p, k = targets.shape[1:]
-        r = acts[-1] - targets
-        losses = (100.0 / (k * p)) * np.sum(r * r, axis=(1, 2))
-        upstream = (200.0 / (k * p)) * r
-        grads = np.empty((n, self.num_params))
-        for c in range(len(mats) - 1, -1, -1):
-            rows, cols = self.weight_shapes[c]
-            start -= rows * cols
-            g = grads[:, start:start + rows * cols].reshape(n, rows, cols)
-            a = acts[c + 1]
-            delta = upstream * a * (1.0 - a)
-            g[:, :, 0] = delta.sum(axis=1)
-            g[:, :, 1:] = delta.transpose(0, 2, 1) @ acts[c]
-            upstream = delta @ mats[c][:, :, 1:]
+        grads = np.empty(points.shape)
+        losses = _loss(_backprop(self._layers(points), self._layers(grads),
+                                 inputs, targets))
         # vecdot takes one dot product per row, the one that
         # ``gradient(...) @ direction`` takes; a matrix-vector product
         # ``grads @ direction`` rounds differently on about half the rows.
         return losses, np.vecdot(grads, direction)
+
+    def _layers(self, params):
+        """Per-layer ``(..., fan_out, fan_in + 1)`` views of ``(...,
+        num_params)`` parameters, for any leading axes."""
+        lead = params.shape[:-1]
+        mats, start = [], 0
+        for rows, cols in self.weight_shapes:
+            stop = start + rows * cols
+            mats.append(params[..., start:stop].reshape(lead + (rows, cols)))
+            start = stop
+        return mats
 
     # -- validation ---------------------------------------------------------
 
@@ -205,3 +181,44 @@ class Network:
         if inputs.shape[0] < 1:
             raise ValueError("batch must contain at least one sample")
         return inputs, targets
+
+
+def _activations(mats, inputs):
+    """The forward pass: ``inputs`` and every layer's activations.
+
+    ``mats`` are per-layer weights with any leading axes; ``inputs`` is
+    ``(..., P, input_dim)`` and broadcasts against them.
+    """
+    acts = [inputs]
+    for w in mats:
+        acts.append(sigmoid(acts[-1] @ w[..., 1:].mT + w[..., None, :, 0]))
+    return acts
+
+
+def _backprop(mats, grads, inputs, targets):
+    """Writes the loss gradient into ``grads`` and returns the residuals
+    ``prediction - target``, from which :func:`_loss` gives the loss.
+
+    ``grads`` are the per-layer views of one flat gradient array shaped like
+    the parameters behind ``mats``, so no gradient is packed afterwards.
+    The loss is left to the callers that need it, so
+    :meth:`Network.gradient` does not pay for one it would discard.
+    """
+    acts = _activations(mats, inputs)
+    r = acts[-1] - targets
+    p, k = r.shape[-2:]
+    upstream = (200.0 / (k * p)) * r
+    for c in range(len(mats) - 1, -1, -1):
+        a = acts[c + 1]
+        delta = upstream * a * (1.0 - a)
+        grads[c][..., 0] = delta.sum(axis=-2)
+        grads[c][..., 1:] = delta.mT @ acts[c]
+        upstream = delta @ mats[c][..., 1:]
+    return r
+
+
+def _loss(residuals):
+    """``100 / (K * P)`` times the summed squares of ``(..., P, K)``
+    residuals, one loss per leading index."""
+    p, k = residuals.shape[-2:]
+    return (100.0 / (k * p)) * np.sum(residuals * residuals, axis=(-2, -1))

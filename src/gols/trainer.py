@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from gols.data import BatchSampler, Dataset, Split
-from gols.linesearch import ALPHA_CAP, ALPHA_MIN, effective_alpha_max, make_resolver
+from gols.linesearch import ALPHA_MIN, effective_alpha_max, make_resolver
 from gols.net import Network
 from gols.probe import BatchObjective, DirectionalProbe
 
@@ -76,8 +76,6 @@ class TrainConfig:
     policy: str = "resample"
     weight_seed: object = 0
     sampler_seed: object = 0
-    alpha_cap: float = ALPHA_CAP
-    alpha_min: float = ALPHA_MIN
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -87,7 +85,7 @@ class TrainConfig:
 
 
 def sgd_train(model, x0, sampler, resolver, iterations, metrics,
-              policy="resample", alpha_cap=ALPHA_CAP, alpha_min=ALPHA_MIN) -> TrainTrace:
+              policy="resample") -> TrainTrace:
     """Run steepest descent for a fixed number of iterations.
 
     Parameters
@@ -120,7 +118,7 @@ def sgd_train(model, x0, sampler, resolver, iterations, metrics,
     info = 0
     trace.rows.append(TraceRow(0, 0.0, np.nan, *metrics(x), cost, info))
 
-    alpha_prev = alpha_min
+    alpha_prev = ALPHA_MIN
     for n in range(1, iterations + 1):
         batch = sampler.sample()
         g = model.grad(x, batch)
@@ -137,8 +135,8 @@ def sgd_train(model, x0, sampler, resolver, iterations, metrics,
                 model, x, -g, policy=policy, sampler=sampler,
                 fixed_sample=batch if policy == "fixed" else None,
             )
-            alpha_max = effective_alpha_max(gnorm, alpha_cap)
-            alpha_init = min(max(alpha_prev, alpha_min), alpha_max)
+            alpha_max = effective_alpha_max(gnorm)
+            alpha_init = min(max(alpha_prev, ALPHA_MIN), alpha_max)
             outcome = resolver(probe, alpha_init, alpha_max)
             alpha = outcome.alpha
             alpha_prev = alpha
@@ -177,7 +175,5 @@ def train_on_dataset(net: Network, dataset: Dataset, split: Split,
     x0 = net.init_params(config.weight_seed)
     return sgd_train(
         model, x0, sampler, config.resolver, config.iterations,
-        dataset_metrics(net, dataset, split),
-        policy=config.policy, alpha_cap=config.alpha_cap,
-        alpha_min=config.alpha_min,
+        dataset_metrics(net, dataset, split), policy=config.policy,
     )

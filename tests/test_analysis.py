@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -207,6 +208,15 @@ class TestScaledDescentDirection:
         model = SyntheticObjective(lambda x: 0.0, lambda x: np.zeros_like(x))
         with pytest.raises(ValueError):
             scaled_descent_direction(model, np.zeros(2))
+
+    @pytest.mark.parametrize("target", [0.0, -2.5, math.nan, math.inf])
+    def test_target_must_be_positive_and_finite(self, target):
+        model = SyntheticObjective(
+            func=lambda x: 0.5 * float(np.sum((x - 3.0) ** 2)),
+            grad_func=lambda x: x - 3.0,
+        )
+        with pytest.raises(ValueError, match="target alpha"):
+            scaled_descent_direction(model, np.zeros(3), target_alpha=target)
 
 
 class TestScanCsv:

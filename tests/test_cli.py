@@ -71,6 +71,18 @@ class TestTrainCommand:
                 "--out", str(out)])
         assert (out / "train_summary.csv").exists()
 
+    def test_seeded_train_summary_is_pinned(self, tmp_path):
+        # Recorded before the per-point and stacked network evaluations
+        # shared one forward pass and backprop; every training run still
+        # writes the same summary bytes.
+        run_ok(["train", "--dataset", "blobs", "--arch", "3,3",
+                "--resolver", "gs,arls,bgols,igols", "--repeats", "2",
+                "--iterations", "40", "--seed", "3", "--policy", "resample",
+                "--out", str(tmp_path)])
+        digest = hashlib.sha256((tmp_path / "train_summary.csv").read_bytes())
+        assert digest.hexdigest() == (
+            "b9b959f2a9dbf47dd9b97c86b4709446539e853dc6868013ef70634354280ee2")
+
 
 class TestScanCommand:
     def test_scan_groups_and_summary_schema(self, tmp_path):
@@ -184,6 +196,10 @@ class TestSpecHandling:
         ["scan", "--scan-steps", "1"],
         ["scan", "--scan-steps", "0"],
         ["scan", "--scan-steps", "-3"],
+        ["scan", "--target-alpha", "0"],
+        ["scan", "--target-alpha", "-2.5"],
+        ["scan", "--target-alpha", "nan"],
+        ["scan", "--target-alpha", "inf"],
     ], ids=" ".join)
     def test_impossible_number_is_usage_error(self, tmp_path, args):
         out = tmp_path / "out"

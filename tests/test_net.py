@@ -126,12 +126,24 @@ class TestLoss:
         assert net.loss(params, x, targets) == pytest.approx(100.0)
 
     def test_matches_double_loop_oracle(self):
-        net = Network(3, [4, 2], 3)
         rng = np.random.default_rng(11)
-        params = rng.uniform(-1, 1, net.num_params)
-        x = rng.normal(size=(7, 3))
-        y = rng.uniform(size=(7, 3))
-        assert_allclose(net.loss(params, x, y), loss_oracle(net, params, x, y), rtol=1e-12)
+        for hidden in ([4, 2], [4]):
+            net = Network(3, hidden, 3)
+            params = rng.uniform(-1, 1, net.num_params)
+            x = rng.normal(size=(7, 3))
+            y = rng.uniform(size=(7, 3))
+            assert_allclose(net.loss(params, x, y), loss_oracle(net, params, x, y),
+                            rtol=1e-12)
+            # The stacked entry point, on one batch per point and on one
+            # batch shared by every point.
+            points = rng.uniform(-1, 1, (4, net.num_params))
+            direction = rng.normal(size=net.num_params)
+            for xs, ys in ((rng.normal(size=(4, 7, 3)), rng.uniform(size=(4, 7, 3))),
+                           (x[None], y[None])):
+                losses, _ = net.losses_and_slopes(points, xs, ys, direction)
+                expected = [loss_oracle(net, point, xs[i % len(xs)], ys[i % len(ys)])
+                            for i, point in enumerate(points)]
+                assert_allclose(losses, expected, rtol=1e-12)
 
     def test_row_permutation_invariance(self):
         net = Network(3, [4], 2)
@@ -172,6 +184,20 @@ class TestGradient:
         numeric = central_difference_gradient(net, params, x, y)
         # atol floors the ~1e-9 roundoff of central differences at h=1e-6.
         assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-6)
+        # The stacked entry point: each slope against a central difference of
+        # the oracle loss along the direction, with one batch per point and
+        # with the first batch shared by every point.
+        n, h = int(rng.integers(2, 5)), 1e-6
+        points = params + rng.uniform(-0.5, 0.5, (n, net.num_params))
+        direction = rng.normal(size=net.num_params)
+        for xs, ys in ((rng.normal(size=(n, p, d)), rng.uniform(size=(n, p, k))),
+                       (x[None], y[None])):
+            _, slopes = net.losses_and_slopes(points, xs, ys, direction)
+            for i, point in enumerate(points):
+                xi, yi = xs[i % len(xs)], ys[i % len(ys)]
+                numeric = (loss_oracle(net, point + h * direction, xi, yi)
+                           - loss_oracle(net, point - h * direction, xi, yi)) / (2 * h)
+                assert_allclose(slopes[i], numeric, rtol=1e-6, atol=1e-6)
 
     def test_duplicated_rows_equal_single_row(self):
         net = Network(3, [4], 2)
