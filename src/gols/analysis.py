@@ -19,13 +19,13 @@ x86-64 they are bit-identical on every node compared.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from gols.data import write_csv
 from gols.linesearch import ALPHA_CAP, bisection_gols
 from gols.probe import DirectionalProbe
 
@@ -49,8 +49,8 @@ class ScanResult:
     values: np.ndarray
     slopes: np.ndarray
     batch_size: int = 0
-    minima_alphas: np.ndarray = field(default=None)
-    snngpp_alphas: np.ndarray = field(default=None)
+    minima_alphas: np.ndarray = field(init=False)
+    snngpp_alphas: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.alphas = np.asarray(self.alphas, dtype=float)
@@ -60,10 +60,8 @@ class ScanResult:
             raise ValueError("grid, values, and slopes must have equal length")
         if np.any(np.diff(self.alphas) <= 0):
             raise ValueError("step-size grid must be strictly increasing")
-        if self.minima_alphas is None:
-            self.minima_alphas = _strict_minima(self.alphas, self.values)
-        if self.snngpp_alphas is None:
-            self.snngpp_alphas = _sign_changes(self.alphas, self.slopes)
+        self.minima_alphas = _strict_minima(self.alphas, self.values)
+        self.snngpp_alphas = _sign_changes(self.alphas, self.slopes)
 
 
 @dataclass
@@ -129,13 +127,9 @@ def estimate_ball(scans) -> BallEstimate:
 def write_scan_csv(path, scans) -> None:
     """Write repeated scans as rows of (alpha, f, fprime, batch_size,
     repeat_id)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "f", "fprime", "batch_size", "repeat_id"])
-        for repeat_id, scan in enumerate(scans):
-            for alpha, f, fp in zip(scan.alphas, scan.values, scan.slopes):
-                writer.writerow([repr(float(alpha)), repr(float(f)),
-                                 repr(float(fp)), scan.batch_size, repeat_id])
+    write_csv(path, ["alpha", "f", "fprime", "batch_size", "repeat_id"],
+              ((scan.alphas, scan.values, scan.slopes, scan.batch_size, repeat_id)
+               for repeat_id, scan in enumerate(scans)))
 
 
 def scaled_descent_direction(model, origin, target_alpha=2.5):

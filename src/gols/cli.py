@@ -9,59 +9,111 @@ Exit codes: 0 on success, 2 on a bad invocation, 1 on a runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
 from gols.analysis import estimate_ball, scaled_descent_direction, scan_line, write_scan_csv
-from gols.data import BUILTIN_DATASETS, BatchSampler, builtin_dataset, load_csv, split_3_1_1
+from gols.data import (BUILTIN_DATASETS, BatchSampler, builtin_dataset, load_csv,
+                       split_3_1_1, write_csv)
 from gols.linesearch import make_resolver
 from gols.net import Network
-from gols.probe import BatchObjective, DirectionalProbe
+from gols.probe import POLICIES, BatchObjective, DirectionalProbe
 from gols.trainer import TRACE_COLUMNS, TrainConfig, train_on_dataset
 
-__all__ = ["main", "ExperimentSpec"]
-
-_DEFAULTS = {
-    "dataset": "iris",
-    "arch": "3",
-    "resolvers": "igols",
-    "repeats": 10,
-    "iterations": 3000,
-    "batch_size": 10,
-    "seed": 0,
-    "out": "results",
-    "policy": "resample",
-    "batch_sizes": "10,30,50,full",
-    "scan_step": 0.1,
-    "scan_steps": 100,
-    "target_alpha": 2.5,
-}
+__all__ = ["main"]
 
 
-@dataclass
-class ExperimentSpec:
-    command: str
-    dataset_name: str
-    dataset: object
-    arch: tuple
-    resolvers: tuple
-    repeats: int
-    iterations: int
-    batch_size: int
-    seed: int
-    out: Path
-    policy: str
-    batch_sizes: tuple
-    scan_step: float
-    scan_steps: int
-    target_alpha: float
+# -- option parsers: text -> value, ValueError on text that can never work -----
+
+
+def _at_least(low):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be a whole number of at least {low}")
+        return value
+    return parse
+
+
+def _positive(text):
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise ValueError("must be positive and finite")
+    return value
+
+
+def _policy(text):
+    if text not in POLICIES:
+        raise ValueError(f"must be one of {', '.join(POLICIES)}")
+    return text
+
+
+def _entries(parse_entry):
+    """Parser of a comma list of distinct entries, each through ``parse_entry``."""
+    def parse(text):
+        values = tuple(parse_entry(token.strip()) for token in text.split(","))
+        if len(set(values)) < len(values):
+            raise ValueError("entries must not repeat")
+        return values
+    return parse
+
+
+def _arch(text):
+    widths = tuple(map(_at_least(1), text.split(",")))
+    if not 1 <= len(widths) <= 2:
+        raise ValueError("must list one or two hidden layer widths")
+    return widths
+
+
+def _resolver(name):
+    make_resolver(name)  # raises ValueError on an unknown name
+    return name
+
+
+def _batch_size(token):
+    return token if token == "full" else _at_least(1)(token)
+
+
+def _dataset(name):
+    if name in BUILTIN_DATASETS:
+        return builtin_dataset(name)
+    if Path(name).exists():
+        return load_csv(name)
+    raise ValueError("neither a builtin name nor an existing file")
+
+
+# Every option once: spec attribute and config key, flag, default as text,
+# parser and help.  Flag, config and default values all pass the same parser.
+_Option = namedtuple("_Option", "key flag default parse help scan_only",
+                     defaults=(False,))
+_OPTIONS = (
+    _Option("dataset", "--dataset", "iris", _dataset,
+            f"builtin name or CSV path (builtins: {', '.join(BUILTIN_DATASETS)})"),
+    _Option("arch", "--arch", "3", _arch, "hidden layer widths, e.g. '5' or '5,5'"),
+    _Option("resolvers", "--resolver", "igols", _entries(_resolver),
+            "comma list of gs|arls|bgols|igols|fixed:<alpha>"),
+    _Option("repeats", "--repeats", "10", _at_least(1), "runs per resolver or batch size"),
+    _Option("iterations", "--iterations", "3000", _at_least(1), "training iterations"),
+    _Option("batch_size", "--batch-size", "10", _at_least(1), "training batch size"),
+    _Option("seed", "--seed", "0", _at_least(0), "seed of all randomness"),
+    _Option("out", "--out", "results", Path, "output directory"),
+    _Option("policy", "--policy", "resample", _policy,
+            f"probe sampling policy: {'|'.join(POLICIES)}"),
+    _Option("batch_sizes", "--batch-sizes", "10,30,50,full", _entries(_batch_size),
+            "comma list of sizes, 'full' allowed", scan_only=True),
+    _Option("scan_step", "--scan-step", "0.1", _positive, "grid spacing",
+            scan_only=True),
+    _Option("scan_steps", "--scan-steps", "100", _at_least(2), "grid intervals",
+            scan_only=True),
+    _Option("target_alpha", "--target-alpha", "2.5", _positive,
+            "step of the full-batch minimizer along the direction", scan_only=True),
+)
 
 
 def build_parser():
@@ -77,103 +129,38 @@ def build_parser():
         ("compare", "write per-resolver mean evaluation costs per iteration"),
     ):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", help="JSON file of option defaults")
-        cmd.add_argument("--dataset", help="builtin name or CSV path "
-                                           f"(builtins: {', '.join(BUILTIN_DATASETS)})")
-        cmd.add_argument("--arch", help="hidden layer widths, e.g. '5' or '5,5'")
-        cmd.add_argument("--resolver", dest="resolvers",
-                         help="comma list of gs|arls|bgols|igols|fixed:<alpha>")
-        cmd.add_argument("--repeats", type=int)
-        cmd.add_argument("--iterations", type=int)
-        cmd.add_argument("--batch-size", type=int)
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--out", help="output directory")
-        cmd.add_argument("--policy", choices=("resample", "fixed", "full"))
-        if name == "scan":
-            cmd.add_argument("--batch-sizes",
-                             help="comma list of sizes, 'full' allowed")
-            cmd.add_argument("--scan-step", type=float)
-            cmd.add_argument("--scan-steps", type=int)
-            cmd.add_argument("--target-alpha", type=float)
+        cmd.add_argument("--config", help="JSON file of option values")
+        for opt in _OPTIONS:
+            if name == "scan" or not opt.scan_only:
+                cmd.add_argument(opt.flag, dest=opt.key,
+                                 help=f"{opt.help} (default: {opt.default})")
     return parser
 
 
-def build_spec(args) -> ExperimentSpec:
-    merged = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+def build_spec(args) -> argparse.Namespace:
+    """Each option's value from its flag, else the config file, else the
+    default, through the option's parser."""
+    config = {}
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        unknown = set(loaded) - set(_DEFAULTS)
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = set(config) - {opt.key for opt in _OPTIONS}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(loaded)
-    for key in _DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-
-    resolvers = tuple(str(merged["resolvers"]).replace(" ", "").split(","))
-    if not resolvers or resolvers == ("",):
-        raise ValueError("need at least one resolver")
-    for name in resolvers:
-        make_resolver(name)  # validates the name early
-
-    arch = tuple(int(w) for w in str(merged["arch"]).split(","))
-    if not 1 <= len(arch) <= 2:
-        raise ValueError("arch must list one or two hidden layer widths")
-
-    batch_sizes = []
-    for token in str(merged["batch_sizes"]).replace(" ", "").split(","):
-        size = "full" if token == "full" else int(token)
-        if size != "full" and size < 1:
-            raise ValueError("batch sizes must be at least 1")
-        batch_sizes.append(size)
-
-    repeats = int(merged["repeats"])
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    command = args.command
-    if command in ("train", "compare"):
-        if int(merged["iterations"]) < 1:
-            raise ValueError("iterations must be at least 1")
-        if int(merged["batch_size"]) < 1:
-            raise ValueError("batch size must be at least 1")
-    if command == "scan":
-        if not 0.0 < float(merged["scan_step"]) < math.inf:
-            raise ValueError("scan step must be positive and finite")
-        if int(merged["scan_steps"]) < 2:
-            raise ValueError("scan steps must be at least 2")
-        if not 0.0 < float(merged["target_alpha"]) < math.inf:
-            raise ValueError("target alpha must be positive and finite")
-
-    name = str(merged["dataset"])
-    if name in BUILTIN_DATASETS:
-        dataset = builtin_dataset(name)
-    elif Path(name).exists():
-        dataset = load_csv(name)
-    else:
-        raise ValueError(f"dataset {name!r} is neither builtin nor an existing file")
-
-    if command == "compare" and len(resolvers) < 2:
+    spec = argparse.Namespace(command=args.command)
+    for opt in _OPTIONS:
+        text = getattr(args, opt.key, None)
+        if text is None:
+            text = config.get(opt.key, opt.default)
+        try:
+            setattr(spec, opt.key, opt.parse(str(text)))
+        except ValueError as exc:
+            raise ValueError(f"{opt.flag} {text!r}: {exc}") from None
+    if spec.command == "compare" and len(spec.resolvers) < 2:
         raise ValueError("compare needs at least two resolvers")
-
-    return ExperimentSpec(
-        command=command,
-        dataset_name=name,
-        dataset=dataset,
-        arch=arch,
-        resolvers=resolvers,
-        repeats=repeats,
-        iterations=int(merged["iterations"]),
-        batch_size=int(merged["batch_size"]),
-        seed=int(merged["seed"]),
-        out=Path(merged["out"]),
-        policy=str(merged["policy"]),
-        batch_sizes=tuple(batch_sizes),
-        scan_step=float(merged["scan_step"]),
-        scan_steps=int(merged["scan_steps"]),
-        target_alpha=float(merged["target_alpha"]),
-    )
+    return spec
 
 
 def main(argv=None) -> int:
@@ -184,7 +171,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         spec = build_spec(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"gols: error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -198,30 +185,33 @@ def main(argv=None) -> int:
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_train(spec: ExperimentSpec) -> None:
+def cmd_train(spec) -> None:
     traces = _run_training_grid(spec)
     spec.out.mkdir(parents=True, exist_ok=True)
     for (resolver, repeat), trace in sorted(traces.items()):
-        _write_trace_csv(spec.out / f"train_{_safe(resolver)}_rep{repeat:02d}.csv", trace)
-    _write_train_summary(spec.out / "train_summary.csv", spec, traces)
+        write_csv(spec.out / f"train_{_safe(resolver)}_rep{repeat:02d}.csv",
+                  TRACE_COLUMNS, [zip(*(row.astuple() for row in trace.rows))])
+    write_csv(spec.out / "train_summary.csv",
+              ["resolver", "iteration", "mean_cost", "mean_info_calls",
+               "mean_train_loss", "std_train_loss",
+               "mean_validation_loss", "std_validation_loss",
+               "mean_test_loss", "std_test_loss"],
+              _summary_blocks(spec, traces))
 
 
-def cmd_compare(spec: ExperimentSpec) -> None:
+def cmd_compare(spec) -> None:
     traces = _run_training_grid(spec)
     spec.out.mkdir(parents=True, exist_ok=True)
-    with open(spec.out / "compare.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["resolver", "fevals_per_iter", "infocalls_per_iter"])
-        for resolver in spec.resolvers:
-            finals = [traces[(resolver, rep)].final for rep in range(spec.repeats)]
-            writer.writerow([
-                resolver,
-                repr(float(np.mean([f.cost for f in finals]) / spec.iterations)),
-                repr(float(np.mean([f.info_calls for f in finals]) / spec.iterations)),
-            ])
+    finals = {r: [traces[(r, rep)].final for rep in range(spec.repeats)]
+              for r in spec.resolvers}
+    write_csv(spec.out / "compare.csv",
+              ["resolver", "fevals_per_iter", "infocalls_per_iter"],
+              ((r, np.mean([f.cost for f in group]) / spec.iterations,
+                np.mean([f.info_calls for f in group]) / spec.iterations)
+               for r, group in finals.items()))
 
 
-def cmd_scan(spec: ExperimentSpec) -> None:
+def cmd_scan(spec) -> None:
     dataset = spec.dataset
     split = split_3_1_1(dataset, seed=(spec.seed, 9))
     net = Network(dataset.num_features, spec.arch, dataset.class_count)
@@ -245,36 +235,21 @@ def cmd_scan(spec: ExperimentSpec) -> None:
         return scan_line(probe, 0.0, spec.scan_step, spec.scan_steps,
                          batch_size=actual)
 
-    results = {(si, rep): run(si, rep) for si in range(len(spec.batch_sizes))
-               for rep in range(spec.repeats)}
-
+    groups = [[run(si, rep) for rep in range(spec.repeats)]
+              for si in range(len(spec.batch_sizes))]
     spec.out.mkdir(parents=True, exist_ok=True)
-    with open(spec.out / "scan_summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["batch_size", "local_minima_mean", "local_minima_std",
-                         "snngpp_mean", "snngpp_std", "ball_center", "ball_epsilon"])
-        for si, size in enumerate(spec.batch_sizes):
-            scans = [results[(si, rep)] for rep in range(spec.repeats)]
-            write_scan_csv(spec.out / f"scan_{_safe(str(size))}.csv", scans)
-            minima = np.array([len(s.minima_alphas) for s in scans], dtype=float)
-            changes = np.array([len(s.snngpp_alphas) for s in scans], dtype=float)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                try:
-                    ball = estimate_ball(scans)
-                    center, epsilon = ball.center, ball.epsilon
-                except ValueError:
-                    center, epsilon = float("nan"), float("nan")
-            writer.writerow([size,
-                             repr(float(minima.mean())), repr(float(minima.std())),
-                             repr(float(changes.mean())), repr(float(changes.std())),
-                             repr(center), repr(epsilon)])
+    for size, scans in zip(spec.batch_sizes, groups):
+        write_scan_csv(spec.out / f"scan_{_safe(str(size))}.csv", scans)
+    write_csv(spec.out / "scan_summary.csv",
+              ["batch_size", "local_minima_mean", "local_minima_std",
+               "snngpp_mean", "snngpp_std", "ball_center", "ball_epsilon"],
+              map(_scan_summary, spec.batch_sizes, groups))
 
 
 # -- helpers ------------------------------------------------------------------
 
 
-def _run_training_grid(spec: ExperimentSpec) -> dict:
+def _run_training_grid(spec) -> dict:
     split = split_3_1_1(spec.dataset, seed=(spec.seed, 9))
     net = Network(spec.dataset.num_features, spec.arch, spec.dataset.class_count)
 
@@ -299,39 +274,36 @@ def _safe(name: str) -> str:
     return name.replace(":", "-").replace("/", "-")
 
 
-def _write_trace_csv(path, trace) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for row in trace.rows:
-            writer.writerow([value if isinstance(value, int) else repr(float(value))
-                             for value in row.astuple()])
+_SUMMARY_COLUMNS = ("cost", "info_calls", "train_loss", "validation_loss", "test_loss")
 
 
-def _write_train_summary(path, spec: ExperimentSpec, traces: dict) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "resolver", "iteration", "mean_cost", "mean_info_calls",
-            "mean_train_loss", "std_train_loss",
-            "mean_validation_loss", "std_validation_loss",
-            "mean_test_loss", "std_test_loss",
-        ])
-        for resolver in spec.resolvers:
-            group = [traces[(resolver, rep)] for rep in range(spec.repeats)]
-            for i in range(spec.iterations + 1):
-                rows = [t.rows[i] for t in group]
-                train = np.array([r.train_loss for r in rows])
-                valid = np.array([r.validation_loss for r in rows])
-                test = np.array([r.test_loss for r in rows])
-                writer.writerow([
-                    resolver, i,
-                    repr(float(np.mean([r.cost for r in rows]))),
-                    repr(float(np.mean([r.info_calls for r in rows]))),
-                    repr(float(train.mean())), repr(float(train.std())),
-                    repr(float(valid.mean())), repr(float(valid.std())),
-                    repr(float(test.mean())), repr(float(test.std())),
-                ])
+def _summary_blocks(spec, traces):
+    """One block per resolver: means and standard deviations across repeats
+    at every iteration."""
+    for resolver in spec.resolvers:
+        table = np.array([[[getattr(row, name) for name in _SUMMARY_COLUMNS]
+                           for row in traces[(resolver, rep)].rows]
+                          for rep in range(spec.repeats)])
+        # Repeats on the last, contiguous axis: each mean and std then sums
+        # its values in the order np.mean of that one list would.
+        table = np.ascontiguousarray(np.moveaxis(table, 0, -1))
+        mean, std = table.mean(axis=2), table.std(axis=2)
+        yield (resolver, np.arange(spec.iterations + 1), mean[:, 0], mean[:, 1],
+               mean[:, 2], std[:, 2], mean[:, 3], std[:, 3], mean[:, 4], std[:, 4])
+
+
+def _scan_summary(size, scans):
+    minima = np.array([len(s.minima_alphas) for s in scans], dtype=float)
+    changes = np.array([len(s.snngpp_alphas) for s in scans], dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            ball = estimate_ball(scans)
+            center, epsilon = ball.center, ball.epsilon
+        except ValueError:
+            center, epsilon = math.nan, math.nan
+    return (size, minima.mean(), minima.std(), changes.mean(), changes.std(),
+            center, epsilon)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Tabular classification datasets: CSV loading, 3:1:1 splits, batch sampling.
+"""Tabular classification datasets: CSV loading, 3:1:1 splits, batch sampling,
+and the one CSV writer every output file goes through.
 
 CSV files are comma separated, UTF-8, with an optional header line (detected
 by a non-numeric feature cell in the first row).  The last column is the class
@@ -19,6 +20,7 @@ __all__ = [
     "Split",
     "BatchSampler",
     "load_csv",
+    "write_csv",
     "split_3_1_1",
     "builtin_dataset",
     "BUILTIN_DATASETS",
@@ -117,6 +119,23 @@ def load_csv(path, name=None) -> Dataset:
         labels=np.array(labels, dtype=int),
         class_count=len(label_names),
     )
+
+
+def write_csv(path, header, blocks) -> None:
+    """Write ``header`` and then each block of columns to ``path`` as CSV.
+
+    A block is a sequence of columns: arrays of one length, or scalars that
+    repeat down the block (a block of scalars is one row).  Rows are streamed
+    block by block.  Every cell is written as the Python value of its numpy
+    element, so a float reads ``repr(float(x))``, the shortest text that
+    parses back to the same double.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for block in blocks:
+            columns = np.broadcast_arrays(*(np.atleast_1d(c) for c in block))
+            writer.writerows(zip(*(c.tolist() for c in columns)))
 
 
 def split_3_1_1(dataset: Dataset, seed) -> Split:

@@ -29,8 +29,8 @@ def sigmoid(z):
     """Numerically stable logistic function; never returns exactly 0 or 1."""
     z = np.asarray(z, dtype=float)
     t = np.exp(-np.abs(z))  # exponent <= 0, cannot overflow
-    out = np.where(z >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
-    return np.clip(out, _SIG_LO, _SIG_HI)
+    out = np.where(z >= 0.0, 1.0, t) / (1.0 + t)
+    return np.minimum(np.maximum(out, _SIG_LO), _SIG_HI)
 
 
 class Network:

@@ -200,11 +200,55 @@ class TestSpecHandling:
         ["scan", "--target-alpha", "-2.5"],
         ["scan", "--target-alpha", "nan"],
         ["scan", "--target-alpha", "inf"],
+        ["train", "--arch", "0"],
+        ["train", "--arch", "3,-1"],
+        ["scan", "--arch", "0"],
+        ["train", "--seed", "-1"],
     ], ids=" ".join)
     def test_impossible_number_is_usage_error(self, tmp_path, args):
         out = tmp_path / "out"
         assert main(args + ["--dataset", "iris", "--out", str(out)]) == 2
         assert not out.exists()  # rejected before any work
+
+    @pytest.mark.parametrize("args, config", [
+        (["train", "--resolver", "igols,igols"], None),
+        (["compare", "--resolver", "igols,arls,igols"], None),
+        (["scan", "--batch-sizes", "full,full"], None),
+        (["scan", "--batch-sizes", "10,1,10"], None),
+        (["train"], {"policy": "bogus"}),
+        (["scan", "--batch-sizes", "full"], {"policy": "bogus"}),
+        (["train"], {"iterations": 2.7}),
+        (["train"], {"repeats": 3.0}),
+        (["train"], {"resolvers": "gs,gs"}),
+        # Checked although scan ignores it.
+        (["scan", "--batch-sizes", "full"], {"iterations": 0}),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else json.dumps(value))
+    def test_duplicate_or_bad_config_value_is_usage_error(self, tmp_path, args, config):
+        out = tmp_path / "out"
+        if config is not None:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(config))
+            args = args + ["--config", str(path)]
+        assert main(args + ["--dataset", "iris", "--out", str(out)]) == 2
+        assert not out.exists()  # rejected before any work
+
+    def test_config_value_parses_like_its_flag(self, tmp_path):
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({
+            "dataset": "iris", "arch": 3, "resolvers": "igols, gs", "repeats": 1,
+            "iterations": 2, "batch_size": 5, "seed": 4, "policy": "fixed",
+            "out": str(tmp_path / "from_config"),
+        }))
+        run_ok(["train", "--config", str(config)])
+        flags = ["train", "--dataset", "iris", "--arch", "3", "--resolver", "igols,gs",
+                 "--repeats", "1", "--iterations", "2", "--batch-size", "5",
+                 "--seed", "4", "--policy", "fixed", "--out", str(tmp_path / "from_flags")]
+        run_ok(flags)
+        names = sorted(p.name for p in (tmp_path / "from_flags").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "from_config").iterdir())
+        for name in names:
+            assert ((tmp_path / "from_flags" / name).read_bytes()
+                    == (tmp_path / "from_config" / name).read_bytes())
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "spec.json"

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gols.data import BatchSampler, Dataset, builtin_dataset, load_csv, split_3_1_1
+from gols.data import (BatchSampler, Dataset, builtin_dataset, load_csv, split_3_1_1,
+                       write_csv)
 
 
 @pytest.fixture
@@ -65,6 +66,28 @@ class TestLoadCsv:
         onehot = load_csv(small_csv).one_hot()
         assert_allclose(onehot.sum(axis=1), 1.0)
         assert set(np.unique(onehot)) == {0.0, 1.0}
+
+
+class TestWriteCsv:
+    def test_blocks_of_columns_and_scalars(self, tmp_path):
+        path = tmp_path / "out.csv"
+        values = np.array([0.1, 1e16, -0.0, np.nan])
+        write_csv(path, ["name", "value", "id"], [
+            ("a", values, np.arange(4)),
+            ("b,c", np.float64(1.0 / 3.0), 7),
+        ])
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            "name,value,id",
+            "a,0.1,0", "a,1e+16,1", "a,-0.0,2", "a,nan,3",
+            f'"b,c",{1.0 / 3.0!r},7',
+        ]
+
+    def test_floats_read_back_exactly(self, tmp_path):
+        path = tmp_path / "out.csv"
+        values = np.random.default_rng(0).normal(size=50) * 10.0 ** np.arange(-25, 25)
+        write_csv(path, ["x"], [(values,)])
+        cells = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert cells == [repr(float(v)) for v in values]
 
 
 class TestSplit:
