@@ -171,6 +171,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         spec = build_spec(args)
+        spec.out.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as exc:
         print(f"gols: error: {exc}", file=sys.stderr)
         return 2
@@ -186,29 +187,26 @@ def main(argv=None) -> int:
 
 
 def cmd_train(spec) -> None:
-    traces = _run_training_grid(spec)
-    spec.out.mkdir(parents=True, exist_ok=True)
-    for (resolver, repeat), trace in sorted(traces.items()):
-        write_csv(spec.out / f"train_{_safe(resolver)}_rep{repeat:02d}.csv",
-                  TRACE_COLUMNS, [zip(*(row.astuple() for row in trace.rows))])
+    tables = _run_training_grid(spec)
+    for resolver, table in zip(spec.resolvers, tables):
+        for repeat, rows in enumerate(table):
+            write_csv(spec.out / f"train_{_safe(resolver)}_rep{repeat:02d}.csv",
+                      TRACE_COLUMNS, [[rows[name] for name in TRACE_COLUMNS]])
     write_csv(spec.out / "train_summary.csv",
               ["resolver", "iteration", "mean_cost", "mean_info_calls",
                "mean_train_loss", "std_train_loss",
                "mean_validation_loss", "std_validation_loss",
                "mean_test_loss", "std_test_loss"],
-              _summary_blocks(spec, traces))
+              _summary_blocks(spec, tables))
 
 
 def cmd_compare(spec) -> None:
-    traces = _run_training_grid(spec)
-    spec.out.mkdir(parents=True, exist_ok=True)
-    finals = {r: [traces[(r, rep)].final for rep in range(spec.repeats)]
-              for r in spec.resolvers}
+    tables = _run_training_grid(spec)
     write_csv(spec.out / "compare.csv",
               ["resolver", "fevals_per_iter", "infocalls_per_iter"],
-              ((r, np.mean([f.cost for f in group]) / spec.iterations,
-                np.mean([f.info_calls for f in group]) / spec.iterations)
-               for r, group in finals.items()))
+              ((resolver, table["cost"][:, -1].mean() / spec.iterations,
+                table["info_calls"][:, -1].mean() / spec.iterations)
+               for resolver, table in zip(spec.resolvers, tables)))
 
 
 def cmd_scan(spec) -> None:
@@ -237,7 +235,6 @@ def cmd_scan(spec) -> None:
 
     groups = [[run(si, rep) for rep in range(spec.repeats)]
               for si in range(len(spec.batch_sizes))]
-    spec.out.mkdir(parents=True, exist_ok=True)
     for size, scans in zip(spec.batch_sizes, groups):
         write_scan_csv(spec.out / f"scan_{_safe(str(size))}.csv", scans)
     write_csv(spec.out / "scan_summary.csv",
@@ -249,7 +246,9 @@ def cmd_scan(spec) -> None:
 # -- helpers ------------------------------------------------------------------
 
 
-def _run_training_grid(spec) -> dict:
+def _run_training_grid(spec) -> list:
+    """One ``(repeats, iterations + 1)`` trace record array per resolver, in
+    ``spec.resolvers`` order."""
     split = split_3_1_1(spec.dataset, seed=(spec.seed, 9))
     net = Network(spec.dataset.num_features, spec.arch, spec.dataset.class_count)
 
@@ -265,9 +264,8 @@ def _run_training_grid(spec) -> dict:
         )
         return train_on_dataset(net, spec.dataset, split, cfg)
 
-    return {(resolver, rep): run(ri, rep)
-            for ri, resolver in enumerate(spec.resolvers)
-            for rep in range(spec.repeats)}
+    return [np.stack([run(ri, rep).rows for rep in range(spec.repeats)])
+            for ri in range(len(spec.resolvers))]
 
 
 def _safe(name: str) -> str:
@@ -277,19 +275,18 @@ def _safe(name: str) -> str:
 _SUMMARY_COLUMNS = ("cost", "info_calls", "train_loss", "validation_loss", "test_loss")
 
 
-def _summary_blocks(spec, traces):
+def _summary_blocks(spec, tables):
     """One block per resolver: means and standard deviations across repeats
     at every iteration."""
-    for resolver in spec.resolvers:
-        table = np.array([[[getattr(row, name) for name in _SUMMARY_COLUMNS]
-                           for row in traces[(resolver, rep)].rows]
-                          for rep in range(spec.repeats)])
-        # Repeats on the last, contiguous axis: each mean and std then sums
-        # its values in the order np.mean of that one list would.
-        table = np.ascontiguousarray(np.moveaxis(table, 0, -1))
-        mean, std = table.mean(axis=2), table.std(axis=2)
-        yield (resolver, np.arange(spec.iterations + 1), mean[:, 0], mean[:, 1],
-               mean[:, 2], std[:, 2], mean[:, 3], std[:, 3], mean[:, 4], std[:, 4])
+    for resolver, table in zip(spec.resolvers, tables):
+        # np.array copies the columns into a new C-contiguous array, so the
+        # repeats lie on its last, contiguous axis: each mean and std then
+        # sums its values in the order np.mean of that one list would.
+        # (np.stack would keep the transposed layout and change the sums.)
+        stats = np.array([table[name].T for name in _SUMMARY_COLUMNS])
+        mean, std = stats.mean(axis=2), stats.std(axis=2)
+        yield (resolver, np.arange(spec.iterations + 1), mean[0], mean[1],
+               mean[2], std[2], mean[3], std[3], mean[4], std[4])
 
 
 def _scan_summary(size, scans):

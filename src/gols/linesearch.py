@@ -60,6 +60,12 @@ class BracketConfig:
     tol: float = 1e-12             # refinement stops at this interval length
     max_info_calls: int = 1000
 
+    def __post_init__(self):
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
+        if not 1.0 < self.ratio < math.inf:
+            raise ValueError("ratio must be finite and exceed 1")
+
 
 @dataclass(frozen=True)
 class ArmijoConfig:
@@ -69,6 +75,8 @@ class ArmijoConfig:
     def __post_init__(self):
         if not 0.0 <= self.decrease_fraction <= 1.0:
             raise ValueError("decrease_fraction must lie in [0, 1]")
+        if not 1.0 < self.factor < math.inf:
+            raise ValueError("factor must be finite and exceed 1")
 
 
 @dataclass(frozen=True)
@@ -78,8 +86,8 @@ class InexactConfig:
     max_info_calls: int = 1000
 
     def __post_init__(self):
-        if self.eta <= 1.0:
-            raise ValueError("eta must exceed 1")
+        if not 1.0 < self.eta < math.inf:
+            raise ValueError("eta must be finite and exceed 1")
         if not 0.0 <= self.relaxation <= 1.0:
             raise ValueError("relaxation must lie in [0, 1]")
 

@@ -213,7 +213,8 @@ def _backprop(mats, grads, inputs, targets):
         delta = upstream * a * (1.0 - a)
         grads[c][..., 0] = delta.sum(axis=-2)
         grads[c][..., 1:] = delta.mT @ acts[c]
-        upstream = delta @ mats[c][..., 1:]
+        if c:  # the gradient with respect to the inputs is never read
+            upstream = delta @ mats[c][..., 1:]
     return r
 
 

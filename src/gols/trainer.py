@@ -2,26 +2,28 @@
 
 Each iteration draws a fresh batch, computes the descent direction as the
 negative batch gradient, resolves the step size through a
-:class:`~gols.probe.DirectionalProbe`, and steps.  The trace records one row
-per iteration plus an initial row, with losses measured on the full
-partitions (these metric evaluations are excluded from the optimizer's cost
-counters; the direction gradient costs 2 function-evaluation units per
-iteration on top of whatever the search spends).
+:class:`~gols.probe.DirectionalProbe`, and steps.  A run's trace is one
+preallocated record array with one row per iteration plus an initial row;
+its fields are :data:`TRACE_COLUMNS`, the columns of a trace CSV.  Losses
+are measured on the full partitions and are not charged to the optimizer.
+The ``cost`` and ``info_calls`` columns are the running totals of one
+:class:`~gols.probe.EvalCounter`: the direction gradient of every iteration
+plus whatever its search spent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from gols.data import BatchSampler, Dataset, Split
 from gols.linesearch import ALPHA_MIN, effective_alpha_max, make_resolver
 from gols.net import Network
-from gols.probe import BatchObjective, DirectionalProbe
+from gols.probe import BatchObjective, DirectionalProbe, EvalCounter
 
 __all__ = [
-    "TraceRow",
+    "TRACE_COLUMNS",
     "TrainTrace",
     "TrainConfig",
     "sgd_train",
@@ -29,39 +31,28 @@ __all__ = [
     "train_on_dataset",
 ]
 
-
-@dataclass
-class TraceRow:
-    """One trace CSV row; the field order is the column order."""
-
-    iteration: int
-    alpha: float
-    grad_norm: float
-    train_loss: float
-    validation_loss: float
-    test_loss: float
-    cost: int
-    info_calls: int
-
-    def astuple(self):
-        return tuple(getattr(self, name) for name in TRACE_COLUMNS)
-
-
-TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
+# One trace row; the field order is the CSV column order.
+_TRACE_DTYPE = np.dtype([
+    ("iteration", np.int64), ("alpha", float), ("grad_norm", float),
+    ("train_loss", float), ("validation_loss", float), ("test_loss", float),
+    ("cost", np.int64), ("info_calls", np.int64),
+])
+TRACE_COLUMNS = _TRACE_DTYPE.names
 
 
 @dataclass
 class TrainTrace:
-    """Per-iteration training record; row 0 is the pre-loop state."""
+    """Per-iteration training record: ``rows`` is a record array whose row 0
+    is the pre-loop state, so ``rows.alpha`` is a column and ``rows[i].alpha``
+    one cell."""
 
-    rows: list = field(default_factory=list)
+    rows: np.recarray
 
     def column(self, name) -> np.ndarray:
-        i = TRACE_COLUMNS.index(name)
-        return np.array([row.astuple()[i] for row in self.rows])
+        return self.rows[name]
 
     @property
-    def final(self) -> TraceRow:
+    def final(self) -> np.record:
         return self.rows[-1]
 
     def __len__(self):
@@ -113,17 +104,15 @@ def sgd_train(model, x0, sampler, resolver, iterations, metrics,
         resolver = make_resolver(resolver)
     x = np.array(x0, dtype=float)
 
-    trace = TrainTrace()
-    cost = 0
-    info = 0
-    trace.rows.append(TraceRow(0, 0.0, np.nan, *metrics(x), cost, info))
+    rows = np.recarray(iterations + 1, dtype=_TRACE_DTYPE)
+    spent = EvalCounter()
+    rows[0] = (0, 0.0, np.nan, *metrics(x), spent.cost, spent.info_calls)
 
     alpha_prev = ALPHA_MIN
     for n in range(1, iterations + 1):
         batch = sampler.sample()
         g = model.grad(x, batch)
-        cost += 2
-        info += 1
+        spent.gradients += 1
         if not np.all(np.isfinite(g)):
             raise RuntimeError(f"non-finite gradient at iteration {n}")
         gnorm = float(np.linalg.norm(g))
@@ -140,8 +129,8 @@ def sgd_train(model, x0, sampler, resolver, iterations, metrics,
             outcome = resolver(probe, alpha_init, alpha_max)
             alpha = outcome.alpha
             alpha_prev = alpha
-            cost += outcome.cost
-            info += outcome.info_calls
+            spent.functions += outcome.function_evals
+            spent.gradients += outcome.gradient_evals
             x = x - alpha * g
 
         if not np.isfinite(alpha) or not np.all(np.isfinite(x)):
@@ -149,8 +138,8 @@ def sgd_train(model, x0, sampler, resolver, iterations, metrics,
         losses = metrics(x)
         if not np.all(np.isfinite(losses)):
             raise RuntimeError(f"non-finite loss at iteration {n}")
-        trace.rows.append(TraceRow(n, alpha, gnorm, *losses, cost, info))
-    return trace
+        rows[n] = (n, alpha, gnorm, *losses, spent.cost, spent.info_calls)
+    return TrainTrace(rows)
 
 
 def dataset_metrics(net: Network, dataset: Dataset, split: Split):

@@ -82,6 +82,15 @@ class TestTrainCommand:
         digest = hashlib.sha256((tmp_path / "train_summary.csv").read_bytes())
         assert digest.hexdigest() == (
             "b9b959f2a9dbf47dd9b97c86b4709446539e853dc6868013ef70634354280ee2")
+        # The eight trace CSVs, in name order, recorded before the trainer
+        # wrote its trace into one record array.
+        digest = hashlib.sha256()
+        traces = sorted(tmp_path.glob("train_*_rep*.csv"))
+        assert len(traces) == 8
+        for path in traces:
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == (
+            "8276d934ee76ff4fb9056e037c1e3ddc1454a636f51e81280fd8bef45dc4b2a8")
 
 
 class TestScanCommand:
@@ -249,6 +258,18 @@ class TestSpecHandling:
         for name in names:
             assert ((tmp_path / "from_flags" / name).read_bytes()
                     == (tmp_path / "from_config" / name).read_bytes())
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--resolver", "bgols", "--repeats", "2", "--iterations", "20"],
+        ["scan", "--batch-sizes", "10,full", "--repeats", "2"],
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    def test_unusable_out_is_usage_error(self, tmp_path, command, under):
+        blocker = tmp_path / "afile"
+        blocker.write_text("keep me\n")
+        out = blocker / "sub" if under else blocker
+        assert main(command + ["--dataset", "iris", "--out", str(out)]) == 2
+        assert blocker.read_text() == "keep me\n"
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "spec.json"

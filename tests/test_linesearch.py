@@ -259,12 +259,35 @@ class TestMakeResolver:
             make_resolver("fixed:abc")
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ArmijoConfig(decrease_fraction=1.5)
-        with pytest.raises(ValueError):
-            InexactConfig(eta=1.0)
-        with pytest.raises(ValueError):
-            InexactConfig(relaxation=-0.1)
+        # A growth or shrink factor of at most 1 never leaves its start (an
+        # Armijo backtrack by 1 on an ascent line loops forever), and a
+        # non-finite or non-positive step or factor derails the search.
+        accepted = []
+        for config, settings in [
+            (ArmijoConfig, {"decrease_fraction": 1.5}),
+            (ArmijoConfig, {"factor": 1.0}),
+            (ArmijoConfig, {"factor": 0.5}),
+            (ArmijoConfig, {"factor": math.inf}),
+            (ArmijoConfig, {"factor": math.nan}),
+            (InexactConfig, {"eta": 1.0}),
+            (InexactConfig, {"eta": math.inf}),
+            (InexactConfig, {"eta": math.nan}),
+            (InexactConfig, {"relaxation": -0.1}),
+            (BracketConfig, {"ratio": 1.0}),
+            (BracketConfig, {"ratio": 0.5}),
+            (BracketConfig, {"ratio": math.inf}),
+            (BracketConfig, {"ratio": math.nan}),
+            (BracketConfig, {"delta": 0.0}),
+            (BracketConfig, {"delta": -1.0}),
+            (BracketConfig, {"delta": math.inf}),
+            (BracketConfig, {"delta": math.nan}),
+        ]:
+            try:
+                config(**settings)
+            except ValueError:
+                continue
+            accepted.append(f"{config.__name__}(**{settings})")
+        assert not accepted
 
 
 SHAPES = {

@@ -40,3 +40,21 @@ def test_install_then_restore_puts_every_name_back():
     for ns, names in before:
         for name, obj in names.items():
             assert vars(ns).get(name) is obj, f"{ns.__name__}.{name} not restored"
+
+
+def test_traced_training_run_counts_iterations_and_searches(tmp_path):
+    # The tracer reads each run's iteration count from what sgd_train
+    # returns, so this fails if the trace loses its rows.
+    tracer = _load_tracer().Tracer()
+    restore = tracer.install()
+    try:
+        traced_main = tracer.wrap("cli.main", cli.main)
+        assert traced_main(["train", "--dataset", "iris", "--resolver", "gs,igols",
+                            "--repeats", "2", "--iterations", "5",
+                            "--out", str(tmp_path)]) == 0
+    finally:
+        restore()
+    summary = tracer.summarize()
+    assert summary["trainer.iterations"] == 20
+    assert summary["linesearch.gs.searches"] == 10
+    assert summary["linesearch.igols.searches"] == 10
