@@ -73,9 +73,10 @@ class BallEstimate:
     epsilon: float
 
 
-def scan_line(probe: DirectionalProbe, alpha_start=0.0, step=0.1, steps=100,
+def scan_line(probe: DirectionalProbe, step=0.1, steps=100,
               batch_size=0) -> ScanResult:
-    """Evaluate F and F' on ``steps + 1`` equally spaced nodes.
+    """Evaluate F and F' on the ``steps + 1`` nodes ``0, step, ...,
+    steps * step``.
 
     Each node spends one loss and one gradient evaluation sharing a single
     sample draw, so a resampling probe sees one fresh batch per node.
@@ -84,7 +85,7 @@ def scan_line(probe: DirectionalProbe, alpha_start=0.0, step=0.1, steps=100,
         raise ValueError("step must be positive")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    alphas = alpha_start + step * np.arange(steps + 1)
+    alphas = step * np.arange(steps + 1)
     values, slopes = probe.scan(alphas)
     return ScanResult(alphas, values, slopes, batch_size=batch_size)
 

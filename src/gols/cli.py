@@ -149,6 +149,12 @@ def build_spec(args) -> argparse.Namespace:
         unknown = set(config) - {opt.key for opt in _OPTIONS}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        # Only strings and numbers have flag text.  The exact type test also
+        # refuses bool, which is a subclass of int.
+        untyped = sorted(key for key, value in config.items()
+                         if type(value) not in (str, int, float))
+        if untyped:
+            raise ValueError(f"config values must be JSON strings or numbers: {untyped}")
     spec = argparse.Namespace(command=args.command)
     for opt in _OPTIONS:
         text = getattr(args, opt.key, None)
@@ -230,7 +236,7 @@ def cmd_scan(spec) -> None:
             probe = DirectionalProbe(model, origin, direction,
                                      policy=spec.policy, sampler=sampler)
             actual = min(size, rows)
-        return scan_line(probe, 0.0, spec.scan_step, spec.scan_steps,
+        return scan_line(probe, spec.scan_step, spec.scan_steps,
                          batch_size=actual)
 
     groups = [[run(si, rep) for rep in range(spec.repeats)]

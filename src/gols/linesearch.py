@@ -2,10 +2,14 @@
 
 All four resolvers consume a :class:`~gols.probe.DirectionalProbe` and return
 a :class:`LineSearchOutcome`.  The exact searches (golden section and the
-bisecting gradient-only search) open the same bracket from one
-:class:`BracketConfig`, grow it and then refine; the inexact pair (Armijo's
-rule and the doubling/halving gradient-only search) accept the first step
-that satisfies their condition, growing or shrinking by a fixed factor.
+bisecting gradient-only search) open the same bracket from a first step of 5,
+grow it by powers of the golden ratio and then refine to a 1e-12 interval;
+the inexact pair (Armijo's rule with a decrease fraction of 0.2, and the
+doubling/halving gradient-only search) accept the first step that satisfies
+their condition, growing or shrinking by a factor of 2.  These are the
+source paper's settings and are fixed; the only setting a caller passes is
+the information-call budget ``max_info_calls`` of golden section, B-GOLS and
+I-GOLS.
 
 Each search is an ask/tell generator: it yields ``("value", alpha)`` or
 ``("deriv", alpha)`` requests, receives F(alpha) or F'(alpha) in reply, and
@@ -29,9 +33,6 @@ __all__ = [
     "ALPHA_MIN",
     "ALPHA_CAP",
     "RESOLVER_NAMES",
-    "BracketConfig",
-    "ArmijoConfig",
-    "InexactConfig",
     "LineSearchOutcome",
     "effective_alpha_max",
     "golden_section",
@@ -44,52 +45,13 @@ __all__ = [
 ALPHA_MIN = 1e-8
 ALPHA_CAP = 1e7
 
-_GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class BracketConfig:
-    """Settings of the exact searches, golden section and B-GOLS.
-
-    ``max_info_calls`` is checked before each growth or refinement step, not
-    before the opening evaluations, so a search can spend a few calls more.
-    """
-
-    delta: float = 5.0             # first bracketing step
-    ratio: float = _GOLDEN         # bracket growth and golden-section reduction ratio
-    tol: float = 1e-12             # refinement stops at this interval length
-    max_info_calls: int = 1000
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < math.inf:
-            raise ValueError("delta must be positive and finite")
-        if not 1.0 < self.ratio < math.inf:
-            raise ValueError("ratio must be finite and exceed 1")
-
-
-@dataclass(frozen=True)
-class ArmijoConfig:
-    decrease_fraction: float = 0.2  # fraction of the origin slope to beat
-    factor: float = 2.0             # advance/backtrack multiplier
-
-    def __post_init__(self):
-        if not 0.0 <= self.decrease_fraction <= 1.0:
-            raise ValueError("decrease_fraction must lie in [0, 1]")
-        if not 1.0 < self.factor < math.inf:
-            raise ValueError("factor must be finite and exceed 1")
-
-
-@dataclass(frozen=True)
-class InexactConfig:
-    eta: float = 2.0               # doubling/halving factor
-    relaxation: float = 0.0        # 0 accepts any slope-magnitude reduction
-    max_info_calls: int = 1000
-
-    def __post_init__(self):
-        if not 1.0 < self.eta < math.inf:
-            raise ValueError("eta must be finite and exceed 1")
-        if not 0.0 <= self.relaxation <= 1.0:
-            raise ValueError("relaxation must lie in [0, 1]")
+# The source paper's settings of the four searches.
+_DELTA = 5.0                             # first bracketing step of GS and B-GOLS
+_GOLDEN = (math.sqrt(5.0) + 1.0) / 2.0   # bracket growth and golden-section ratio
+_TOL = 1e-12                             # exact searches stop at this interval length
+_DECREASE_FRACTION = 0.2                 # ARLS: fraction of the origin slope to beat
+_ARMIJO_FACTOR = 2.0                     # ARLS advance/backtrack multiplier
+_ETA = 2.0                               # I-GOLS doubling/halving factor
 
 
 @dataclass
@@ -160,16 +122,16 @@ def _drive(probe, search, alpha_max, *args) -> LineSearchOutcome:
                              intervals)
 
 
-def _open_bracket(kind, cfg, alpha_max):
-    """Evaluate ``delta`` and ``delta + ratio * delta``; when the latter
+def _open_bracket(kind, alpha_max):
+    """Evaluate ``_DELTA`` and ``_DELTA + _GOLDEN * _DELTA``; when the latter
     overshoots ``alpha_max``, evaluate the midpoint of ``[0, alpha_max]`` and
     ``alpha_max`` instead.
 
     Returns ``(first, (mid, y_mid), (high, y_high))`` where ``first`` is the
-    ``(delta, y)`` pair evaluated first.
+    ``(_DELTA, y)`` pair evaluated first.
     """
-    mid = cfg.delta
-    high = mid + cfg.ratio * cfg.delta
+    mid = _DELTA
+    high = mid + _GOLDEN * _DELTA
     y_mid = yield kind, mid
     y_high = yield kind, high
     first = (mid, y_mid)
@@ -185,23 +147,26 @@ def _value(point):
     return point[1]
 
 
-def golden_section(probe, config: BracketConfig | None = None, *,
-                   alpha_max: float = ALPHA_CAP) -> LineSearchOutcome:
+def golden_section(probe, *, alpha_max: float = ALPHA_CAP,
+                   max_info_calls: int = 1000) -> LineSearchOutcome:
     """Exact function-value search: bracket a minimizer, then golden section.
 
-    Bracketing advances from ``delta`` by growing steps ``ratio**j * delta``
-    while the newest value keeps decreasing; refinement then shrinks the
-    bracket by the factor ``1/ratio`` (about 38% off) per iteration until its
-    length falls below ``tol``.  The accepted step is the final interval
-    midpoint.  Uses only loss evaluations, never the slope.
+    Bracketing advances from 5 by growing steps ``5 * phi**j`` (``phi`` the
+    golden ratio) while the newest value keeps decreasing; refinement then
+    shrinks the bracket by the factor ``1/phi`` (about 38% off) per iteration
+    until its length falls below 1e-12.  The accepted step is the final
+    interval midpoint.  Uses only loss evaluations, never the slope.
+
+    ``max_info_calls`` is checked before each growth or refinement step, not
+    before the opening evaluations, so the search can spend a few calls more.
     """
-    return _drive(probe, _golden_section, alpha_max, config or BracketConfig())
+    return _drive(probe, _golden_section, alpha_max, max_info_calls)
 
 
-def _golden_section(spent, alpha_max, cfg):
+def _golden_section(spent, alpha_max, max_info_calls):
     f0 = yield "value", 0.0
     first, (mid, f_mid), (high, f_high) = yield from _open_bracket(
-        "value", cfg, alpha_max)
+        "value", alpha_max)
     # Lowest value seen, earliest first: the step returned when the budget
     # runs out while the bracket grows.
     best = min((0.0, f0), first, (high, f_high), (mid, f_mid), key=_value)
@@ -212,10 +177,10 @@ def _golden_section(spent, alpha_max, cfg):
     else:
         low, j = 0.0, 1
         while f_high < f_mid:
-            if spent.info_calls >= cfg.max_info_calls:
+            if spent.info_calls >= max_info_calls:
                 return best[0], "budget", []
             low, mid, f_mid = mid, high, f_high
-            high = mid + cfg.ratio**j * cfg.delta
+            high = mid + _GOLDEN**j * _DELTA
             j += 1
             if high > alpha_max:
                 return high, "cap_max", []
@@ -224,85 +189,85 @@ def _golden_section(spent, alpha_max, cfg):
         a, b = low, high
 
     intervals = []
-    inner_low = b - (b - a) / cfg.ratio
-    inner_high = a + (b - a) / cfg.ratio
+    inner_low = b - (b - a) / _GOLDEN
+    inner_high = a + (b - a) / _GOLDEN
     f_il = yield "value", inner_low
     f_ih = yield "value", inner_high
-    while b - a > cfg.tol and spent.info_calls < cfg.max_info_calls:
+    while b - a > _TOL and spent.info_calls < max_info_calls:
         if f_il < f_ih:
             b = inner_high
             inner_high, f_ih = inner_low, f_il
-            inner_low = b - (b - a) / cfg.ratio
+            inner_low = b - (b - a) / _GOLDEN
             f_il = yield "value", inner_low
         else:
             a = inner_low
             inner_low, f_il = inner_high, f_ih
-            inner_high = a + (b - a) / cfg.ratio
+            inner_high = a + (b - a) / _GOLDEN
             f_ih = yield "value", inner_high
         intervals.append(b - a)
-    reason = "tolerance" if b - a <= cfg.tol else "budget"
+    reason = "tolerance" if b - a <= _TOL else "budget"
     return 0.5 * (a + b), reason, intervals
 
 
-def armijo(probe, alpha_init: float, config: ArmijoConfig | None = None, *,
+def armijo(probe, alpha_init: float, *,
            alpha_max: float = ALPHA_CAP) -> LineSearchOutcome:
     """Inexact function-value search enforcing a sufficient-decrease bound.
 
-    A step is acceptable when ``F(alpha) < F(0) + alpha * p * F'(0)`` with
-    ``p = decrease_fraction``.  If the initial step passes, the step is grown
-    by ``factor`` until the first failure and the last passing step returned
-    (largest feasible step); otherwise it is shrunk until the first pass.
-    Spends exactly one gradient evaluation, at the origin.
+    A step is acceptable when ``F(alpha) < F(0) + alpha * 0.2 * F'(0)``.  If
+    the initial step passes, the step is doubled until the first failure and
+    the last passing step returned (largest feasible step); otherwise it is
+    halved until the first pass.  Spends exactly one gradient evaluation, at
+    the origin.
     """
-    return _drive(probe, _armijo, alpha_max, alpha_init,
-                  config or ArmijoConfig())
+    return _drive(probe, _armijo, alpha_max, alpha_init)
 
 
-def _armijo(spent, alpha_max, alpha_init, cfg):
+def _armijo(spent, alpha_max, alpha_init):
     f0 = yield "value", 0.0
     slope0 = yield "deriv", 0.0
 
     def acceptable(alpha, value):
-        return value < f0 + alpha * cfg.decrease_fraction * slope0
+        return value < f0 + alpha * _DECREASE_FRACTION * slope0
 
     alpha = min(max(alpha_init, ALPHA_MIN), alpha_max)
     if acceptable(alpha, (yield "value", alpha)):
         while alpha < alpha_max:
-            bigger = min(alpha * cfg.factor, alpha_max)
+            bigger = min(alpha * _ARMIJO_FACTOR, alpha_max)
             if not acceptable(bigger, (yield "value", bigger)):
                 return alpha, "tolerance", []
             alpha = bigger
         return alpha, "cap_max", []
 
     while True:
-        alpha = alpha / cfg.factor
+        alpha = alpha / _ARMIJO_FACTOR
         # A step below ALPHA_MIN ends the search unevaluated; the driver
         # clamps it and reports cap_min.
         if alpha < ALPHA_MIN or acceptable(alpha, (yield "value", alpha)):
             return alpha, "tolerance", []
 
 
-def bisection_gols(probe, config: BracketConfig | None = None, *,
-                   alpha_max: float = ALPHA_CAP) -> LineSearchOutcome:
+def bisection_gols(probe, *, alpha_max: float = ALPHA_CAP,
+                   max_info_calls: int = 1000) -> LineSearchOutcome:
     """Exact gradient-only search: bisect the slope's negative-to-positive
     sign change.
 
-    Brackets with growing steps like the golden section search, but watches
-    only the sign of the directional derivative; a zero slope counts as
-    non-negative, so the sign change is considered found.  Refinement keeps
-    a three-point pattern and halves the interval per iteration.  Uses only
-    gradient evaluations.
+    Brackets with the golden section search's growing steps from 5, but
+    watches only the sign of the directional derivative; a zero slope counts
+    as non-negative, so the sign change is considered found.  Refinement
+    keeps a three-point pattern and halves the interval per iteration until
+    its length falls below 1e-12.  Uses only gradient evaluations.
+    ``max_info_calls`` is checked as in :func:`golden_section`.
     """
-    return _drive(probe, _bisection_gols, alpha_max, config or BracketConfig())
+    return _drive(probe, _bisection_gols, alpha_max, max_info_calls)
 
 
-def _bisection_gols(spent, alpha_max, cfg):
+def _bisection_gols(spent, alpha_max, max_info_calls):
     _, (mid, mid_slope), (high, high_slope) = yield from _open_bracket(
-        "deriv", cfg, alpha_max)
+        "deriv", alpha_max)
     j = 1
-    while high_slope < 0 and spent.info_calls < cfg.max_info_calls:
+    while high_slope < 0 and spent.info_calls < max_info_calls:
         mid, mid_slope = high, high_slope
-        high = mid + cfg.ratio**j * cfg.delta
+        high = mid + _GOLDEN**j * _DELTA
         j += 1
         high_slope = yield "deriv", high
         if high > alpha_max:
@@ -311,8 +276,8 @@ def _bisection_gols(spent, alpha_max, cfg):
     intervals = []
     low = 0.0
     length = high - low
-    while (length > cfg.tol and high > ALPHA_MIN
-           and spent.info_calls < cfg.max_info_calls):
+    while (length > _TOL and high > ALPHA_MIN
+           and spent.info_calls < max_info_calls):
         if mid_slope < 0 and high_slope >= 0:
             low = mid
         elif mid_slope >= 0:
@@ -322,7 +287,7 @@ def _bisection_gols(spent, alpha_max, cfg):
         mid_slope = yield "deriv", mid
         intervals.append(length)
 
-    if length <= cfg.tol:
+    if length <= _TOL:
         reason = "tolerance"
     elif high <= ALPHA_MIN:
         reason = "cap_min"
@@ -331,39 +296,38 @@ def _bisection_gols(spent, alpha_max, cfg):
     return 0.5 * (high + low), reason, intervals
 
 
-def inexact_gols(probe, alpha_init: float, config: InexactConfig | None = None, *,
-                 alpha_max: float = ALPHA_CAP) -> LineSearchOutcome:
+def inexact_gols(probe, alpha_init: float, *, alpha_max: float = ALPHA_CAP,
+                 max_info_calls: int = 1000) -> LineSearchOutcome:
     """Inexact gradient-only search by doubling or halving the step.
 
-    The acceptance band is ``|(1 - relaxation) * F'(0)|``: a slope above it
-    triggers halving until the slope drops below the band; a slope below it
-    triggers doubling until the slope first exceeds the band, after which the
-    step is pulled back one factor.  A slope exactly on the band keeps the
-    current behaviour (and accepts the initial step immediately).  Uses only
-    gradient evaluations.
+    The acceptance band is ``|F'(0)|``: a slope above it triggers halving
+    until the slope drops below the band; a slope below it triggers doubling
+    until the slope first exceeds the band, after which the step is halved
+    once.  A slope exactly on the band keeps the current behaviour (and
+    accepts the initial step immediately).  Uses only gradient evaluations.
+    ``max_info_calls`` is checked before each doubling or halving.
     """
-    return _drive(probe, _inexact_gols, alpha_max, alpha_init,
-                  config or InexactConfig())
+    return _drive(probe, _inexact_gols, alpha_max, alpha_init, max_info_calls)
 
 
-def _inexact_gols(spent, alpha_max, alpha_init, cfg):
+def _inexact_gols(spent, alpha_max, alpha_init, max_info_calls):
     slope0 = yield "deriv", 0.0
     alpha = min(max(alpha_init, ALPHA_MIN), alpha_max)
     slope = yield "deriv", alpha
-    band = abs((1.0 - cfg.relaxation) * slope0)
+    band = abs(slope0)
     if slope == band:
         return alpha, "tolerance", []
 
     halve = slope > band
-    while spent.info_calls < cfg.max_info_calls:
+    while spent.info_calls < max_info_calls:
         if halve:
-            alpha = alpha / cfg.eta
+            alpha = alpha / _ETA
             done = (yield "deriv", alpha) < band
         else:
-            alpha = alpha * cfg.eta
+            alpha = alpha * _ETA
             done = (yield "deriv", alpha) > band
             if done:
-                alpha = alpha / cfg.eta
+                alpha = alpha / _ETA
         # A step outside the bounds ends the search; the driver clamps it
         # and reports cap_min or cap_max.
         if done or not ALPHA_MIN <= alpha <= alpha_max:
@@ -380,7 +344,8 @@ def make_resolver(name: str):
 
     Accepted names: ``gs``, ``arls``, ``bgols``, ``igols`` and
     ``fixed:<alpha>``.  The fixed resolver is a zero-cost oracle that returns
-    the given constant step unconditionally, bypassing the step caps.
+    the given constant step unconditionally, bypassing the step caps; the
+    step must be finite and non-negative, since a negative one ascends.
     """
     if name == "gs":
         return lambda probe, alpha_init, alpha_max: golden_section(
@@ -399,8 +364,8 @@ def make_resolver(name: str):
             value = float(name.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad fixed step size in resolver {name!r}") from None
-        if not math.isfinite(value):
-            raise ValueError("fixed step size must be finite")
+        if not 0.0 <= value < math.inf:
+            raise ValueError("fixed step size must be finite and non-negative")
         return lambda probe, alpha_init, alpha_max: LineSearchOutcome(
             alpha=value, function_evals=0, gradient_evals=0, reason="tolerance")
     raise ValueError(

@@ -213,6 +213,7 @@ class TestSpecHandling:
         ["train", "--arch", "3,-1"],
         ["scan", "--arch", "0"],
         ["train", "--seed", "-1"],
+        ["train", "--resolver", "fixed:-0.5"],
     ], ids=" ".join)
     def test_impossible_number_is_usage_error(self, tmp_path, args):
         out = tmp_path / "out"
@@ -231,6 +232,11 @@ class TestSpecHandling:
         (["train"], {"resolvers": "gs,gs"}),
         # Checked although scan ignores it.
         (["scan", "--batch-sizes", "full"], {"iterations": 0}),
+        # Only JSON strings and numbers read as flag text.
+        (["train", "--iterations", "1", "--repeats", "1"], {"out": None}),
+        (["train"], {"resolvers": ["igols", "gs"]}),
+        (["train"], {"arch": [3, 3]}),
+        (["train"], {"seed": True}),
     ], ids=lambda value: " ".join(value) if isinstance(value, list) else json.dumps(value))
     def test_duplicate_or_bad_config_value_is_usage_error(self, tmp_path, args, config):
         out = tmp_path / "out"
@@ -240,6 +246,14 @@ class TestSpecHandling:
             args = args + ["--config", str(path)]
         assert main(args + ["--dataset", "iris", "--out", str(out)]) == 2
         assert not out.exists()  # rejected before any work
+
+    def test_null_config_out_makes_no_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spec.json").write_text(json.dumps({"out": None}))
+        assert main(["train", "--config", "spec.json", "--dataset", "iris",
+                     "--iterations", "1", "--repeats", "1"]) == 2
+        assert not (tmp_path / "None").exists()
+        assert "['out']" in capsys.readouterr().err
 
     def test_config_value_parses_like_its_flag(self, tmp_path):
         config = tmp_path / "spec.json"

@@ -1,11 +1,12 @@
 import gols
 
 # The package's public names when it still listed them by hand, less
-# TraceRow, which the trace record array replaced.
+# TraceRow, which the trace record array replaced, and the three search
+# config classes, which the paper's fixed settings replaced.
 EARLIER_NAMES = (
-    "ALPHA_CAP", "ALPHA_MIN", "ArmijoConfig", "BallEstimate", "BatchObjective",
-    "BatchSampler", "BracketConfig", "Dataset", "DirectionalProbe", "EvalCounter",
-    "InexactConfig", "KeyStream", "LineSearchOutcome", "Network", "ScanResult",
+    "ALPHA_CAP", "ALPHA_MIN", "BallEstimate", "BatchObjective",
+    "BatchSampler", "Dataset", "DirectionalProbe", "EvalCounter",
+    "KeyStream", "LineSearchOutcome", "Network", "ScanResult",
     "Split", "SyntheticObjective", "TrainConfig", "TrainTrace", "armijo",
     "bisection_gols", "builtin_dataset", "count_local_minima", "count_snngpp",
     "dataset_metrics", "effective_alpha_max", "estimate_ball", "golden_section",
