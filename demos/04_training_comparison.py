@@ -17,12 +17,17 @@ ds = builtin_dataset("iris")
 split = split_3_1_1(ds, seed=(0, 9))
 net = Network(ds.num_features, [3], ds.class_count)
 
+RESOLVERS = ("fixed:0.05", "gs", "arls", "bgols", "igols")
+# One call trains every resolver's run, in lockstep.
+traces = train_on_dataset(net, ds, split, [
+    TrainConfig(iterations=ITERATIONS, resolver=name,
+                weight_seed=(0, 101, 0), sampler_seed=(0, 202, name == "gs", 0))
+    for name in RESOLVERS
+])
+
 print(f"{'resolver':10s} {'train':>8s} {'valid':>8s} {'test':>8s} "
       f"{'cost/iter':>10s} {'info/iter':>10s} {'median alpha':>13s}")
-for name in ("fixed:0.05", "gs", "arls", "bgols", "igols"):
-    cfg = TrainConfig(iterations=ITERATIONS, resolver=name,
-                      weight_seed=(0, 101, 0), sampler_seed=(0, 202, name == "gs", 0))
-    trace = train_on_dataset(net, ds, split, cfg)
+for name, trace in zip(RESOLVERS, traces):
     final = trace.final
     alphas = trace.column("alpha")[1:]
     print(f"{name:10s} {final.train_loss:8.3f} {final.validation_loss:8.3f} "

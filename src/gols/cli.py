@@ -1,9 +1,12 @@
 """Experiment runner: train | scan | compare subcommands writing CSV files.
 
 All randomness flows from ``--seed``; identical invocations produce
-byte-identical outputs.  Cells (one training run per resolver and repeat, or
-one scan per batch size and repeat) run one after another in one thread.
-Exit codes: 0 on success, 2 on a bad invocation, 1 on a runtime failure.
+byte-identical outputs.  The training runs of ``train`` and ``compare``, one
+per resolver and repeat, go through one call of
+:func:`gols.trainer.train_on_dataset`, which trains them in lockstep; the
+scans of ``scan``, one per batch size and repeat, run one after another.
+Everything runs in one thread.  Exit codes: 0 on success, 2 on a bad
+invocation, 1 on a runtime failure.
 """
 
 from __future__ import annotations
@@ -80,6 +83,12 @@ def _batch_size(token):
     return token if token == "full" else _at_least(1)(token)
 
 
+def _out(text):
+    if not text:
+        raise ValueError("must name a directory")  # Path("") would be "."
+    return Path(text)
+
+
 def _dataset(name):
     if name in BUILTIN_DATASETS:
         return builtin_dataset(name)
@@ -102,7 +111,7 @@ _OPTIONS = (
     _Option("iterations", "--iterations", "3000", _at_least(1), "training iterations"),
     _Option("batch_size", "--batch-size", "10", _at_least(1), "training batch size"),
     _Option("seed", "--seed", "0", _at_least(0), "seed of all randomness"),
-    _Option("out", "--out", "results", Path, "output directory"),
+    _Option("out", "--out", "results", _out, "output directory"),
     _Option("policy", "--policy", "resample", _policy,
             f"probe sampling policy: {'|'.join(POLICIES)}"),
     _Option("batch_sizes", "--batch-sizes", "10,30,50,full", _entries(_batch_size),
@@ -258,20 +267,22 @@ def _run_training_grid(spec) -> list:
     split = split_3_1_1(spec.dataset, seed=(spec.seed, 9))
     net = Network(spec.dataset.num_features, spec.arch, spec.dataset.class_count)
 
-    def run(resolver_index, repeat):
-        cfg = TrainConfig(
+    configs = [
+        TrainConfig(
             iterations=spec.iterations,
             batch_size=spec.batch_size,
-            resolver=spec.resolvers[resolver_index],
+            resolver=resolver,
             policy=spec.policy,
             # Repeats share starting points across resolvers.
             weight_seed=(spec.seed, 101, repeat),
             sampler_seed=(spec.seed, 202, resolver_index, repeat),
         )
-        return train_on_dataset(net, spec.dataset, split, cfg)
-
-    return [np.stack([run(ri, rep).rows for rep in range(spec.repeats)])
-            for ri in range(len(spec.resolvers))]
+        for resolver_index, resolver in enumerate(spec.resolvers)
+        for repeat in range(spec.repeats)
+    ]
+    traces = train_on_dataset(net, spec.dataset, split, configs)
+    return [np.stack([trace.rows for trace in traces[start:start + spec.repeats]])
+            for start in range(0, len(traces), spec.repeats)]
 
 
 def _safe(name: str) -> str:

@@ -14,10 +14,13 @@ I-GOLS.
 Each search is an ask/tell generator: it yields ``("value", alpha)`` or
 ``("deriv", alpha)`` requests, receives F(alpha) or F'(alpha) in reply, and
 returns ``(alpha, reason, intervals)``.  It reads only the numbers it is sent
-and the running count of its requests.  One driver, :func:`_drive`, answers
-the requests through the probe, counts them, clamps the returned step into
-``[ALPHA_MIN, alpha_max]`` and builds the outcome.  Callers that resolve
-steps for steepest descent should pass
+and the running count of its requests.  One wrapper generator,
+:func:`_drive`, passes the requests on and counts them, then clamps the
+returned step into ``[ALPHA_MIN, alpha_max]`` and returns the
+:class:`LineSearchOutcome`.  The public searches answer a driven search
+through a probe; :func:`make_search` hands it out unanswered, so that a
+caller such as :mod:`gols.trainer` can answer the requests of many searches
+at once.  Callers that resolve steps for steepest descent should pass
 ``alpha_max=effective_alpha_max(norm(g))`` so that unbounded descent
 directions cannot produce runaway steps.
 """
@@ -40,6 +43,7 @@ __all__ = [
     "bisection_gols",
     "inexact_gols",
     "make_resolver",
+    "make_search",
 ]
 
 ALPHA_MIN = 1e-8
@@ -52,6 +56,7 @@ _TOL = 1e-12                             # exact searches stop at this interval 
 _DECREASE_FRACTION = 0.2                 # ARLS: fraction of the origin slope to beat
 _ARMIJO_FACTOR = 2.0                     # ARLS advance/backtrack multiplier
 _ETA = 2.0                               # I-GOLS doubling/halving factor
+_MAX_INFO_CALLS = 1000                   # default budget of GS, B-GOLS and I-GOLS
 
 
 @dataclass
@@ -93,25 +98,25 @@ def effective_alpha_max(gradient_norm: float) -> float:
     return min(1.0 / gradient_norm, ALPHA_CAP)
 
 
-def _drive(probe, search, alpha_max, *args) -> LineSearchOutcome:
-    """Run ``search(spent, alpha_max, *args)`` against ``probe``.
+def _drive(search, alpha_max, *args):
+    """``search(spent, alpha_max, *args)`` as a counted, clamped ask/tell
+    generator.
 
-    ``spent`` is the :class:`~gols.probe.EvalCounter` of the requests served
-    so far; searches check their budget against it.  The probe's methods are
-    looked up on every search, so wrappers installed on the class see each
-    evaluation.
+    Yields the search's ``(kind, alpha)`` requests, sends it each reply and
+    returns the :class:`LineSearchOutcome`.  ``spent`` is the
+    :class:`~gols.probe.EvalCounter` of the requests passed on so far;
+    searches check their budget against it.
     """
     spent = EvalCounter()
-    answer = {"value": probe.value, "deriv": probe.deriv}
     requests = search(spent, alpha_max, *args)
     try:
-        kind, alpha = next(requests)
+        request = next(requests)
         while True:
-            if kind == "value":
+            if request[0] == "value":
                 spent.functions += 1
             else:
                 spent.gradients += 1
-            kind, alpha = requests.send(answer[kind](alpha))
+            request = requests.send((yield request))
     except StopIteration as done:
         alpha, reason, intervals = done.value
     if alpha > alpha_max:
@@ -120,6 +125,21 @@ def _drive(probe, search, alpha_max, *args) -> LineSearchOutcome:
         alpha, reason = ALPHA_MIN, "cap_min"
     return LineSearchOutcome(alpha, spent.functions, spent.gradients, reason,
                              intervals)
+
+
+def _answer(probe, requests):
+    """Run a driven search to its outcome, answering through ``probe``.
+
+    The probe's methods are looked up on every search, so wrappers installed
+    on the class see each evaluation.
+    """
+    answer = {"value": probe.value, "deriv": probe.deriv}
+    try:
+        kind, alpha = next(requests)
+        while True:
+            kind, alpha = requests.send(answer[kind](alpha))
+    except StopIteration as done:
+        return done.value
 
 
 def _open_bracket(kind, alpha_max):
@@ -148,7 +168,7 @@ def _value(point):
 
 
 def golden_section(probe, *, alpha_max: float = ALPHA_CAP,
-                   max_info_calls: int = 1000) -> LineSearchOutcome:
+                   max_info_calls: int = _MAX_INFO_CALLS) -> LineSearchOutcome:
     """Exact function-value search: bracket a minimizer, then golden section.
 
     Bracketing advances from 5 by growing steps ``5 * phi**j`` (``phi`` the
@@ -160,7 +180,7 @@ def golden_section(probe, *, alpha_max: float = ALPHA_CAP,
     ``max_info_calls`` is checked before each growth or refinement step, not
     before the opening evaluations, so the search can spend a few calls more.
     """
-    return _drive(probe, _golden_section, alpha_max, max_info_calls)
+    return _answer(probe, _drive(_golden_section, alpha_max, max_info_calls))
 
 
 def _golden_section(spent, alpha_max, max_info_calls):
@@ -219,7 +239,7 @@ def armijo(probe, alpha_init: float, *,
     halved until the first pass.  Spends exactly one gradient evaluation, at
     the origin.
     """
-    return _drive(probe, _armijo, alpha_max, alpha_init)
+    return _answer(probe, _drive(_armijo, alpha_max, alpha_init))
 
 
 def _armijo(spent, alpha_max, alpha_init):
@@ -247,7 +267,7 @@ def _armijo(spent, alpha_max, alpha_init):
 
 
 def bisection_gols(probe, *, alpha_max: float = ALPHA_CAP,
-                   max_info_calls: int = 1000) -> LineSearchOutcome:
+                   max_info_calls: int = _MAX_INFO_CALLS) -> LineSearchOutcome:
     """Exact gradient-only search: bisect the slope's negative-to-positive
     sign change.
 
@@ -258,7 +278,7 @@ def bisection_gols(probe, *, alpha_max: float = ALPHA_CAP,
     its length falls below 1e-12.  Uses only gradient evaluations.
     ``max_info_calls`` is checked as in :func:`golden_section`.
     """
-    return _drive(probe, _bisection_gols, alpha_max, max_info_calls)
+    return _answer(probe, _drive(_bisection_gols, alpha_max, max_info_calls))
 
 
 def _bisection_gols(spent, alpha_max, max_info_calls):
@@ -297,7 +317,7 @@ def _bisection_gols(spent, alpha_max, max_info_calls):
 
 
 def inexact_gols(probe, alpha_init: float, *, alpha_max: float = ALPHA_CAP,
-                 max_info_calls: int = 1000) -> LineSearchOutcome:
+                 max_info_calls: int = _MAX_INFO_CALLS) -> LineSearchOutcome:
     """Inexact gradient-only search by doubling or halving the step.
 
     The acceptance band is ``|F'(0)|``: a slope above it triggers halving
@@ -307,7 +327,7 @@ def inexact_gols(probe, alpha_init: float, *, alpha_max: float = ALPHA_CAP,
     accepts the initial step immediately).  Uses only gradient evaluations.
     ``max_info_calls`` is checked before each doubling or halving.
     """
-    return _drive(probe, _inexact_gols, alpha_max, alpha_init, max_info_calls)
+    return _answer(probe, _drive(_inexact_gols, alpha_max, alpha_init, max_info_calls))
 
 
 def _inexact_gols(spent, alpha_max, alpha_init, max_info_calls):
@@ -338,27 +358,30 @@ def _inexact_gols(spent, alpha_max, alpha_init, max_info_calls):
 RESOLVER_NAMES = ("gs", "arls", "bgols", "igols")
 
 
-def make_resolver(name: str):
-    """Map a resolver name to a uniform ``(probe, alpha_init, alpha_max)``
-    callable.
+def make_search(name: str):
+    """Map a resolver name to an ``(alpha_init, alpha_max) -> search``
+    factory.
 
-    Accepted names: ``gs``, ``arls``, ``bgols``, ``igols`` and
-    ``fixed:<alpha>``.  The fixed resolver is a zero-cost oracle that returns
-    the given constant step unconditionally, bypassing the step caps; the
-    step must be finite and non-negative, since a negative one ascends.
+    A search is a generator that yields ``("value", alpha)`` and
+    ``("deriv", alpha)`` requests, takes F(alpha) or F'(alpha) in reply and
+    returns its :class:`LineSearchOutcome`; the exact searches run with their
+    default budget.  Accepted names: ``gs``, ``arls``, ``bgols``, ``igols``
+    and ``fixed:<alpha>``.  The fixed resolver is a zero-cost oracle that asks
+    nothing and returns the given constant step unconditionally, bypassing
+    the step caps; the step must be finite and non-negative, since a negative
+    one ascends.
     """
     if name == "gs":
-        return lambda probe, alpha_init, alpha_max: golden_section(
-            probe, alpha_max=alpha_max)
+        return lambda alpha_init, alpha_max: _drive(
+            _golden_section, alpha_max, _MAX_INFO_CALLS)
     if name == "arls":
-        return lambda probe, alpha_init, alpha_max: armijo(
-            probe, alpha_init, alpha_max=alpha_max)
+        return lambda alpha_init, alpha_max: _drive(_armijo, alpha_max, alpha_init)
     if name == "bgols":
-        return lambda probe, alpha_init, alpha_max: bisection_gols(
-            probe, alpha_max=alpha_max)
+        return lambda alpha_init, alpha_max: _drive(
+            _bisection_gols, alpha_max, _MAX_INFO_CALLS)
     if name == "igols":
-        return lambda probe, alpha_init, alpha_max: inexact_gols(
-            probe, alpha_init, alpha_max=alpha_max)
+        return lambda alpha_init, alpha_max: _drive(
+            _inexact_gols, alpha_max, alpha_init, _MAX_INFO_CALLS)
     if name.startswith("fixed:"):
         try:
             value = float(name.split(":", 1)[1])
@@ -366,8 +389,22 @@ def make_resolver(name: str):
             raise ValueError(f"bad fixed step size in resolver {name!r}") from None
         if not 0.0 <= value < math.inf:
             raise ValueError("fixed step size must be finite and non-negative")
-        return lambda probe, alpha_init, alpha_max: LineSearchOutcome(
-            alpha=value, function_evals=0, gradient_evals=0, reason="tolerance")
+        return lambda alpha_init, alpha_max: _fixed_step(value)
     raise ValueError(
         f"unknown resolver {name!r}; choose one of {RESOLVER_NAMES} or fixed:<alpha>"
     )
+
+
+def _fixed_step(alpha):
+    return LineSearchOutcome(alpha=alpha, function_evals=0, gradient_evals=0,
+                             reason="tolerance")
+    yield  # a search that asks nothing
+
+
+def make_resolver(name: str):
+    """Map a resolver name (see :func:`make_search`) to a uniform
+    ``(probe, alpha_init, alpha_max) -> LineSearchOutcome`` callable that
+    answers the search through the probe."""
+    search = make_search(name)
+    return lambda probe, alpha_init, alpha_max: _answer(
+        probe, search(alpha_init, alpha_max))

@@ -8,7 +8,8 @@ architecture, never weights, so one instance serves every run and scan.
 One forward pass (``_activations``) and one backprop (``_backprop``) serve
 every evaluation.  Both work on weights with any leading axes, so the
 per-point :meth:`Network.loss` and :meth:`Network.gradient` run them on one
-parameter vector and :meth:`Network.losses_and_slopes` on a stack of them.
+parameter vector and the stacked :meth:`Network.losses` and
+:meth:`Network.losses_and_gradients` on a stack of them.
 ``_backprop`` writes into per-layer views of one flat gradient array, which
 is already in :meth:`Network.pack` order.
 """
@@ -104,40 +105,43 @@ class Network:
         _backprop(self.unpack(params), self._layers(grad), inputs, targets)
         return grad
 
-    def losses_and_slopes(self, points, inputs, targets, direction):
-        """Loss and gradient·direction at ``N`` parameter points at once.
+    def losses(self, points, inputs, targets, sections=None):
+        """Loss at ``N`` parameter points at once, from the forward pass
+        alone.
 
         ``points`` is ``(N, num_params)``; ``inputs`` and ``targets`` are
         ``(N, P, ·)`` stacks holding each point's own batch of ``P`` rows, or
         ``(1, P, ·)`` for one batch shared by every point.  The forward pass
-        and backprop are the ones :meth:`loss` and :meth:`gradient` run, over
-        the stack at once; the ``N`` slopes are ``gradient(...) @ direction``.
-        Both equal the per-point results except where numpy sums a stacked
-        matrix product in another order than a single one.
+        is the one :meth:`loss` runs, over the stack at once; each loss
+        equals the per-point one except where numpy sums a stacked matrix
+        product in another order than a single one.  Without ``sections`` the
+        result is one loss per point, ``(N,)``.  ``sections``, ascending row
+        indices as for ``np.split``, cuts the ``P`` rows into consecutive
+        parts and gives one loss per point and part, ``(N, parts)``; a part's
+        loss is the mean over its own rows, as :meth:`loss` of those rows.
         """
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.num_params:
-            raise ValueError(
-                f"points have shape {points.shape}, expected (N, {self.num_params})"
-            )
-        direction = self._check_params(direction)
-        inputs = np.asarray(inputs, dtype=float)
-        targets = np.asarray(targets, dtype=float)
-        if (inputs.ndim != 3 or inputs.shape[2] != self.input_dim
-                or targets.ndim != 3 or targets.shape[2] != self.output_dim
-                or inputs.shape[:2] != targets.shape[:2]
-                or inputs.shape[0] not in (1, len(points)) or inputs.shape[1] < 1):
-            raise ValueError(
-                f"inputs {inputs.shape} and targets {targets.shape} are not "
-                f"(N or 1, P, {self.input_dim}) and (N or 1, P, {self.output_dim})"
-            )
+        points, inputs, targets = self._check_stack(points, inputs, targets)
+        residuals = _activations(self._layers(points), inputs)[-1] - targets
+        if sections is None:
+            return _loss(residuals)
+        return np.stack([_loss(part) for part in np.split(residuals, sections, axis=-2)],
+                        axis=-1)
+
+    def losses_and_gradients(self, points, inputs, targets):
+        """Loss and gradient at ``N`` parameter points at once, ``(N,)`` and
+        ``(N, num_params)``, by the backprop :meth:`gradient` runs; shapes
+        as for :meth:`losses`, whose losses these equal.
+
+        A slope along ``direction`` is ``np.vecdot(grads, direction)``: it
+        takes one dot product per row, the one ``gradient(...) @
+        direction`` takes, where a matrix-vector product ``grads @
+        direction`` rounds differently on about half the rows.
+        """
+        points, inputs, targets = self._check_stack(points, inputs, targets)
         grads = np.empty(points.shape)
         losses = _loss(_backprop(self._layers(points), self._layers(grads),
                                  inputs, targets))
-        # vecdot takes one dot product per row, the one that
-        # ``gradient(...) @ direction`` takes; a matrix-vector product
-        # ``grads @ direction`` rounds differently on about half the rows.
-        return losses, np.vecdot(grads, direction)
+        return losses, grads
 
     def _layers(self, params):
         """Per-layer ``(..., fan_out, fan_in + 1)`` views of ``(...,
@@ -181,6 +185,24 @@ class Network:
         if inputs.shape[0] < 1:
             raise ValueError("batch must contain at least one sample")
         return inputs, targets
+
+    def _check_stack(self, points, inputs, targets):
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.num_params:
+            raise ValueError(
+                f"points have shape {points.shape}, expected (N, {self.num_params})"
+            )
+        inputs = np.asarray(inputs, dtype=float)
+        targets = np.asarray(targets, dtype=float)
+        if (inputs.ndim != 3 or inputs.shape[2] != self.input_dim
+                or targets.ndim != 3 or targets.shape[2] != self.output_dim
+                or inputs.shape[:2] != targets.shape[:2]
+                or inputs.shape[0] not in (1, len(points)) or inputs.shape[1] < 1):
+            raise ValueError(
+                f"inputs {inputs.shape} and targets {targets.shape} are not "
+                f"(N or 1, P, {self.input_dim}) and (N or 1, P, {self.output_dim})"
+            )
+        return points, inputs, targets
 
 
 def _activations(mats, inputs):

@@ -6,9 +6,10 @@ every evaluation.  The underlying objective is either a network over a data
 partition (:class:`BatchObjective`) or an analytic test problem
 (:class:`SyntheticObjective`); both speak the same interface
 ``loss(x, sample)`` / ``grad(x, sample)`` where ``sample`` selects the
-sub-sampling realization and ``None`` means no sub-sampling at all, plus
-``losses_and_slopes(points, samples, direction)``, which evaluates the loss and
-the slope along ``direction`` at many points, each with its own sample.
+sub-sampling realization and ``None`` means no sub-sampling at all, plus two
+stacked forms that evaluate many points, each with its own sample:
+``losses(points, samples)`` and ``losses_and_gradients(points, samples)``.
+The samples of one stacked call are either all ``None`` or all of one shape.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ __all__ = [
 # full:     no sub-sampling (deterministic reference view)
 POLICIES = ("resample", "fixed", "full")
 
-# Most stacked rows one BatchObjective.losses_and_slopes block evaluates.  It
+# Most stacked rows one block of a BatchObjective stacked call evaluates.  It
 # bounds the working set: a 101-node iris scan peaks at 215-400 KiB of
 # allocations (tracemalloc) at batch sizes 10, 50 and full.
 _BLOCK_ROWS = 1024
@@ -55,9 +56,6 @@ class EvalCounter:
     @property
     def info_calls(self) -> int:
         return self.functions + self.gradients
-
-    def snapshot(self):
-        return (self.functions, self.gradients)
 
     def __repr__(self):
         return f"EvalCounter(functions={self.functions}, gradients={self.gradients})"
@@ -91,31 +89,42 @@ class BatchObjective:
             return self.net.gradient(params, self.inputs, self.targets)
         return self.net.gradient(params, self.inputs[sample], self.targets[sample])
 
-    def losses_and_slopes(self, points, samples, direction):
-        """Loss and gradient·direction at each row of ``points``, evaluated
-        on the matching entry of ``samples``.
+    def losses(self, points, samples):
+        """Loss at each row of ``points``, evaluated on the matching entry of
+        ``samples``, from the forward pass alone."""
+        values = np.empty(len(points))
+        for block, inputs, targets in self._stacks(samples):
+            values[block] = self.net.losses(points[block], inputs, targets)
+        return values
+
+    def losses_and_gradients(self, points, samples):
+        """Loss and gradient at each row of ``points``, evaluated on the
+        matching entry of ``samples``."""
+        values, grads = np.empty(len(points)), np.empty(np.shape(points))
+        for block, inputs, targets in self._stacks(samples):
+            values[block], grads[block] = self.net.losses_and_gradients(
+                points[block], inputs, targets)
+        return values, grads
+
+    def _stacks(self, samples):
+        """``(block, inputs, targets)`` for consecutive blocks of at most
+        ``_BLOCK_ROWS`` stacked rows, at least one point per block.
 
         The samples are either all ``None`` (the whole matrix, broadcast to
         every point rather than copied) or row-index arrays of one size.
-        Points are evaluated in blocks of at most ``_BLOCK_ROWS`` stacked
-        rows, at least one point per block.
         """
-        n = len(points)
         if all(sample is None for sample in samples):
             index, rows = None, self.num_rows
             inputs, targets = self.inputs[None], self.targets[None]
         else:
-            index = np.stack(samples)
+            index = np.array(samples)
             rows = index.shape[1]
         per_block = max(1, _BLOCK_ROWS // rows)
-        values, slopes = np.empty(n), np.empty(n)
-        for start in range(0, n, per_block):
+        for start in range(0, len(samples), per_block):
             block = slice(start, start + per_block)
             if index is not None:
                 inputs, targets = self.inputs[index[block]], self.targets[index[block]]
-            values[block], slopes[block] = self.net.losses_and_slopes(
-                points[block], inputs, targets, direction)
-        return values, slopes
+            yield block, inputs, targets
 
 
 class SyntheticObjective:
@@ -148,11 +157,15 @@ class SyntheticObjective:
             g = g + self.noise_grad * rng.standard_normal(g.shape)
         return g
 
-    def losses_and_slopes(self, points, samples, direction):
-        """:meth:`loss` and :meth:`grad` ``@ direction`` point by point."""
-        values = [self.loss(x, sample) for x, sample in zip(points, samples)]
-        slopes = [self.grad(x, sample) @ direction for x, sample in zip(points, samples)]
-        return np.array(values, dtype=float), np.array(slopes, dtype=float)
+    def losses(self, points, samples):
+        """:meth:`loss` point by point."""
+        return np.array([self.loss(x, sample) for x, sample in zip(points, samples)],
+                        dtype=float)
+
+    def losses_and_gradients(self, points, samples):
+        """:meth:`loss` and :meth:`grad` point by point, one gradient row each."""
+        grads = [self.grad(x, sample) for x, sample in zip(points, samples)]
+        return self.losses(points, samples), np.array(grads, dtype=float)
 
 
 class KeyStream:
@@ -176,8 +189,10 @@ class DirectionalProbe:
     ever increase.  A non-finite F or F' raises ``ValueError`` rather than
     reach a search, whose comparisons a NaN would silently steer.
 
-    :meth:`scan` evaluates F and F' at a whole grid of step sizes in one
-    stacked call, in blocks of at most 1024 batch rows for a
+    :meth:`serve` relays a line search's requests to a caller that
+    evaluates them, as :mod:`gols.trainer` does for a whole grid of runs at
+    once.  :meth:`scan` evaluates F and F' at a whole grid of step sizes in
+    one stacked call, in blocks of at most 1024 batch rows for a
     :class:`BatchObjective`.  It draws the node samples in node order, the
     same draws as a :meth:`value_and_deriv` loop over the grid, and runs the
     same forward pass and backprop (:mod:`gols.net`).  F and F' could differ
@@ -225,19 +240,46 @@ class DirectionalProbe:
             return self.fixed_sample
         return self._sampler.sample()
 
+    def _draw(self, kind, alpha):
+        """Point and sample of one ``value`` or ``deriv`` evaluation, counted."""
+        point = self._point(alpha)
+        if kind == "value":
+            self.counter.functions += 1
+        else:
+            self.counter.gradients += 1
+        return point, self._sample()
+
     def value(self, alpha) -> float:
         """F(alpha) under the probe's sampling policy; counts one loss eval."""
-        point = self._point(alpha)
-        self.counter.functions += 1
-        return _finite("F", alpha, self.model.loss(point, self._sample()))
+        point, sample = self._draw("value", alpha)
+        return _finite("F", alpha, self.model.loss(point, sample))
 
     def deriv(self, alpha) -> float:
         """F'(alpha), the gradient projected onto the direction; counts one
         gradient eval."""
-        point = self._point(alpha)
-        self.counter.gradients += 1
-        return _finite("F'", alpha,
-                       self.model.grad(point, self._sample()) @ self.direction)
+        point, sample = self._draw("deriv", alpha)
+        return _finite("F'", alpha, self.model.grad(point, sample) @ self.direction)
+
+    def serve(self, requests):
+        """Relay a line search's requests to the caller, who evaluates them.
+
+        ``requests`` is an ask/tell search (see
+        :func:`gols.linesearch.make_search`).  Each of its ``(kind, alpha)``
+        requests is counted, and its sample drawn, as :meth:`value` or
+        :meth:`deriv` would do it, then yielded on as ``(kind, point, sample,
+        direction)``.  The caller replies with the loss at ``point`` for a
+        ``value`` request, and with the gradient there ``@ direction`` for a
+        ``deriv`` one; the reply is checked as :meth:`value` and :meth:`deriv`
+        check theirs and sent to the search.  Returns what the search returns.
+        """
+        try:
+            kind, alpha = next(requests)
+            while True:
+                point, sample = self._draw(kind, alpha)
+                reply = yield kind, point, sample, self.direction
+                kind, alpha = requests.send(_finite(_SYMBOLS[kind], alpha, reply))
+        except StopIteration as done:
+            return done.value
 
     def value_and_deriv(self, alpha):
         """F and F' at one step size sharing a single sample draw."""
@@ -265,13 +307,17 @@ class DirectionalProbe:
         points = self.origin + alphas[:, None] * self.direction
         self.counter.functions += len(alphas)
         self.counter.gradients += len(alphas)
-        values, slopes = self.model.losses_and_slopes(points, samples, self.direction)
+        values, grads = self.model.losses_and_gradients(points, samples)
+        slopes = np.vecdot(grads, self.direction)
         bad = ~(np.isfinite(values) & np.isfinite(slopes))
         if bad.any():
             i = int(np.argmax(bad))
             _finite("F", alphas[i], values[i])
             _finite("F'", alphas[i], slopes[i])
         return values, slopes
+
+
+_SYMBOLS = {"value": "F", "deriv": "F'"}
 
 
 def _finite(name, alpha, number) -> float:

@@ -247,6 +247,20 @@ class TestSpecHandling:
         assert main(args + ["--dataset", "iris", "--out", str(out)]) == 2
         assert not out.exists()  # rejected before any work
 
+    @pytest.mark.parametrize("args, config", [
+        (["train", "--out", ""], None),
+        (["train"], {"out": ""}),
+    ], ids=["flag", "config"])
+    def test_empty_out_is_usage_error(self, tmp_path, monkeypatch, args, config):
+        # Path("") is the working directory: an empty --out would write there.
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "spec.json").write_text(json.dumps(config))
+            args = args + ["--config", "spec.json"]
+        assert main(args + ["--dataset", "iris", "--iterations", "1",
+                            "--repeats", "1"]) == 2
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_null_config_out_makes_no_directory(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "spec.json").write_text(json.dumps({"out": None}))

@@ -134,16 +134,23 @@ class TestLoss:
             y = rng.uniform(size=(7, 3))
             assert_allclose(net.loss(params, x, y), loss_oracle(net, params, x, y),
                             rtol=1e-12)
-            # The stacked entry point, on one batch per point and on one
-            # batch shared by every point.
+            # The stacked entry points, on one batch per point and on one
+            # batch shared by every point; with sections, one loss per point
+            # and part of the rows.
             points = rng.uniform(-1, 1, (4, net.num_params))
-            direction = rng.normal(size=net.num_params)
             for xs, ys in ((rng.normal(size=(4, 7, 3)), rng.uniform(size=(4, 7, 3))),
                            (x[None], y[None])):
-                losses, _ = net.losses_and_slopes(points, xs, ys, direction)
-                expected = [loss_oracle(net, point, xs[i % len(xs)], ys[i % len(ys)])
-                            for i, point in enumerate(points)]
-                assert_allclose(losses, expected, rtol=1e-12)
+                batches = [(xs[i % len(xs)], ys[i % len(ys)]) for i in range(len(points))]
+                expected = [loss_oracle(net, point, xb, yb)
+                            for point, (xb, yb) in zip(points, batches)]
+                assert_allclose(net.losses(points, xs, ys), expected, rtol=1e-12)
+                assert_allclose(net.losses_and_gradients(points, xs, ys)[0], expected,
+                                rtol=1e-12)
+                parts = [[loss_oracle(net, point, xb[rows], yb[rows])
+                          for rows in (slice(0, 2), slice(2, 3), slice(3, 7))]
+                         for point, (xb, yb) in zip(points, batches)]
+                assert_allclose(net.losses(points, xs, ys, sections=[2, 3]), parts,
+                                rtol=1e-12)
 
     def test_row_permutation_invariance(self):
         net = Network(3, [4], 2)
@@ -192,7 +199,7 @@ class TestGradient:
         direction = rng.normal(size=net.num_params)
         for xs, ys in ((rng.normal(size=(n, p, d)), rng.uniform(size=(n, p, k))),
                        (x[None], y[None])):
-            _, slopes = net.losses_and_slopes(points, xs, ys, direction)
+            slopes = np.vecdot(net.losses_and_gradients(points, xs, ys)[1], direction)
             for i, point in enumerate(points):
                 xi, yi = xs[i % len(xs)], ys[i % len(ys)]
                 numeric = (loss_oracle(net, point + h * direction, xi, yi)

@@ -3,9 +3,12 @@ up (``bench/tracer.py``).  Renaming or dropping one of those bindings breaks
 ``bench/run.py --trace 1`` with a ``KeyError``; this test catches that in the
 ordinary suite, and checks that the tracer's undo restores every name."""
 
+import csv
 import importlib.util
 import inspect
 from pathlib import Path
+
+import numpy as np
 
 from gols import analysis, cli, data, linesearch, net, probe, trainer
 
@@ -43,18 +46,35 @@ def test_install_then_restore_puts_every_name_back():
 
 
 def test_traced_training_run_counts_iterations_and_searches(tmp_path):
-    # The tracer reads each run's iteration count from what sgd_train
-    # returns, so this fails if the trace loses its rows.
+    # CLI training answers the evaluations of all its runs in stacked calls
+    # that the tracer does not wrap, but every sampler draw still passes
+    # through it.  Under resample each information call draws exactly one
+    # batch: the direction gradient and every search evaluation.
+    resolvers = "gs,igols,arls,bgols,fixed:0.1"
+    model = probe.SyntheticObjective(lambda x: 0.5 * float(x @ x), lambda x: x)
+
+    def traced_work():
+        assert cli.main(["train", "--dataset", "iris", "--resolver", resolvers,
+                         "--repeats", "2", "--iterations", "5",
+                         "--out", str(tmp_path)]) == 0
+        # The tracer reads each run's iteration count from what sgd_train
+        # returns, so this fails if the trace loses its rows.  A key stream
+        # draws no batches, so the sample count above stays the CLI's.
+        trainer.sgd_train(model, np.ones(3), probe.KeyStream(0), "igols", 7,
+                          lambda points: np.zeros((len(points), 3)))
+
     tracer = _load_tracer().Tracer()
     restore = tracer.install()
     try:
-        traced_main = tracer.wrap("cli.main", cli.main)
-        assert traced_main(["train", "--dataset", "iris", "--resolver", "gs,igols",
-                            "--repeats", "2", "--iterations", "5",
-                            "--out", str(tmp_path)]) == 0
+        tracer.wrap("cli.main", traced_work)()
     finally:
         restore()
     summary = tracer.summarize()
-    assert summary["trainer.iterations"] == 20
-    assert summary["linesearch.gs.searches"] == 10
-    assert summary["linesearch.igols.searches"] == 10
+    traces = sorted(tmp_path.glob("train_*_rep*.csv"))
+    assert len(traces) == 10
+    info_calls = 0
+    for path in traces:
+        with open(path, newline="") as fh:
+            info_calls += int(list(csv.reader(fh))[-1][-1])
+    assert summary["data.sample.calls"] == info_calls
+    assert summary["trainer.iterations"] == 7
