@@ -24,7 +24,7 @@ import numpy as np
 from gols.analysis import estimate_ball, scaled_descent_direction, scan_line, write_scan_csv
 from gols.data import (BUILTIN_DATASETS, BatchSampler, builtin_dataset, load_csv,
                        split_3_1_1, write_csv)
-from gols.linesearch import make_resolver
+from gols.linesearch import RESOLVER_NAMES, make_search
 from gols.net import Network
 from gols.probe import POLICIES, BatchObjective, DirectionalProbe
 from gols.trainer import TRACE_COLUMNS, TrainConfig, train_on_dataset
@@ -75,7 +75,7 @@ def _arch(text):
 
 
 def _resolver(name):
-    make_resolver(name)  # raises ValueError on an unknown name
+    make_search(name)  # raises ValueError on an unknown name
     return name
 
 
@@ -106,7 +106,7 @@ _OPTIONS = (
             f"builtin name or CSV path (builtins: {', '.join(BUILTIN_DATASETS)})"),
     _Option("arch", "--arch", "3", _arch, "hidden layer widths, e.g. '5' or '5,5'"),
     _Option("resolvers", "--resolver", "igols", _entries(_resolver),
-            "comma list of gs|arls|bgols|igols|fixed:<alpha>"),
+            f"comma list of {'|'.join(RESOLVER_NAMES)}|fixed:<alpha>"),
     _Option("repeats", "--repeats", "10", _at_least(1), "runs per resolver or batch size"),
     _Option("iterations", "--iterations", "3000", _at_least(1), "training iterations"),
     _Option("batch_size", "--batch-size", "10", _at_least(1), "training batch size"),

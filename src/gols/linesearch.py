@@ -355,7 +355,17 @@ def _inexact_gols(spent, alpha_max, alpha_init, max_info_calls):
     return alpha, "budget", []
 
 
-RESOLVER_NAMES = ("gs", "arls", "bgols", "igols")
+# Each resolver name's ``(alpha_init, alpha_max) -> search`` factory.
+_SEARCHES = {
+    "gs": lambda alpha_init, alpha_max: _drive(
+        _golden_section, alpha_max, _MAX_INFO_CALLS),
+    "arls": lambda alpha_init, alpha_max: _drive(_armijo, alpha_max, alpha_init),
+    "bgols": lambda alpha_init, alpha_max: _drive(
+        _bisection_gols, alpha_max, _MAX_INFO_CALLS),
+    "igols": lambda alpha_init, alpha_max: _drive(
+        _inexact_gols, alpha_max, alpha_init, _MAX_INFO_CALLS),
+}
+RESOLVER_NAMES = tuple(_SEARCHES)
 
 
 def make_search(name: str):
@@ -365,23 +375,14 @@ def make_search(name: str):
     A search is a generator that yields ``("value", alpha)`` and
     ``("deriv", alpha)`` requests, takes F(alpha) or F'(alpha) in reply and
     returns its :class:`LineSearchOutcome`; the exact searches run with their
-    default budget.  Accepted names: ``gs``, ``arls``, ``bgols``, ``igols``
-    and ``fixed:<alpha>``.  The fixed resolver is a zero-cost oracle that asks
+    default budget.  Accepted names: those of :data:`RESOLVER_NAMES` and
+    ``fixed:<alpha>``.  The fixed resolver is a zero-cost oracle that asks
     nothing and returns the given constant step unconditionally, bypassing
     the step caps; the step must be finite and non-negative, since a negative
     one ascends.
     """
-    if name == "gs":
-        return lambda alpha_init, alpha_max: _drive(
-            _golden_section, alpha_max, _MAX_INFO_CALLS)
-    if name == "arls":
-        return lambda alpha_init, alpha_max: _drive(_armijo, alpha_max, alpha_init)
-    if name == "bgols":
-        return lambda alpha_init, alpha_max: _drive(
-            _bisection_gols, alpha_max, _MAX_INFO_CALLS)
-    if name == "igols":
-        return lambda alpha_init, alpha_max: _drive(
-            _inexact_gols, alpha_max, alpha_init, _MAX_INFO_CALLS)
+    if name in _SEARCHES:
+        return _SEARCHES[name]
     if name.startswith("fixed:"):
         try:
             value = float(name.split(":", 1)[1])

@@ -190,10 +190,10 @@ class DirectionalProbe:
     reach a search, whose comparisons a NaN would silently steer.
 
     :meth:`serve` relays a line search's requests to a caller that
-    evaluates them, as :mod:`gols.trainer` does for a whole grid of runs at
-    once.  :meth:`scan` evaluates F and F' at a whole grid of step sizes in
-    one stacked call, in blocks of at most 1024 batch rows for a
-    :class:`BatchObjective`.  It draws the node samples in node order, the
+    evaluates losses and gradients, as :mod:`gols.trainer` does for a whole
+    grid of runs at once, and takes each F' itself.  :meth:`scan` evaluates
+    F and F' at a whole grid of step sizes in one stacked call, in blocks of
+    at most 1024 batch rows for a :class:`BatchObjective`.  It draws the node samples in node order, the
     same draws as a :meth:`value_and_deriv` loop over the grid, and runs the
     same forward pass and backprop (:mod:`gols.net`).  F and F' could differ
     from that loop's in the last bits only where numpy sums a stacked matrix
@@ -261,23 +261,29 @@ class DirectionalProbe:
         return _finite("F'", alpha, self.model.grad(point, sample) @ self.direction)
 
     def serve(self, requests):
-        """Relay a line search's requests to the caller, who evaluates them.
+        """Relay a line search's requests to the caller as objective
+        evaluations.
 
         ``requests`` is an ask/tell search (see
         :func:`gols.linesearch.make_search`).  Each of its ``(kind, alpha)``
         requests is counted, and its sample drawn, as :meth:`value` or
-        :meth:`deriv` would do it, then yielded on as ``(kind, point, sample,
-        direction)``.  The caller replies with the loss at ``point`` for a
-        ``value`` request, and with the gradient there ``@ direction`` for a
-        ``deriv`` one; the reply is checked as :meth:`value` and :meth:`deriv`
-        check theirs and sent to the search.  Returns what the search returns.
+        :meth:`deriv` would do it, then yielded on as ``("value", point,
+        sample)`` or, for a ``deriv``, ``("grad", point, sample)``.  The
+        caller replies with the loss or the gradient at ``point`` on
+        ``sample``; the probe takes F' from a gradient as :meth:`deriv`
+        does, checks F or F' as :meth:`value` and :meth:`deriv` check theirs
+        and sends it to the search.  Returns what the search returns.
         """
         try:
             kind, alpha = next(requests)
             while True:
                 point, sample = self._draw(kind, alpha)
-                reply = yield kind, point, sample, self.direction
-                kind, alpha = requests.send(_finite(_SYMBOLS[kind], alpha, reply))
+                if kind == "value":
+                    reply = _finite("F", alpha, (yield "value", point, sample))
+                else:
+                    gradient = yield "grad", point, sample
+                    reply = _finite("F'", alpha, gradient @ self.direction)
+                kind, alpha = requests.send(reply)
         except StopIteration as done:
             return done.value
 
@@ -315,9 +321,6 @@ class DirectionalProbe:
             _finite("F", alphas[i], values[i])
             _finite("F'", alphas[i], slopes[i])
         return values, slopes
-
-
-_SYMBOLS = {"value": "F", "deriv": "F'"}
 
 
 def _finite(name, alpha, number) -> float:

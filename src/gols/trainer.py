@@ -10,15 +10,17 @@ The ``cost`` and ``info_calls`` columns are the running totals of one
 :class:`~gols.probe.EvalCounter`: the direction gradient of every iteration
 plus whatever its search spent.
 
-A run is an ask/tell generator: it asks for its metrics, its direction
-gradients and its searches' F and F' evaluations and is sent the answers.
-Runs of a grid go in lockstep.  Each round takes the pending request of
-every active run and answers them in stacked calls: one of the metrics for
-every metric request, and one of the objective for the requests of each
-sample shape, a backprop if any of them needs a gradient or a slope, else
-a forward pass alone.  Every run keeps its own probe and sampler, so its
-samples are drawn in the same order as when it trains alone;
-:func:`sgd_train` is the grid of one run.
+A run is an ask/tell generator: it asks for its metrics and for losses
+and gradients of the objective, and is sent the answers.  A loss answers an
+F request of its search and a gradient a direction gradient or an F'
+request, whose slope the run's probe takes itself.  Runs of a grid go in
+lockstep.  Each round takes the pending request of every active run and
+answers them in stacked calls: one of the metrics for every metric
+request, and one of the objective for the requests of each sample shape, a
+backprop if any of them asks for a gradient, else a forward pass alone.
+Every run keeps its own probe and sampler, so its samples are drawn in the
+same order as when it trains alone; :func:`sgd_train` is the grid of one
+run.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from gols.data import BatchSampler, Dataset, Split
 from gols.linesearch import ALPHA_MIN, effective_alpha_max, make_search
 from gols.net import Network
-from gols.probe import BatchObjective, DirectionalProbe, EvalCounter
+from gols.probe import POLICIES, BatchObjective, DirectionalProbe, EvalCounter
 
 __all__ = [
     "TRACE_COLUMNS",
@@ -83,6 +85,10 @@ class TrainConfig:
             raise ValueError("iterations must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
+        if isinstance(self.resolver, str):
+            make_search(self.resolver)  # raises ValueError on an unknown name
+        if self.policy not in POLICIES:
+            raise ValueError(f"policy must be one of {POLICIES}")
 
 
 def sgd_train(model, x0, sampler, resolver, iterations, metrics,
@@ -121,9 +127,9 @@ def sgd_train(model, x0, sampler, resolver, iterations, metrics,
 def _descend(model, x0, sampler, resolver, iterations, policy):
     """One run of :func:`sgd_train` as an ask/tell generator.
 
-    Yields ``(kind, point, sample, direction)`` requests: ``metrics`` at
-    ``point``, the direction gradient ``grad`` at ``point`` on ``sample``, and
-    the ``value`` and ``deriv`` requests of its searches (see
+    Yields ``(kind, point, sample)`` requests: ``metrics`` at ``point``, the
+    direction gradient ``grad`` at ``point`` on ``sample``, and the ``value``
+    and ``grad`` requests of its searches (see
     :meth:`~gols.probe.DirectionalProbe.serve`).  Returns the
     :class:`TrainTrace`.
     """
@@ -132,13 +138,13 @@ def _descend(model, x0, sampler, resolver, iterations, policy):
 
     rows = np.recarray(iterations + 1, dtype=_TRACE_DTYPE)
     spent = EvalCounter()
-    losses = yield "metrics", x, None, None
+    losses = yield "metrics", x, None
     rows[0] = (0, 0.0, np.nan, *losses, spent.cost, spent.info_calls)
 
     alpha_prev = ALPHA_MIN
     for n in range(1, iterations + 1):
         batch = sampler.sample()
-        g = yield "grad", x, batch, None
+        g = yield "grad", x, batch
         spent.gradients += 1
         if not np.all(np.isfinite(g)):
             raise RuntimeError(f"non-finite gradient at iteration {n}")
@@ -147,25 +153,22 @@ def _descend(model, x0, sampler, resolver, iterations, policy):
         if gnorm == 0.0:
             alpha = 0.0  # converged on this batch: nothing to search along
         else:
-            probe = DirectionalProbe(
-                model, x, -g, policy=policy, sampler=sampler,
-                fixed_sample=batch if policy == "fixed" else None,
-            )
+            probe = DirectionalProbe(model, x, -g, policy=policy, sampler=sampler,
+                                     fixed_sample=batch if policy == "fixed" else None)
             alpha_max = effective_alpha_max(gnorm)
             alpha_init = min(max(alpha_prev, ALPHA_MIN), alpha_max)
             if search is None:
                 outcome = resolver(probe, alpha_init, alpha_max)
             else:
                 outcome = yield from probe.serve(search(alpha_init, alpha_max))
-            alpha = outcome.alpha
-            alpha_prev = alpha
+            alpha = alpha_prev = outcome.alpha
             spent.functions += outcome.function_evals
             spent.gradients += outcome.gradient_evals
             x = x - alpha * g
 
         if not np.isfinite(alpha) or not np.all(np.isfinite(x)):
             raise RuntimeError(f"non-finite step at iteration {n}")
-        losses = yield "metrics", x, None, None
+        losses = yield "metrics", x, None
         if not np.all(np.isfinite(losses)):
             raise RuntimeError(f"non-finite loss at iteration {n}")
         rows[n] = (n, alpha, gnorm, *losses, spent.cost, spent.info_calls)
@@ -202,43 +205,31 @@ def _lockstep(model, metrics, runs) -> list:
 
 
 def _answer_round(model, metrics, pending) -> dict:
-    """Replies to one round's ``{run: request}``.
+    """Replies to one round's ``{run: (kind, point, sample)}``.
 
-    One stacked call answers the metric requests, and one each the requests
-    of every sample shape: a backprop (``model.losses_and_gradients``) when
-    any of them needs a direction gradient or a slope, which then also gives
-    the losses of the ``value`` requests, else a forward pass alone
-    (``model.losses``).
+    A group is the metric requests, or the ``value`` and ``grad`` requests
+    of one sample shape, and each group takes one stacked call: ``metrics``,
+    a backprop (``model.losses_and_gradients``) when any request of the
+    group asks for a gradient, which also gives the losses of its ``value``
+    requests, else a forward pass alone (``model.losses``).
     """
     groups = {}
-    for i, (kind, _, sample, _) in pending.items():
-        if kind == "metrics":
-            key = kind
-        else:
-            key = None if sample is None else np.shape(sample)
-        groups.setdefault(key, []).append(i)
+    for i, (kind, _, sample) in pending.items():
+        shape = None if sample is None else np.shape(sample)
+        groups.setdefault(kind if kind == "metrics" else shape, []).append(i)
     replies = {}
     for key, runs in groups.items():
-        requests = [pending[i] for i in runs]
-        points = np.array([request[1] for request in requests])
+        kinds = [pending[i][0] for i in runs]
+        points = np.array([pending[i][1] for i in runs])
+        samples = [pending[i][2] for i in runs]
         if key == "metrics":
             replies.update(zip(runs, metrics(points)))
-            continue
-        samples = [request[2] for request in requests]
-        kinds = [request[0] for request in requests]
-        if "grad" not in kinds and "deriv" not in kinds:
+        elif "grad" in kinds:
+            losses, grads = model.losses_and_gradients(points, samples)
+            replies.update((i, grad if kind == "grad" else loss)
+                           for i, kind, loss, grad in zip(runs, kinds, losses, grads))
+        else:
             replies.update(zip(runs, model.losses(points, samples)))
-            continue
-        losses, grads = model.losses_and_gradients(points, samples)
-        replies.update(zip(runs, grads))
-        values = [j for j, kind in enumerate(kinds) if kind == "value"]
-        replies.update((runs[j], losses[j]) for j in values)
-        slopes = [j for j, kind in enumerate(kinds) if kind == "deriv"]
-        if slopes:
-            # One dot product per row, the one ``grad(...) @ direction`` takes.
-            directions = np.array([requests[j][3] for j in slopes])
-            replies.update(zip((runs[j] for j in slopes),
-                               np.vecdot(grads[slopes], directions)))
     return replies
 
 
@@ -262,9 +253,8 @@ def train_on_dataset(net: Network, dataset: Dataset, split: Split,
     """Train one run per config of the sequence ``configs`` on one network
     and dataset split, all in lockstep; one :class:`TrainTrace` per config,
     in order."""
-    train_x = dataset.features[split.train]
-    train_y = dataset.one_hot()[split.train]
-    model = BatchObjective(net, train_x, train_y)
+    model = BatchObjective(net, dataset.features[split.train],
+                           dataset.one_hot()[split.train])
     runs = [
         _descend(model, net.init_params(config.weight_seed),
                  BatchSampler(np.arange(len(split.train)), config.batch_size,

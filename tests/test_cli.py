@@ -71,26 +71,38 @@ class TestTrainCommand:
                 "--out", str(out)])
         assert (out / "train_summary.csv").exists()
 
-    def test_seeded_train_summary_is_pinned(self, tmp_path):
-        # Recorded before the per-point and stacked network evaluations
-        # shared one forward pass and backprop; every training run still
-        # writes the same summary bytes.
+    # sha256 of train_summary.csv and of the eight trace CSVs in name order.
+    # The resample pins were recorded before the per-point and stacked
+    # network evaluations shared one forward pass and backprop, and before
+    # the trainer wrote its trace into one record array; the fixed and full
+    # pins before the probe took the slopes of lockstep rounds.
+    PINS = {
+        "resample": (
+            "b9b959f2a9dbf47dd9b97c86b4709446539e853dc6868013ef70634354280ee2",
+            "8276d934ee76ff4fb9056e037c1e3ddc1454a636f51e81280fd8bef45dc4b2a8"),
+        "fixed": (
+            "81d2911e85ae287565af86134ac06542361b36c7239a78c4daabf992b4eaa909",
+            "89439f40e34b832609ecf55959b75dae51a90ab0c5b2e7d903df1de4374e7dcb"),
+        "full": (
+            "f397f7ad4704b02d1487cbe90eee6cb2e9172e4b014c3e891195971555116308",
+            "c12772c252721f131ce30abc571ccc4743d98e8cf641789ffa92c5fe1276db06"),
+    }
+
+    @pytest.mark.parametrize("policy", list(PINS))
+    def test_seeded_train_summary_is_pinned(self, tmp_path, policy):
+        summary, traces = self.PINS[policy]
         run_ok(["train", "--dataset", "blobs", "--arch", "3,3",
                 "--resolver", "gs,arls,bgols,igols", "--repeats", "2",
-                "--iterations", "40", "--seed", "3", "--policy", "resample",
+                "--iterations", "40", "--seed", "3", "--policy", policy,
                 "--out", str(tmp_path)])
         digest = hashlib.sha256((tmp_path / "train_summary.csv").read_bytes())
-        assert digest.hexdigest() == (
-            "b9b959f2a9dbf47dd9b97c86b4709446539e853dc6868013ef70634354280ee2")
-        # The eight trace CSVs, in name order, recorded before the trainer
-        # wrote its trace into one record array.
+        assert digest.hexdigest() == summary
         digest = hashlib.sha256()
-        traces = sorted(tmp_path.glob("train_*_rep*.csv"))
-        assert len(traces) == 8
-        for path in traces:
+        paths = sorted(tmp_path.glob("train_*_rep*.csv"))
+        assert len(paths) == 8
+        for path in paths:
             digest.update(path.read_bytes())
-        assert digest.hexdigest() == (
-            "8276d934ee76ff4fb9056e037c1e3ddc1454a636f51e81280fd8bef45dc4b2a8")
+        assert digest.hexdigest() == traces
 
 
 class TestScanCommand:

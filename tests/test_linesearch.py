@@ -355,6 +355,19 @@ BUDGET_EDGES = [
 ]
 
 
+# Each resolver name's public search, given make_resolver's arguments.
+PUBLIC = {
+    "gs": lambda probe, alpha_init, alpha_max: golden_section(
+        probe, alpha_max=alpha_max),
+    "arls": lambda probe, alpha_init, alpha_max: armijo(
+        probe, alpha_init, alpha_max=alpha_max),
+    "bgols": lambda probe, alpha_init, alpha_max: bisection_gols(
+        probe, alpha_max=alpha_max),
+    "igols": lambda probe, alpha_init, alpha_max: inexact_gols(
+        probe, alpha_init, alpha_max=alpha_max),
+}
+
+
 def _summary(out):
     return (out.alpha, out.function_evals, out.gradient_evals, out.reason)
 
@@ -364,6 +377,16 @@ class TestPinnedOutcomes:
     def test_resolver_outcome(self, name, shape, alpha_max):
         out = make_resolver(name)(SHAPES[shape](), 0.25, alpha_max)
         assert _summary(out) == PINNED[name, shape, alpha_max]
+
+    @pytest.mark.parametrize("name,shape,alpha_max", sorted(PINNED))
+    def test_name_matches_public_search(self, name, shape, alpha_max):
+        by_name, public = SHAPES[shape](), SHAPES[shape]()
+        out = make_resolver(name)(by_name, 0.25, alpha_max)
+        expected = PUBLIC[name](public, 0.25, alpha_max)
+        assert _summary(out) == _summary(expected)
+        assert out.intervals == expected.intervals
+        assert (by_name.counter.functions, by_name.counter.gradients) == (
+            public.counter.functions, public.counter.gradients)
 
     @pytest.mark.parametrize("search,shape,budget,alpha_max,expected", BUDGET_EDGES)
     def test_exact_search_budget_edge(self, search, shape, budget, alpha_max, expected):

@@ -202,6 +202,71 @@ class TestValidation:
             DirectionalProbe(model, np.zeros(1), np.ones(1), policy="sometimes")
 
 
+def hand_search():
+    """A fixed four-request search that returns the replies it was sent."""
+    replies = [(yield "value", 0.0), (yield "deriv", 0.0),
+               (yield "deriv", 0.5), (yield "value", 1.5)]
+    return replies
+
+
+def relay(probe, requests, model):
+    """Drive ``probe.serve(requests)``, answering each request from
+    ``model``; returns the requests seen and what ``serve`` returned."""
+    served, seen = probe.serve(requests), []
+    try:
+        request = next(served)
+        while True:
+            seen.append(request)
+            kind, point, sample = request
+            answer = model.loss if kind == "value" else model.grad
+            request = served.send(answer(point, sample))
+    except StopIteration as done:
+        return seen, done.value
+
+
+class TestServe:
+    def setup_method(self):
+        self.model = SyntheticObjective(
+            lambda x: float(x @ x), lambda x: 2.0 * x, noise_value=0.3, noise_grad=0.3)
+        self.origin, self.direction = np.array([1.0, -2.0]), np.array([-0.5, 1.5])
+
+    def probe(self, seed=4):
+        return DirectionalProbe(self.model, self.origin, self.direction,
+                                policy="resample", sampler=KeyStream(seed))
+
+    def test_yields_loss_and_gradient_requests_in_draw_order(self):
+        seen, _ = relay(self.probe(), hand_search(), self.model)
+        keys = KeyStream(4)
+        assert [kind for kind, _, _ in seen] == ["value", "grad", "grad", "value"]
+        for (_, point, sample), alpha in zip(seen, [0.0, 0.0, 0.5, 1.5]):
+            assert np.array_equal(point, self.origin + alpha * self.direction)
+            assert sample == keys.sample()
+
+    def test_sends_what_value_and_deriv_return(self):
+        served, mirror = self.probe(), self.probe()
+        _, replies = relay(served, hand_search(), self.model)
+        expected = [mirror.value(0.0), mirror.deriv(0.0),
+                    mirror.deriv(0.5), mirror.value(1.5)]
+        assert replies == expected  # bit-equal floats
+        assert all(type(reply) is float for reply in replies)
+        assert counts(served) == counts(mirror) == (2, 2)
+
+    @pytest.mark.parametrize("kind", ["value", "deriv"])
+    def test_non_finite_reply_rejected(self, kind):
+        bad = SyntheticObjective(lambda x: np.nan, lambda x: np.full(2, np.nan))
+        mirror = DirectionalProbe(bad, self.origin, self.direction, policy="full")
+        with pytest.raises(ValueError) as direct:
+            getattr(mirror, kind)(0.5)
+
+        def one_request():
+            yield kind, 0.5
+
+        probe = DirectionalProbe(bad, self.origin, self.direction, policy="full")
+        with pytest.raises(ValueError) as served:
+            relay(probe, one_request(), bad)
+        assert str(served.value) == str(direct.value)
+
+
 def per_node(probe, alphas):
     """Reference for ``probe.scan``: one ``value_and_deriv`` call per node."""
     pairs = [probe.value_and_deriv(alpha) for alpha in alphas]

@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from gols.data import BatchSampler, builtin_dataset, split_3_1_1
 from gols.linesearch import (ALPHA_MIN, LineSearchOutcome, armijo, bisection_gols,
-                             effective_alpha_max, golden_section, inexact_gols)
+                             effective_alpha_max, golden_section, inexact_gols,
+                             make_resolver)
 from gols.net import Network
 from gols.probe import BatchObjective, DirectionalProbe, KeyStream, SyntheticObjective
 from gols.trainer import TrainConfig, sgd_train, train_on_dataset, dataset_metrics
@@ -163,10 +164,14 @@ class TestSgdTrain:
         assert per_iter["igols"] < per_iter["bgols"] < 1000
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(iterations=0)
-        with pytest.raises(ValueError):
-            TrainConfig(batch_size=0)
+        # Rejected when the config is made, before a grid trains any run.
+        for bad in ({"iterations": 0}, {"batch_size": 0}, {"resolver": "igol"},
+                    {"resolver": "fixed:-1"}, {"policy": "sometimes"}):
+            with pytest.raises(ValueError):
+                TrainConfig(**bad)
+
+    def test_config_accepts_callable_resolver(self):
+        TrainConfig(resolver=make_resolver("igols"))
 
 
 class TestBisectionDescentProperty:
