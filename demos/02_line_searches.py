@@ -22,5 +22,5 @@ for name in ("gs", "arls", "bgols", "igols"):
     probe = DirectionalProbe(model, np.zeros(2), center, policy="full")
     out = make_resolver(name)(probe, 1e-8, 1e7)
     print(f"{name:8s} {out.alpha:14.9f} {abs(out.alpha - 1):10.2e} "
-          f"{out.function_evals:8d} {out.gradient_evals:8d} {out.cost:6d} "
+          f"{out.function_evals:8d} {out.gradient_evals:8d} {probe.counter.cost:6d} "
           f"{out.reason:>10s}")

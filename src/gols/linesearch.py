@@ -76,14 +76,6 @@ class LineSearchOutcome:
     reason: str
     intervals: list = field(default_factory=list)
 
-    @property
-    def cost(self) -> int:
-        return self.function_evals + 2 * self.gradient_evals
-
-    @property
-    def info_calls(self) -> int:
-        return self.function_evals + self.gradient_evals
-
 
 def effective_alpha_max(gradient_norm: float) -> float:
     """Largest permissible step along a descent direction of this steepness.

@@ -177,6 +177,116 @@ class TestBatchSampler:
         stderr = losses.std(ddof=1) / np.sqrt(len(losses))
         assert abs(losses.mean() - full) <= 3 * stderr
 
+    def test_indices_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-d"):
+            BatchSampler(np.arange(20).reshape(10, 2), 15, 0)
+        with pytest.raises(ValueError, match="1-d"):
+            BatchSampler(np.arange(20).reshape(10, 2), 5, 0)
+
+
+def choice_stream(indices, batch_size, seed, draws):
+    """The batches of ``Generator.choice`` called once per draw."""
+    rng = np.random.default_rng(seed)
+    size = min(batch_size, len(indices))
+    return [rng.choice(indices, size, replace=False) for _ in range(draws)]
+
+
+def assert_same_batches(sampler, expected):
+    for k, want in enumerate(expected):
+        got = sampler.sample()
+        assert got.dtype == want.dtype and np.array_equal(got, want), f"draw {k}"
+
+
+class TestSamplerStream:
+    """BatchSampler hands out exactly the batches of Generator.choice."""
+
+    IRIS_TRAIN = split_3_1_1(builtin_dataset("iris"), 0).train
+
+    @pytest.mark.parametrize("indices, batch_size", [
+        (np.arange(90), 1),
+        (np.arange(90), 10),
+        (np.arange(90), 30),
+        (np.arange(90), 50),
+        (np.arange(90), 64),
+        (np.arange(90), 65),
+        (np.arange(90), 90),
+        (np.arange(90), 200),
+        (np.arange(5), 1),
+        (np.arange(5), 3),
+        (np.arange(5), 5),
+        (np.arange(1), 1),
+        (np.arange(2), 1),
+        (IRIS_TRAIN, 10),
+        (np.arange(1000, 4000, 7), 20),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, (3, 303, 1, 2)])
+    def test_matches_choice_across_blocks(self, indices, batch_size, seed):
+        # 200 draws: the first from choice, then four blocks of 64.
+        assert_same_batches(BatchSampler(indices, batch_size, seed),
+                            choice_stream(indices, batch_size, seed, 200))
+
+    @pytest.mark.parametrize("n, batch_size, seed, draws", [
+        (10_000, 1, 70, 4000),
+        (10_000, 10, 28, 640),
+    ])
+    def test_rejected_word_takes_the_scalar_path(self, monkeypatch, n, batch_size,
+                                                 seed, draws):
+        # Lemire's method rejects a word with probability below n / 2**32;
+        # these seeds hit one within the first ``draws`` batches.
+        scalar = []
+        real = BatchSampler._scalar_batch
+
+        def counted(sampler):
+            scalar.append(sampler)
+            return real(sampler)
+
+        monkeypatch.setattr(BatchSampler, "_scalar_batch", counted)
+        indices = np.arange(n)
+        assert_same_batches(BatchSampler(indices, batch_size, seed),
+                            choice_stream(indices, batch_size, seed, draws))
+        assert len(scalar) == 1
+
+    @pytest.mark.parametrize("n, batch_size", [(90, 10), (60, 60), (5, 3), (300, 64)])
+    def test_scalar_path_alone_matches_choice(self, n, batch_size):
+        # The first batch comes from choice; the word-by-word path then goes
+        # on from the words choice left, a buffered half word included.
+        indices = np.arange(n) * 2
+        sampler = BatchSampler(indices, batch_size, 4)
+        first, *rest = choice_stream(indices, batch_size, 4, 20)
+        assert np.array_equal(sampler.sample(), first)
+        for k, want in enumerate(rest, 1):
+            assert np.array_equal(sampler._scalar_batch(), want), f"draw {k}"
+
+    @pytest.mark.parametrize("n, batch_size", [(10_001, 201), (70_000, 10)])
+    def test_choice_regimes_outside_blocks(self, n, batch_size):
+        # A batch above n // 50 of more than 10 000 rows is numpy's tail
+        # shuffle; a partition of more than 65 536 rows is past the block mask.
+        indices = np.arange(n)
+        assert_same_batches(BatchSampler(indices, batch_size, 9),
+                            choice_stream(indices, batch_size, 9, 5))
+
+    def test_mutating_a_batch_leaves_later_draws(self):
+        expected = choice_stream(np.arange(90), 10, 5, 150)
+        sampler = BatchSampler(np.arange(90), 10, 5)
+        for k, want in enumerate(expected):
+            batch = sampler.sample()
+            assert np.array_equal(batch, want), f"draw {k}"
+            batch[:] = -1
+
+    def test_interleaved_samplers_match_each_alone(self):
+        specs = [(np.arange(90), 10, 1), (np.arange(90), 10, 2), (np.arange(30), 7, 1)]
+        expected = [choice_stream(*spec, 150) for spec in specs]
+        samplers = [BatchSampler(*spec) for spec in specs]
+        order = np.random.default_rng(0).integers(0, len(specs), 450)
+        got = [[] for _ in specs]
+        for k in order:
+            if len(got[k]) < 150:
+                got[k].append(samplers[k].sample().copy())
+        for batches, want in zip(got, expected):
+            assert len(batches) > 64
+            for a, b in zip(batches, want):
+                assert np.array_equal(a, b)
+
 
 class TestBuiltins:
     @pytest.mark.parametrize("name", ["iris", "blobs", "noisy-quadratic"])

@@ -235,8 +235,6 @@ class TestSharedContracts:
         out = golden_section(quadratic_probe)
         assert quadratic_probe.counter.functions == out.function_evals
         assert quadratic_probe.counter.gradients == out.gradient_evals
-        assert out.cost == out.function_evals + 2 * out.gradient_evals
-        assert out.info_calls == out.function_evals + out.gradient_evals
 
 
 class TestMakeResolver:

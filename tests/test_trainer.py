@@ -150,8 +150,10 @@ class TestSgdTrain:
         sampler = BatchSampler(np.arange(len(split.train)), 10, seed=21)
         trace = sgd_train(model, net.init_params(20), sampler, recording_resolver,
                           12, dataset_metrics(net, ds, split))
-        assert trace.final.cost == sum(o.cost for o in outcomes) + 2 * 12
-        assert trace.final.info_calls == sum(o.info_calls for o in outcomes) + 12
+        fevals = sum(o.function_evals for o in outcomes)
+        gevals = sum(o.gradient_evals for o in outcomes)
+        assert trace.final.cost == fevals + 2 * gevals + 2 * 12
+        assert trace.final.info_calls == fevals + gevals + 12
 
     def test_inexact_cheaper_than_exact_per_iteration(self, iris_setup):
         net, ds, split = iris_setup
@@ -303,7 +305,7 @@ class TestLockstepGrid:
         def recording(probe, alpha_init, alpha_max):
             seen.append(probe.counter.info_calls)
             out = inexact_gols(probe, alpha_init, alpha_max=alpha_max)
-            assert probe.counter.info_calls == out.info_calls
+            assert probe.counter.info_calls == out.function_evals + out.gradient_evals
             return out
 
         configs = [TrainConfig(iterations=10, resolver=resolver, weight_seed=4,
