@@ -138,6 +138,15 @@ def write_csv(path, header, blocks) -> None:
             writer.writerows(zip(*(c.tolist() for c in columns)))
 
 
+def check_count(name, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a whole number of at least 1:
+    a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be a whole number, not {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
 def split_3_1_1(dataset: Dataset, seed) -> Split:
     """Shuffle rows by seed, then partition 60/20/20.
 
@@ -157,14 +166,15 @@ def split_3_1_1(dataset: Dataset, seed) -> Split:
     )
 
 
-# Batches a sampler draws at once; larger blocks were no faster per draw and
-# raised peak memory.
+# Batches a sampler draws at once for sample(); larger blocks were no faster
+# per draw and raised peak memory.
 _BLOCK = 64
 # A block takes a few numpy calls per row of a batch, so choice catches up
-# with it near 100 rows; and a mask of _BLOCK bytes per row of the partition,
-# here at most 4 MiB.
+# with it near 100 rows.
 _BLOCK_MAX_BATCH = 64
-_BLOCK_MAX_ROWS = 1 << 16
+# A block's mask holds one byte per row of the partition and batch of the
+# block: 64 batches of up to 65 536 rows.
+_MASK_BYTES = 1 << 22
 _LOW_WORD = 0xFFFFFFFF
 
 
@@ -183,12 +193,14 @@ class BatchSampler:
     each 64-bit output first.  The first batch comes from ``choice`` itself.
     After it the sampler takes the words of 64 batches at once, runs every
     step for the 64 batches together, and hands the batches out one per
-    call.  A block in which Lemire's method would reject a word keeps the
-    batches before that one, draws that batch word by word, and the next
-    block starts after it.  Batches of more than 64 rows and partitions of
-    more than 65 536 rows call ``choice`` for every batch; that covers the
-    partitions of more than 10 000 rows with a batch above rows // 50, where
-    numpy shuffles a tail instead of running Floyd's algorithm.
+    call; :meth:`samples` takes as many batches as it asks for in one block,
+    up to a mask of 4 MiB.  A block in which Lemire's method would reject a
+    word keeps the batches before that one, draws that batch word by word,
+    and the next block starts after it.  Batches of more than 64 rows and
+    partitions of more than 65 536 rows call ``choice`` for every batch; that
+    covers the partitions of more than 10 000 rows with a batch above
+    rows // 50, where numpy shuffles a tail instead of running Floyd's
+    algorithm.
     """
 
     def __init__(self, indices, batch_size: int, seed):
@@ -197,34 +209,42 @@ class BatchSampler:
             raise ValueError("sampler needs a 1-d array of row indices")
         if self.indices.size == 0:
             raise ValueError("sampler needs a nonempty index partition")
-        if batch_size < 1:
-            raise ValueError("batch size must be at least 1")
+        check_count("batch size", batch_size)
         self.batch_size = min(int(batch_size), self.indices.size)
         self._rng = np.random.default_rng(seed)
-        self._ready, self._next = (), 0
         n, b = self.indices.size, self.batch_size
-        self._blocked = b <= _BLOCK_MAX_BATCH and n <= _BLOCK_MAX_ROWS
+        self._ready, self._next = np.empty((0, b), self.indices.dtype), 0
+        self._blocked = b <= _BLOCK_MAX_BATCH and n * _BLOCK <= _MASK_BYTES
         # Floyd's step j draws from 0..j (no word when j is 0) and takes row
         # j itself when the draw was taken before; the shuffle's step i swaps
         # position i with one of 0..i, for i = b-1 down to 1.
-        floyd = np.arange(n - b, n)
-        tops = np.concatenate([floyd[floyd > 0], np.arange(b - 1, 0, -1)])
+        self._floyd = np.arange(n - b, n)
+        tops = np.concatenate([self._floyd[self._floyd > 0], np.arange(b - 1, 0, -1)])
         self._bounds = tops.astype(np.uint64) + 1
         self._floors = (1 << 32) % self._bounds
-        self._lanes = np.arange(_BLOCK)
-        self._own_keys = floyd[:, None] * _BLOCK + self._lanes
         self._spare = None  # words read but not used; None before the first batch
 
     def sample(self) -> np.ndarray:
         if self._next == len(self._ready):
-            self._ready, self._next = self._draw_block(), 0
+            self._ready, self._next = self._draw_block(_BLOCK), 0
         self._next += 1
         return self._ready[self._next - 1]
 
-    def _draw_block(self):
-        """The next batches of the stream as rows: 64 of them, fewer before a
-        rejection, or one from ``choice`` (the first batch, or any batch
-        outside the block path)."""
+    def samples(self, count) -> np.ndarray:
+        """The next ``count`` batches as the rows of one array: the batches
+        that ``count`` calls of :meth:`sample` return."""
+        parts = [self._ready[self._next:]]
+        have = len(parts[0])
+        while have < count:
+            parts.append(self._draw_block(count - have))
+            have += len(parts[-1])
+        self._ready, self._next = np.concatenate(parts), count
+        return self._ready[:count]
+
+    def _draw_block(self, most):
+        """The next batches of the stream as rows: ``most`` of them or as many
+        as the mask bound allows, fewer before a rejection, or one from
+        ``choice`` (the first batch, or any batch outside the block path)."""
         if not self._blocked or self._spare is None:
             # A sampler that draws one batch, as a scan under the fixed policy
             # does, would pay for 64 if its first batch came from a block.
@@ -236,24 +256,27 @@ class BatchSampler:
                                        np.uint32)
             return batch[None]
         n, b, width = self.indices.size, self.batch_size, self._bounds.size
+        size = min(most, _MASK_BYTES // n)
+        lanes = np.arange(size)
         floyd_words = width - (b - 1)
-        words = self._words(_BLOCK * width)
-        # Row t of each (steps, lanes) array is step t of all 64 batches.
-        products = words.reshape(_BLOCK, width).T * self._bounds[:, None]
+        words = self._words(size * width)
+        # Row t of each (steps, lanes) array is step t of all the block's
+        # batches.
+        products = words.reshape(size, width).T * self._bounds[:, None]
         rejected = ((products & _LOW_WORD) < self._floors[:, None]).any(axis=0)
-        # Key v * _BLOCK + lane names row v of one lane's batch; as a flat
+        # Key v * size + lane names row v of one lane's batch; as a flat
         # index into a (b, lanes) array it names position v of that batch.
         keys = (products >> 32).astype(np.int64)
-        keys *= _BLOCK
-        keys += self._lanes
-        picks = np.empty((b, _BLOCK), np.int64)
-        picks[:b - floyd_words] = self._lanes  # step j = 0 (when b == n) takes row 0
+        keys *= size
+        keys += lanes
+        picks = np.empty((b, size), np.int64)
+        picks[:b - floyd_words] = lanes  # step j = 0 (when b == n) takes row 0
         picks[b - floyd_words:] = keys[:floyd_words]
-        seen = np.zeros(n * _BLOCK, bool)
-        for pick, own in zip(picks, self._own_keys):
+        seen = np.zeros(n * size, bool)
+        for pick, own in zip(picks, self._floyd[:, None] * size + lanes):
             np.copyto(pick, own, where=seen[pick])
             seen[pick] = True
-        picks //= _BLOCK
+        picks //= size
         flat = picks.reshape(-1)
         for i, at in zip(range(b - 1, 0, -1), keys[floyd_words:]):
             moved = flat[at]

@@ -81,8 +81,12 @@ def effective_alpha_max(gradient_norm: float) -> float:
     """Largest permissible step along a descent direction of this steepness.
 
     Returns ``min(1 / gradient_norm, ALPHA_CAP)``; a vanishing gradient norm
-    keeps the plain cap.
+    keeps the plain cap.  A NaN or infinite norm raises ``ValueError``: it
+    has no cap, and an infinite one would give a cap of 0, below
+    ``ALPHA_MIN``.
     """
+    if not math.isfinite(gradient_norm):
+        raise ValueError(f"gradient norm must be finite, not {gradient_norm!r}")
     if gradient_norm < 0:
         raise ValueError("gradient norm cannot be negative")
     if gradient_norm == 0.0:

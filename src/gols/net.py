@@ -28,10 +28,23 @@ _SIG_HI = np.nextafter(1.0, 0.0)
 
 def sigmoid(z):
     """Numerically stable logistic function; never returns exactly 0 or 1."""
-    z = np.asarray(z, dtype=float)
-    t = np.exp(-np.abs(z))  # exponent <= 0, cannot overflow
-    out = np.where(z >= 0.0, 1.0, t) / (1.0 + t)
-    return np.minimum(np.maximum(out, _SIG_LO), _SIG_HI)
+    z = np.array(z, dtype=float)
+    # A 0-d array would come back from the first ufunc as a scalar, so the
+    # helper works on a 1-d view.
+    return _sigmoid(z.reshape(-1)).reshape(z.shape)[()]
+
+
+def _sigmoid(z):
+    """:func:`sigmoid` of the float array ``z`` of at least one dimension,
+    written over ``z``."""
+    t = np.abs(z)
+    np.negative(t, out=t)
+    np.exp(t, out=t)  # exponent <= 0, cannot overflow
+    numerator = np.where(z >= 0.0, 1.0, t)
+    t += 1.0
+    np.divide(numerator, t, out=z)
+    np.maximum(z, _SIG_LO, out=z)
+    return np.minimum(z, _SIG_HI, out=z)
 
 
 class Network:
@@ -121,11 +134,7 @@ class Network:
         loss is the mean over its own rows, as :meth:`loss` of those rows.
         """
         points, inputs, targets = self._check_stack(points, inputs, targets)
-        residuals = _activations(self._layers(points), inputs)[-1] - targets
-        if sections is None:
-            return _loss(residuals)
-        return np.stack([_loss(part) for part in np.split(residuals, sections, axis=-2)],
-                        axis=-1)
+        return self._losses(points, inputs, targets, sections)
 
     def losses_and_gradients(self, points, inputs, targets):
         """Loss and gradient at ``N`` parameter points at once, ``(N,)`` and
@@ -138,6 +147,21 @@ class Network:
         direction`` rounds differently on about half the rows.
         """
         points, inputs, targets = self._check_stack(points, inputs, targets)
+        return self._losses_and_gradients(points, inputs, targets)
+
+    def _losses(self, points, inputs, targets, sections=None):
+        """:meth:`losses` of arrays already checked by :meth:`_check_stack`."""
+        residuals = _activations(self._layers(points), inputs)[-1]
+        residuals -= targets
+        if sections is None:
+            return _loss(residuals)
+        bounds = [0, *sections, residuals.shape[-2]]
+        return np.stack([_loss(residuals[..., start:stop, :])
+                         for start, stop in zip(bounds, bounds[1:])], axis=-1)
+
+    def _losses_and_gradients(self, points, inputs, targets):
+        """:meth:`losses_and_gradients` of arrays already checked by
+        :meth:`_check_stack`."""
         grads = np.empty(points.shape)
         losses = _loss(_backprop(self._layers(points), self._layers(grads),
                                  inputs, targets))
@@ -213,7 +237,9 @@ def _activations(mats, inputs):
     """
     acts = [inputs]
     for w in mats:
-        acts.append(sigmoid(acts[-1] @ w[..., 1:].mT + w[..., None, :, 0]))
+        z = acts[-1] @ w[..., 1:].mT
+        z += w[..., None, :, 0]
+        acts.append(_sigmoid(z))
     return acts
 
 
@@ -231,9 +257,13 @@ def _backprop(mats, grads, inputs, targets):
     p, k = r.shape[-2:]
     upstream = (200.0 / (k * p)) * r
     for c in range(len(mats) - 1, -1, -1):
+        # (upstream * a) * (1 - a), in the temporaries; acts[c + 1] is not
+        # read again.
         a = acts[c + 1]
-        delta = upstream * a * (1.0 - a)
-        grads[c][..., 0] = delta.sum(axis=-2)
+        delta = upstream
+        delta *= a
+        delta *= np.subtract(1.0, a, out=a)
+        np.add.reduce(delta, axis=-2, out=grads[c][..., 0])
         grads[c][..., 1:] = delta.mT @ acts[c]
         if c:  # the gradient with respect to the inputs is never read
             upstream = delta @ mats[c][..., 1:]
@@ -244,4 +274,4 @@ def _loss(residuals):
     """``100 / (K * P)`` times the summed squares of ``(..., P, K)``
     residuals, one loss per leading index."""
     p, k = residuals.shape[-2:]
-    return (100.0 / (k * p)) * np.sum(residuals * residuals, axis=(-2, -1))
+    return (100.0 / (k * p)) * np.add.reduce(residuals * residuals, axis=(-2, -1))

@@ -10,6 +10,11 @@ sub-sampling realization and ``None`` means no sub-sampling at all, plus two
 stacked forms that evaluate many points, each with its own sample:
 ``losses(points, samples)`` and ``losses_and_gradients(points, samples)``.
 The samples of one stacked call are either all ``None`` or all of one shape.
+
+A :class:`LineTable` holds the lines of a whole grid of runs, for
+:mod:`gols.trainer`, which answers the requests of every run's line search
+in one round: it builds all of a round's points in one array operation and
+takes all its slopes in another, with the bits a probe gives for each line.
 """
 
 from __future__ import annotations
@@ -65,15 +70,15 @@ class BatchObjective:
     """Network loss/gradient over rows of a fixed feature/target matrix.
 
     ``sample`` is an array of row indices (for example from a
-    ``BatchSampler``); ``None`` evaluates the whole matrix.
+    ``BatchSampler``); ``None`` evaluates the whole matrix.  The matrices are
+    checked against the network once, here; the stacked calls then gather
+    each block's rows with ``ndarray.take`` and run the network's forward
+    pass and backprop without checking them again.
     """
 
     def __init__(self, net, inputs, targets):
         self.net = net
-        self.inputs = np.asarray(inputs, dtype=float)
-        self.targets = np.asarray(targets, dtype=float)
-        if self.inputs.shape[0] != self.targets.shape[0]:
-            raise ValueError("inputs and targets disagree on row count")
+        self.inputs, self.targets = net._check_batch(inputs, targets)
 
     @property
     def num_rows(self) -> int:
@@ -92,19 +97,28 @@ class BatchObjective:
     def losses(self, points, samples):
         """Loss at each row of ``points``, evaluated on the matching entry of
         ``samples``, from the forward pass alone."""
+        points = self._check_points(points)
         values = np.empty(len(points))
         for block, inputs, targets in self._stacks(samples):
-            values[block] = self.net.losses(points[block], inputs, targets)
+            values[block] = self.net._losses(points[block], inputs, targets)
         return values
 
     def losses_and_gradients(self, points, samples):
         """Loss and gradient at each row of ``points``, evaluated on the
         matching entry of ``samples``."""
-        values, grads = np.empty(len(points)), np.empty(np.shape(points))
+        points = self._check_points(points)
+        values, grads = np.empty(len(points)), np.empty(points.shape)
         for block, inputs, targets in self._stacks(samples):
-            values[block], grads[block] = self.net.losses_and_gradients(
+            values[block], grads[block] = self.net._losses_and_gradients(
                 points[block], inputs, targets)
         return values, grads
+
+    def _check_points(self, points):
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.net.num_params:
+            raise ValueError(
+                f"points have shape {points.shape}, expected (N, {self.net.num_params})")
+        return points
 
     def _stacks(self, samples):
         """``(block, inputs, targets)`` for consecutive blocks of at most
@@ -117,13 +131,14 @@ class BatchObjective:
             index, rows = None, self.num_rows
             inputs, targets = self.inputs[None], self.targets[None]
         else:
-            index = np.array(samples)
+            index = np.asarray(samples)
             rows = index.shape[1]
         per_block = max(1, _BLOCK_ROWS // rows)
         for start in range(0, len(samples), per_block):
             block = slice(start, start + per_block)
             if index is not None:
-                inputs, targets = self.inputs[index[block]], self.targets[index[block]]
+                inputs = self.inputs.take(index[block], axis=0)
+                targets = self.targets.take(index[block], axis=0)
             yield block, inputs, targets
 
 
@@ -181,6 +196,10 @@ class KeyStream:
     def sample(self) -> int:
         return int(self._rng.integers(0, 2**63))
 
+    def samples(self, count) -> list:
+        """The next ``count`` keys, as ``count`` calls of :meth:`sample`."""
+        return [self.sample() for _ in range(count)]
+
 
 class DirectionalProbe:
     """F(alpha) = loss at ``origin + alpha * direction``, with accounting.
@@ -189,13 +208,12 @@ class DirectionalProbe:
     ever increase.  A non-finite F or F' raises ``ValueError`` rather than
     reach a search, whose comparisons a NaN would silently steer.
 
-    :meth:`serve` relays a line search's requests to a caller that
-    evaluates losses and gradients, as :mod:`gols.trainer` does for a whole
-    grid of runs at once, and takes each F' itself.  :meth:`scan` evaluates
-    F and F' at a whole grid of step sizes in one stacked call, in blocks of
-    at most 1024 batch rows for a :class:`BatchObjective`.  It draws the node samples in node order, the
-    same draws as a :meth:`value_and_deriv` loop over the grid, and runs the
-    same forward pass and backprop (:mod:`gols.net`).  F and F' could differ
+    :meth:`scan` evaluates F and F' at a whole grid of step sizes in one
+    stacked call, in blocks of at most 1024 batch rows for a
+    :class:`BatchObjective`.  Under ``resample`` it takes the node samples
+    in one ``sampler.samples(count)`` call, the draws of a
+    :meth:`value_and_deriv` loop over the grid, and it runs the same forward
+    pass and backprop (:mod:`gols.net`).  F and F' could differ
     from that loop's in the last bits only where numpy sums a stacked matrix
     product in another order than a single one; with numpy 2.4 on x86-64
     they are bit-identical on every node compared.
@@ -228,10 +246,7 @@ class DirectionalProbe:
         self.counter = EvalCounter()
 
     def _point(self, alpha):
-        alpha = float(alpha)
-        if not math.isfinite(alpha):
-            raise ValueError("step size must be finite")
-        return self.origin + alpha * self.direction
+        return self.origin + _step(alpha) * self.direction
 
     def _sample(self):
         if self.policy == "full":
@@ -260,33 +275,6 @@ class DirectionalProbe:
         point, sample = self._draw("deriv", alpha)
         return _finite("F'", alpha, self.model.grad(point, sample) @ self.direction)
 
-    def serve(self, requests):
-        """Relay a line search's requests to the caller as objective
-        evaluations.
-
-        ``requests`` is an ask/tell search (see
-        :func:`gols.linesearch.make_search`).  Each of its ``(kind, alpha)``
-        requests is counted, and its sample drawn, as :meth:`value` or
-        :meth:`deriv` would do it, then yielded on as ``("value", point,
-        sample)`` or, for a ``deriv``, ``("grad", point, sample)``.  The
-        caller replies with the loss or the gradient at ``point`` on
-        ``sample``; the probe takes F' from a gradient as :meth:`deriv`
-        does, checks F or F' as :meth:`value` and :meth:`deriv` check theirs
-        and sends it to the search.  Returns what the search returns.
-        """
-        try:
-            kind, alpha = next(requests)
-            while True:
-                point, sample = self._draw(kind, alpha)
-                if kind == "value":
-                    reply = _finite("F", alpha, (yield "value", point, sample))
-                else:
-                    gradient = yield "grad", point, sample
-                    reply = _finite("F'", alpha, gradient @ self.direction)
-                kind, alpha = requests.send(reply)
-        except StopIteration as done:
-            return done.value
-
     def value_and_deriv(self, alpha):
         """F and F' at one step size sharing a single sample draw."""
         point = self._point(alpha)
@@ -309,7 +297,10 @@ class DirectionalProbe:
             raise ValueError("step sizes must form a 1-d grid")
         if not np.all(np.isfinite(alphas)):
             raise ValueError("step size must be finite")
-        samples = [self._sample() for _ in alphas]
+        if self.policy == "resample":
+            samples = self._sampler.samples(len(alphas))
+        else:
+            samples = [self._sample()] * len(alphas)
         points = self.origin + alphas[:, None] * self.direction
         self.counter.functions += len(alphas)
         self.counter.gradients += len(alphas)
@@ -321,6 +312,64 @@ class DirectionalProbe:
             _finite("F", alphas[i], values[i])
             _finite("F'", alphas[i], slopes[i])
         return values, slopes
+
+
+class LineTable:
+    """The search lines of a grid of runs: row ``r`` of ``origins`` and
+    ``directions`` is the line of run ``r``, written by that run once per
+    iteration.
+
+    A round's search requests on many lines take one array operation for all
+    their points and one for all their slopes, and each point and slope has
+    the bits :class:`DirectionalProbe` gives for its own line:
+    ``origin + alpha * direction`` elementwise, and F' the one dot product
+    per row that :meth:`DirectionalProbe.deriv` takes.
+    """
+
+    def __init__(self, runs, num_params):
+        self.origins = np.zeros((runs, num_params))
+        self.directions = np.zeros((runs, num_params))
+
+    def set(self, run, origin, direction) -> None:
+        self.origins[run] = origin
+        self.directions[run] = direction
+
+    def points(self, runs, alphas) -> np.ndarray:
+        """The point at ``alphas[k]`` on the line of ``runs[k]``, one row
+        each; ``runs`` is an integer array."""
+        alphas = np.array(alphas, dtype=float)
+        return (self.origins.take(runs, axis=0)
+                + alphas[:, None] * self.directions.take(runs, axis=0))
+
+    def replies(self, runs, alphas, slope, losses, grads=None) -> list:
+        """The reply to each request on the lines of ``runs`` at ``alphas``:
+        F from ``losses``, or, where ``slope`` is true, F' from ``grads``, as
+        floats.
+
+        A request whose step size or reply is not finite gets, in place of
+        its reply, the ``ValueError`` that :meth:`DirectionalProbe.value` or
+        :meth:`DirectionalProbe.deriv` raises.
+        """
+        replies = losses.tolist()
+        if grads is not None:
+            slopes = np.vecdot(grads, self.directions.take(runs, axis=0)).tolist()
+            replies = [s if d else f for d, s, f in zip(slope, slopes, replies)]
+        # A sum is finite when every term is; one that overflows only sends
+        # the round down the term-by-term check.
+        if not math.isfinite(sum(alphas) + sum(replies)):
+            for k, alpha in enumerate(alphas):
+                try:
+                    _finite("F'" if slope[k] else "F", _step(alpha), replies[k])
+                except ValueError as exc:
+                    replies[k] = exc
+        return replies
+
+
+def _step(alpha) -> float:
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError("step size must be finite")
+    return alpha
 
 
 def _finite(name, alpha, number) -> float:

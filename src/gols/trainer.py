@@ -1,26 +1,28 @@
 """Mini-batch steepest descent with line-search-resolved step sizes.
 
 Each iteration draws a fresh batch, computes the descent direction as the
-negative batch gradient, resolves the step size through a
-:class:`~gols.probe.DirectionalProbe`, and steps.  A run's trace is one
-preallocated record array with one row per iteration plus an initial row;
-its fields are :data:`TRACE_COLUMNS`, the columns of a trace CSV.  Losses
-are measured on the full partitions and are not charged to the optimizer.
-The ``cost`` and ``info_calls`` columns are the running totals of one
-:class:`~gols.probe.EvalCounter`: the direction gradient of every iteration
-plus whatever its search spent.
+negative batch gradient, resolves the step size by a line search along it,
+and steps.  A run's trace is one preallocated record array with one row per
+iteration plus an initial row; its fields are :data:`TRACE_COLUMNS`, the
+columns of a trace CSV.  Losses are measured on the full partitions and are
+not charged to the optimizer.  The ``cost`` and ``info_calls`` columns are
+the running totals of one :class:`~gols.probe.EvalCounter`: the direction
+gradient of every iteration plus whatever its search spent.
 
-A run is an ask/tell generator: it asks for its metrics and for losses
-and gradients of the objective, and is sent the answers.  A loss answers an
-F request of its search and a gradient a direction gradient or an F'
-request, whose slope the run's probe takes itself.  Runs of a grid go in
-lockstep.  Each round takes the pending request of every active run and
-answers them in stacked calls: one of the metrics for every metric
+A run is an ask/tell generator: it asks for its metrics, for the gradient
+that gives its direction, and for the F and F' requests of its search, and
+is sent the answers.  Runs of a grid go in lockstep, their lines held in
+one :class:`~gols.probe.LineTable`: each run writes its origin and direction
+into its row once per iteration, and its search requests carry only a step
+size and a sample.  Each round takes the pending request of every active
+run and answers them in stacked calls: one of the metrics for every metric
 request, and one of the objective for the requests of each sample shape, a
-backprop if any of them asks for a gradient, else a forward pass alone.
-Every run keeps its own probe and sampler, so its samples are drawn in the
-same order as when it trains alone; :func:`sgd_train` is the grid of one
-run.
+backprop if any of them asks for a gradient or a slope, else a forward pass
+alone.  The table builds the round's search points and takes its slopes.
+Every run keeps its own sampler, so its samples are drawn in the same order
+as when it trains alone; :func:`sgd_train` is the grid of one run.  A run
+with a callable resolver hands it a :class:`~gols.probe.DirectionalProbe`,
+which evaluates point by point outside the rounds.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gols.data import BatchSampler, Dataset, Split
+from gols.data import BatchSampler, Dataset, Split, check_count
 from gols.linesearch import ALPHA_MIN, effective_alpha_max, make_search
 from gols.net import Network
-from gols.probe import POLICIES, BatchObjective, DirectionalProbe, EvalCounter
+from gols.probe import POLICIES, BatchObjective, DirectionalProbe, EvalCounter, LineTable
 
 __all__ = [
     "TRACE_COLUMNS",
@@ -81,10 +83,8 @@ class TrainConfig:
     sampler_seed: object = 0
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be at least 1")
+        check_count("iterations", self.iterations)
+        check_count("batch size", self.batch_size)
         if isinstance(self.resolver, str):
             make_search(self.resolver)  # raises ValueError on an unknown name
         if self.policy not in POLICIES:
@@ -120,18 +120,19 @@ def sgd_train(model, x0, sampler, resolver, iterations, metrics,
         Probe sampling policy; ``fixed`` freezes each search on the batch
         that produced its direction gradient.
     """
-    run = _descend(model, x0, sampler, resolver, iterations, policy)
-    return _lockstep(model, metrics, [run])[0]
+    lines = LineTable(1, np.size(x0))
+    run = _descend(model, x0, sampler, resolver, iterations, policy, lines, 0)
+    return _lockstep(model, metrics, lines, [run])[0]
 
 
-def _descend(model, x0, sampler, resolver, iterations, policy):
+def _descend(model, x0, sampler, resolver, iterations, policy, lines, run):
     """One run of :func:`sgd_train` as an ask/tell generator.
 
-    Yields ``(kind, point, sample)`` requests: ``metrics`` at ``point``, the
-    direction gradient ``grad`` at ``point`` on ``sample``, and the ``value``
-    and ``grad`` requests of its searches (see
-    :meth:`~gols.probe.DirectionalProbe.serve`).  Returns the
-    :class:`TrainTrace`.
+    Yields ``("metrics", point, None)``, the direction gradient ``("grad",
+    point, sample)`` and its search's ``("value", alpha, sample)`` and
+    ``("deriv", alpha, sample)`` requests, which are asked on row ``run`` of
+    the :class:`~gols.probe.LineTable` ``lines``, written before each
+    search.  Returns the :class:`TrainTrace`.
     """
     search = make_search(resolver) if isinstance(resolver, str) else None
     x = np.array(x0, dtype=float)
@@ -153,14 +154,23 @@ def _descend(model, x0, sampler, resolver, iterations, policy):
         if gnorm == 0.0:
             alpha = 0.0  # converged on this batch: nothing to search along
         else:
-            probe = DirectionalProbe(model, x, -g, policy=policy, sampler=sampler,
-                                     fixed_sample=batch if policy == "fixed" else None)
             alpha_max = effective_alpha_max(gnorm)
             alpha_init = min(max(alpha_prev, ALPHA_MIN), alpha_max)
             if search is None:
+                probe = DirectionalProbe(model, x, -g, policy=policy, sampler=sampler,
+                                         fixed_sample=batch if policy == "fixed" else None)
                 outcome = resolver(probe, alpha_init, alpha_max)
             else:
-                outcome = yield from probe.serve(search(alpha_init, alpha_max))
+                lines.set(run, x, -g)
+                fixed = batch if policy == "fixed" else None
+                requests = search(alpha_init, alpha_max)
+                try:
+                    kind, alpha = next(requests)
+                    while True:
+                        sample = sampler.sample() if policy == "resample" else fixed
+                        kind, alpha = requests.send((yield kind, alpha, sample))
+                except StopIteration as done:
+                    outcome = done.value
             alpha = alpha_prev = outcome.alpha
             spent.functions += outcome.function_evals
             spent.gradients += outcome.gradient_evals
@@ -175,13 +185,15 @@ def _descend(model, x0, sampler, resolver, iterations, policy):
     return TrainTrace(rows)
 
 
-def _lockstep(model, metrics, runs) -> list:
-    """Drive the :func:`_descend` generators ``runs`` to their traces, one
-    :class:`TrainTrace` per run, in order.
+def _lockstep(model, metrics, lines, runs) -> list:
+    """Drive the :func:`_descend` generators ``runs``, whose lines are the
+    rows of ``lines`` in order, to their traces, one :class:`TrainTrace` per
+    run, in order.
 
     A run that raises stops, and so do the runs after it; the exception of
     the first run that raised is re-raised once the runs before it have
-    finished, the one a run-by-run loop would have raised.
+    finished, the one a run-by-run loop would have raised.  A reply that is
+    an exception is raised in its run.
     """
     traces = [None] * len(runs)
     failed, error = len(runs), None
@@ -192,44 +204,63 @@ def _lockstep(model, metrics, runs) -> list:
             if i > failed:
                 continue
             try:
-                pending[i] = runs[i].send(reply)
+                if isinstance(reply, ValueError):
+                    pending[i] = runs[i].throw(reply)
+                else:
+                    pending[i] = runs[i].send(reply)
             except StopIteration as done:
                 traces[i] = done.value
             except Exception as exc:
                 failed, error = i, exc
-        replies = _answer_round(model, metrics, {
+        replies = _answer_round(model, metrics, lines, {
             i: request for i, request in pending.items() if i < failed})
     if error is not None:
         raise error
     return traces
 
 
-def _answer_round(model, metrics, pending) -> dict:
-    """Replies to one round's ``{run: (kind, point, sample)}``.
+def _answer_round(model, metrics, lines, pending) -> dict:
+    """Replies to one round's ``{run: request}``.
 
-    A group is the metric requests, or the ``value`` and ``grad`` requests
-    of one sample shape, and each group takes one stacked call: ``metrics``,
-    a backprop (``model.losses_and_gradients``) when any request of the
-    group asks for a gradient, which also gives the losses of its ``value``
-    requests, else a forward pass alone (``model.losses``).
+    A group is the metric requests, or the objective requests of one sample
+    shape, and each group takes one stacked call: ``metrics``, a backprop
+    (``model.losses_and_gradients``) when any request of the group asks for
+    a gradient or a slope, which also gives the losses of its ``value``
+    requests, else a forward pass alone (``model.losses``).  The points of
+    a group's search requests come from ``lines`` in one array operation and
+    their replies, F or F', in another (:meth:`LineTable.replies`); a
+    search request whose step size or reply is not finite is answered with
+    the ``ValueError`` its run raises.  Each row of a stacked call is
+    evaluated on its own, so a group puts its search requests first and its
+    direction gradients after them.
     """
     groups = {}
     for i, (kind, _, sample) in pending.items():
-        shape = None if sample is None else np.shape(sample)
-        groups.setdefault(kind if kind == "metrics" else shape, []).append(i)
+        key = (kind if kind == "metrics" else None if sample is None
+               else getattr(sample, "shape", ()))
+        groups.setdefault(key, []).append(i)
     replies = {}
-    for key, runs in groups.items():
-        kinds = [pending[i][0] for i in runs]
-        points = np.array([pending[i][1] for i in runs])
-        samples = [pending[i][2] for i in runs]
+    for key, group in groups.items():
         if key == "metrics":
-            replies.update(zip(runs, metrics(points)))
-        elif "grad" in kinds:
+            points = np.array([pending[i][1] for i in group])
+            replies.update(zip(group, metrics(points)))
+            continue
+        group.sort(key=lambda i: pending[i][0] == "grad")
+        kinds, ats, samples = zip(*[pending[i] for i in group])
+        found = len(group) - kinds.count("grad")
+        runs = np.array(group[:found], dtype=np.intp)
+        alphas, slope = ats[:found], [kind == "deriv" for kind in kinds[:found]]
+        points = lines.points(runs, alphas)
+        if found < len(group):
+            points = np.concatenate([points, ats[found:]])
+        if found < len(group) or "deriv" in kinds:
             losses, grads = model.losses_and_gradients(points, samples)
-            replies.update((i, grad if kind == "grad" else loss)
-                           for i, kind, loss, grad in zip(runs, kinds, losses, grads))
+            replies.update(zip(group[:found], lines.replies(
+                runs, alphas, slope, losses[:found], grads[:found])))
+            replies.update(zip(group[found:], grads[found:]))
         else:
-            replies.update(zip(runs, model.losses(points, samples)))
+            replies.update(zip(group, lines.replies(
+                runs, alphas, slope, model.losses(points, samples))))
     return replies
 
 
@@ -255,11 +286,12 @@ def train_on_dataset(net: Network, dataset: Dataset, split: Split,
     in order."""
     model = BatchObjective(net, dataset.features[split.train],
                            dataset.one_hot()[split.train])
+    lines = LineTable(len(configs), net.num_params)
     runs = [
         _descend(model, net.init_params(config.weight_seed),
                  BatchSampler(np.arange(len(split.train)), config.batch_size,
                               config.sampler_seed),
-                 config.resolver, config.iterations, config.policy)
-        for config in configs
+                 config.resolver, config.iterations, config.policy, lines, run)
+        for run, config in enumerate(configs)
     ]
-    return _lockstep(model, dataset_metrics(net, dataset, split), runs)
+    return _lockstep(model, dataset_metrics(net, dataset, split), lines, runs)

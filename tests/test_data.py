@@ -177,6 +177,13 @@ class TestBatchSampler:
         stderr = losses.std(ddof=1) / np.sqrt(len(losses))
         assert abs(losses.mean() - full) <= 3 * stderr
 
+    def test_batch_size_must_be_a_whole_number(self):
+        # int() would have turned 2.5 into batches of 2, and True into 1.
+        for bad in (2.5, 10.0, True, "3", 0, -1):
+            with pytest.raises(ValueError):
+                BatchSampler(np.arange(10), bad, 0)
+        assert BatchSampler(np.arange(10), np.int64(3), 0).sample().shape == (3,)
+
     def test_indices_must_be_one_dimensional(self):
         with pytest.raises(ValueError, match="1-d"):
             BatchSampler(np.arange(20).reshape(10, 2), 15, 0)
@@ -264,6 +271,45 @@ class TestSamplerStream:
         indices = np.arange(n)
         assert_same_batches(BatchSampler(indices, batch_size, 9),
                             choice_stream(indices, batch_size, 9, 5))
+
+    @pytest.mark.parametrize("n, batch_size, seed, counts", [
+        (90, 10, 0, [1, 63, 64, 65, 100, 200]),
+        (90, 1, 1, [200, 1, 100]),
+        (90, 50, 2, [65, 64, 63]),
+        (5, 3, 3, [100, 1]),
+        (90, 65, 4, [64, 65]),  # outside the block path: choice per batch
+        (10_000, 1, 70, [1000, 3000]),  # a rejection in the second call
+        (10_000, 10, 28, [640]),  # a rejection inside one call
+    ])
+    def test_samples_match_single_draws(self, n, batch_size, seed, counts):
+        # samples(count) gives the batches of count sample() calls, and
+        # leaves the stream where they would: mixed calls match choice.
+        indices = np.arange(n)
+        total = sum(counts) + 2 * len(counts)
+        expected = iter(choice_stream(indices, batch_size, seed, total))
+        sampler = BatchSampler(indices, batch_size, seed)
+        for count in counts:
+            got = sampler.samples(count)
+            assert got.shape == (count, min(batch_size, n))
+            for k, row in enumerate(got):
+                assert np.array_equal(row, next(expected)), f"row {k} of {count}"
+            for _ in range(2):
+                assert np.array_equal(sampler.sample(), next(expected))
+
+    def test_samples_draw_no_surplus(self, monkeypatch):
+        # A scan's 101 nodes take one batch from choice and one block of 100,
+        # not two blocks of 64 with 27 batches left over.
+        drawn = []
+        real = BatchSampler._draw_block
+
+        def counted(sampler, most):
+            block = real(sampler, most)
+            drawn.append(len(block))
+            return block
+
+        monkeypatch.setattr(BatchSampler, "_draw_block", counted)
+        BatchSampler(np.arange(90), 50, 6).samples(101)
+        assert drawn == [1, 100]
 
     def test_mutating_a_batch_leaves_later_draws(self):
         expected = choice_stream(np.arange(90), 10, 5, 150)

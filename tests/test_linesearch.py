@@ -31,6 +31,13 @@ class TestEffectiveAlphaMax:
         with pytest.raises(ValueError):
             effective_alpha_max(-1.0)
 
+    @pytest.mark.parametrize("norm", [math.nan, math.inf, np.float64("nan")])
+    def test_non_finite_norm_rejected(self, norm):
+        # NaN has no cap, and an infinite norm would give a cap of 0, below
+        # the ALPHA_MIN that every accepted step is clamped up to.
+        with pytest.raises(ValueError, match="finite"):
+            effective_alpha_max(norm)
+
 
 class TestGoldenSection:
     def test_quadratic_minimizer(self, quadratic_probe):

@@ -58,6 +58,24 @@ class TestSigmoid:
         z = np.linspace(-30, 30, 101)
         assert_allclose(sigmoid(z), 1.0 / (1.0 + np.exp(-z)), rtol=1e-15)
 
+    def test_scalar_in_scalar_out(self):
+        # Values of the formula written out of place, without temporaries
+        # reused, bit for bit.
+        for z, want in [(0.5, 0.6224593312018546), (-0.5, 0.37754066879814546),
+                        (-0.0, 0.5), (40.0, 0.9999999999999999), (-800.0, 5e-324),
+                        (3, 0.9525741268224334)]:
+            got = sigmoid(z)
+            assert np.ndim(got) == 0 and isinstance(got, float)
+            assert got == want
+
+    def test_input_array_left_unchanged(self):
+        z = np.array([[0.5, -2.0], [0.0, 40.0]])
+        before = z.copy()
+        s = sigmoid(z)
+        assert s.shape == z.shape
+        assert np.array_equal(z, before)
+        assert sigmoid([0.5, -2.0]).tolist() == [0.6224593312018546, 0.11920292202211755]
+
 
 class TestForward:
     def test_zero_weights_give_half_everywhere(self):

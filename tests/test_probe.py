@@ -12,6 +12,7 @@ from gols.probe import (
     DirectionalProbe,
     EvalCounter,
     KeyStream,
+    LineTable,
     SyntheticObjective,
 )
 
@@ -202,69 +203,102 @@ class TestValidation:
             DirectionalProbe(model, np.zeros(1), np.ones(1), policy="sometimes")
 
 
-def hand_search():
-    """A fixed four-request search that returns the replies it was sent."""
-    replies = [(yield "value", 0.0), (yield "deriv", 0.0),
-               (yield "deriv", 0.5), (yield "value", 1.5)]
-    return replies
+def table_replies(table, model, runs, kinds, alphas, samples):
+    """Answer requests on the lines of ``table`` as the lockstep grid does:
+    points from the table, one stacked backprop, replies from the table."""
+    runs, alphas = np.asarray(runs), np.asarray(alphas, dtype=float)
+    losses, grads = model.losses_and_gradients(table.points(runs, alphas), samples)
+    return table.replies(runs, alphas, [kind == "deriv" for kind in kinds],
+                         losses, grads)
 
 
-def relay(probe, requests, model):
-    """Drive ``probe.serve(requests)``, answering each request from
-    ``model``; returns the requests seen and what ``serve`` returned."""
-    served, seen = probe.serve(requests), []
-    try:
-        request = next(served)
-        while True:
-            seen.append(request)
-            kind, point, sample = request
-            answer = model.loss if kind == "value" else model.grad
-            request = served.send(answer(point, sample))
-    except StopIteration as done:
-        return seen, done.value
+class TestLineTable:
+    @given(
+        runs=st.integers(1, 6),
+        num_params=st.integers(1, 40),
+        requests=st.integers(1, 12),
+        seed=st.integers(0, 2**31),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_points_and_slopes_match_probe(self, runs, num_params, requests, seed,
+                                           scale):
+        # Every point equals DirectionalProbe._point on the run's own line, and
+        # every slope equals the F' deriv takes from the same gradient, bit for
+        # bit, for any subset of runs in any order.
+        rng = np.random.default_rng(seed)
+        table = LineTable(runs, num_params)
+        lines = []
+        for run in range(runs):
+            origin = scale * rng.normal(size=num_params)
+            direction = scale * rng.normal(size=num_params)
+            table.set(run, origin, direction)
+            lines.append((origin, direction))
+        asked = rng.integers(0, runs, requests)
+        alphas = rng.choice([0.0, 5e-324, 1e-8, 0.3, 5.0, 13.09, 1e7], requests)
+        alphas = np.where(rng.random(requests) < 0.5, alphas,
+                          10.0 ** rng.uniform(-8, 7, requests))
+        grads = scale * rng.normal(size=(requests, num_params))
+        points = table.points(asked, alphas)
+        replies = table.replies(asked, alphas, [True] * requests,
+                                np.zeros(requests), grads)
+        for k, run in enumerate(asked):
+            origin, direction = lines[run]
+            gradient = grads[k]
+            model = SyntheticObjective(lambda x: 0.0, lambda x: gradient)
+            probe = DirectionalProbe(model, origin, direction, policy="full")
+            assert points[k].tobytes() == probe._point(alphas[k]).tobytes()
+            assert replies[k] == probe.deriv(alphas[k])
 
-
-class TestServe:
-    def setup_method(self):
-        self.model = SyntheticObjective(
-            lambda x: float(x @ x), lambda x: 2.0 * x, noise_value=0.3, noise_grad=0.3)
-        self.origin, self.direction = np.array([1.0, -2.0]), np.array([-0.5, 1.5])
-
-    def probe(self, seed=4):
-        return DirectionalProbe(self.model, self.origin, self.direction,
-                                policy="resample", sampler=KeyStream(seed))
-
-    def test_yields_loss_and_gradient_requests_in_draw_order(self):
-        seen, _ = relay(self.probe(), hand_search(), self.model)
+    def test_replies_are_what_value_and_deriv_return(self):
+        # Two runs share one stacked call; each reply is the float its own
+        # probe's value or deriv returns on the same sample key.
+        model = SyntheticObjective(lambda x: float(x @ x), lambda x: 2.0 * x,
+                                   noise_value=0.3, noise_grad=0.3)
+        table = LineTable(2, 2)
+        origins = np.array([1.0, -2.0]), np.array([0.5, 0.25])
+        directions = np.array([-0.5, 1.5]), np.array([2.0, -1.0])
+        for run in (1, 0):
+            table.set(run, origins[run], directions[run])
+        runs, kinds, alphas = [0, 1, 1, 0], ["value", "deriv", "value", "deriv"], \
+            [0.0, 0.5, 1.5, 3.0]
         keys = KeyStream(4)
-        assert [kind for kind, _, _ in seen] == ["value", "grad", "grad", "value"]
-        for (_, point, sample), alpha in zip(seen, [0.0, 0.0, 0.5, 1.5]):
-            assert np.array_equal(point, self.origin + alpha * self.direction)
-            assert sample == keys.sample()
-
-    def test_sends_what_value_and_deriv_return(self):
-        served, mirror = self.probe(), self.probe()
-        _, replies = relay(served, hand_search(), self.model)
-        expected = [mirror.value(0.0), mirror.deriv(0.0),
-                    mirror.deriv(0.5), mirror.value(1.5)]
-        assert replies == expected  # bit-equal floats
+        samples = [keys.sample() for _ in runs]
+        replies = table_replies(table, model, runs, kinds, alphas, samples)
         assert all(type(reply) is float for reply in replies)
-        assert counts(served) == counts(mirror) == (2, 2)
+        for run, kind, alpha, key, reply in zip(runs, kinds, alphas, samples, replies):
+            mirror = DirectionalProbe(model, origins[run], directions[run],
+                                      policy="fixed", fixed_sample=key)
+            assert reply == getattr(mirror, kind)(alpha)  # bit-equal floats
 
     @pytest.mark.parametrize("kind", ["value", "deriv"])
-    def test_non_finite_reply_rejected(self, kind):
-        bad = SyntheticObjective(lambda x: np.nan, lambda x: np.full(2, np.nan))
-        mirror = DirectionalProbe(bad, self.origin, self.direction, policy="full")
+    def test_non_finite_reply_is_the_probes_error(self, kind):
+        bad = SyntheticObjective(lambda x: np.nan if x[0] > 1.0 else float(x[0]),
+                                 lambda x: np.full(2, np.nan if x[0] > 1.0 else 1.0))
+        origin, direction = np.zeros(2), np.array([1.0, 0.0])
+        table = LineTable(1, 2)
+        table.set(0, origin, direction)
+        replies = table_replies(table, bad, [0, 0], [kind, kind], [0.5, 1.5],
+                                [None, None])
+        assert replies[0] == 0.5 if kind == "value" else replies[0] == 1.0
+        mirror = DirectionalProbe(bad, origin, direction, policy="full")
         with pytest.raises(ValueError) as direct:
-            getattr(mirror, kind)(0.5)
+            getattr(mirror, kind)(1.5)
+        assert isinstance(replies[1], ValueError)
+        assert str(replies[1]) == str(direct.value)
 
-        def one_request():
-            yield kind, 0.5
-
-        probe = DirectionalProbe(bad, self.origin, self.direction, policy="full")
-        with pytest.raises(ValueError) as served:
-            relay(probe, one_request(), bad)
-        assert str(served.value) == str(direct.value)
+    def test_non_finite_step_is_the_probes_error(self):
+        model = quadratic_bowl([1.0, 0.0])
+        table = LineTable(1, 2)
+        table.set(0, np.zeros(2), np.ones(2))
+        mirror = DirectionalProbe(model, np.zeros(2), np.ones(2), policy="full")
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError) as direct:
+                mirror.value(bad)
+            reply = table_replies(table, model, [0, 0], ["value", "deriv"],
+                                  [1.0, bad], [None, None])
+            assert reply[0] == mirror.value(1.0)
+            assert str(reply[1]) == str(direct.value)
 
 
 def per_node(probe, alphas):

@@ -7,8 +7,9 @@ from gols.linesearch import (ALPHA_MIN, LineSearchOutcome, armijo, bisection_gol
                              effective_alpha_max, golden_section, inexact_gols,
                              make_resolver)
 from gols.net import Network
-from gols.probe import BatchObjective, DirectionalProbe, KeyStream, SyntheticObjective
-from gols.trainer import TrainConfig, sgd_train, train_on_dataset, dataset_metrics
+from gols.probe import (POLICIES, BatchObjective, DirectionalProbe, KeyStream, LineTable,
+                        SyntheticObjective)
+from gols.trainer import TrainConfig, _lockstep, sgd_train, train_on_dataset, dataset_metrics
 
 
 def quadratic_problem(center, noise=0.0):
@@ -168,9 +169,12 @@ class TestSgdTrain:
     def test_config_validation(self):
         # Rejected when the config is made, before a grid trains any run.
         for bad in ({"iterations": 0}, {"batch_size": 0}, {"resolver": "igol"},
-                    {"resolver": "fixed:-1"}, {"policy": "sometimes"}):
+                    {"resolver": "fixed:-1"}, {"policy": "sometimes"},
+                    {"iterations": 2.5}, {"batch_size": 2.5}, {"iterations": True},
+                    {"batch_size": True}, {"iterations": "3"}, {"batch_size": 10.0}):
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
+        TrainConfig(iterations=np.int64(3), batch_size=np.int32(5))
 
     def test_config_accepts_callable_resolver(self):
         TrainConfig(resolver=make_resolver("igols"))
@@ -240,6 +244,30 @@ def reference_train(model, x0, sampler, resolver, iterations, metrics, policy):
         rows.append((n, alpha, gnorm, *metrics(x), functions + 2 * gradients,
                      functions + gradients))
     return rows
+
+
+class Recording:
+    """An objective that records each evaluation it makes: ``("F" or "G",
+    point bytes, sample)``, one per point, stacked or not."""
+
+    def __init__(self, model):
+        self.model, self.seen = model, []
+
+    def loss(self, x, sample=None):
+        self.seen.append(("F", x.tobytes(), sample))
+        return self.model.loss(x, sample)
+
+    def grad(self, x, sample=None):
+        self.seen.append(("G", x.tobytes(), sample))
+        return self.model.grad(x, sample)
+
+    def losses(self, points, samples):
+        self.seen += [("F", x.tobytes(), s) for x, s in zip(points, samples)]
+        return self.model.losses(points, samples)
+
+    def losses_and_gradients(self, points, samples):
+        self.seen += [("G", x.tobytes(), s) for x, s in zip(points, samples)]
+        return self.model.losses_and_gradients(points, samples)
 
 
 def reference_metrics(net, ds, split):
@@ -325,6 +353,50 @@ class TestLockstepGrid:
         rows = reference_train(model, x0, KeyStream(7), resolver, 15,
                                lambda x: metrics(x[None])[0], policy)
         assert_same_bytes(trace, rows)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("resolver", ["arls", "gs", "bgols"])
+    def test_requests_reach_the_model_in_draw_order(self, resolver, policy):
+        # The grid evaluates each request at the point, and on the sample, the
+        # per-point probe evaluates it at, in the same order: the direction
+        # gradient's batch, then one draw per search request under resample,
+        # that batch again under fixed, and none under full.
+        model, metrics = quadratic_problem([3.0, -2.0, 1.0], noise=0.05)
+        grid, loop = Recording(model), Recording(model)
+        trace = sgd_train(grid, np.zeros(3), KeyStream(7), resolver, 4, metrics,
+                          policy=policy)
+        rows = reference_train(loop, np.zeros(3), KeyStream(7), resolver, 4,
+                               lambda x: metrics(x[None])[0], policy)
+        assert_same_bytes(trace, rows)
+        assert len(grid.seen) > 8
+        assert grid.seen == loop.seen
+
+    @pytest.mark.parametrize("kind", ["value", "deriv"])
+    def test_first_run_with_a_non_finite_reply_raises(self, kind):
+        # Run 1 meets a non-finite F or F' in the first round and run 0 in the
+        # third; a run-by-run loop would raise run 0's error, and so does the
+        # grid, whose table raises it in run 0.
+        model = SyntheticObjective(lambda x: np.nan if x[0] > 1.0 else float(x[0]),
+                                   lambda x: np.full(1, np.nan if x[0] > 1.0 else 1.0))
+        lines = LineTable(2, 1)
+        seen = []
+
+        def run(row, alphas):
+            lines.set(row, np.zeros(1), np.ones(1))
+            try:
+                for alpha in alphas:
+                    seen.append((row, (yield kind, alpha, None)))
+            except ValueError:
+                seen.append((row, "raised"))
+                raise
+
+        with pytest.raises(ValueError) as grid:
+            _lockstep(model, None, lines, [run(0, [0.5, 0.75, 7.0]), run(1, [5.0])])
+        probe = DirectionalProbe(model, np.zeros(1), np.ones(1), policy="full")
+        with pytest.raises(ValueError) as alone:
+            getattr(probe, kind)(7.0)
+        assert str(grid.value) == str(alone.value)
+        assert seen[-1] == (0, "raised") and (1, "raised") in seen
 
     def test_first_failing_run_in_order_raises(self, iris_setup):
         # Run 2 fails in an earlier round than run 1; a run-by-run loop
