@@ -37,8 +37,7 @@ def sigmoid(z):
 def _sigmoid(z):
     """:func:`sigmoid` of the float array ``z`` of at least one dimension,
     written over ``z``."""
-    t = np.abs(z)
-    np.negative(t, out=t)
+    t = np.copysign(z, -1.0)  # -|z|
     np.exp(t, out=t)  # exponent <= 0, cannot overflow
     numerator = np.where(z >= 0.0, 1.0, t)
     t += 1.0

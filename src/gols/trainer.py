@@ -9,20 +9,23 @@ not charged to the optimizer.  The ``cost`` and ``info_calls`` columns are
 the running totals of one :class:`~gols.probe.EvalCounter`: the direction
 gradient of every iteration plus whatever its search spent.
 
-A run is an ask/tell generator: it asks for its metrics, for the gradient
-that gives its direction, and for the F and F' requests of its search, and
-is sent the answers.  Runs of a grid go in lockstep, their lines held in
-one :class:`~gols.probe.LineTable`: each run writes its origin and direction
+A run is an ask/tell generator: it asks for the gradient that gives its
+direction and for the F and F' requests of its search, and is sent the
+answers.  Runs of a grid go in lockstep, their lines held in one
+:class:`~gols.probe.LineTable`: each run writes its origin and direction
 into its row once per iteration, and its search requests carry only a step
 size and a sample.  Each round takes the pending request of every active
-run and answers them in stacked calls: one of the metrics for every metric
-request, and one of the objective for the requests of each sample shape, a
-backprop if any of them asks for a gradient or a slope, else a forward pass
-alone.  The table builds the round's search points and takes its slopes.
-Every run keeps its own sampler, so its samples are drawn in the same order
-as when it trains alone; :func:`sgd_train` is the grid of one run.  A run
-with a callable resolver hands it a :class:`~gols.probe.DirectionalProbe`,
-which evaluates point by point outside the rounds.
+run and answers them in stacked calls of the objective, one for the
+requests of each sample shape: a backprop if any of them asks for a
+gradient or a slope, else a forward pass alone.  The table builds the
+round's search points and takes its slopes.  No search reads the trace
+losses, so a run hands each point it reaches to the grid's metric queue
+and goes on in the same round; the queue fills the loss cells of many runs
+and iterations from one forward pass.  Every run keeps its own sampler, so
+its samples are drawn in the same order as when it trains alone;
+:func:`sgd_train` is the grid of one run.  A run with a callable resolver
+hands it a :class:`~gols.probe.DirectionalProbe`, which evaluates point by
+point outside the rounds.
 """
 
 from __future__ import annotations
@@ -52,6 +55,11 @@ _TRACE_DTYPE = np.dtype([
     ("cost", np.int64), ("info_calls", np.int64),
 ])
 TRACE_COLUMNS = _TRACE_DTYPE.names
+# The three adjacent loss fields of a row as one field of three floats, so
+# that a trace's loss cells are one plain (rows, 3) ndarray view.
+_LOSSES = np.dtype({"names": ["losses"], "formats": [(float, 3)],
+                    "offsets": [_TRACE_DTYPE.fields["train_loss"][1]],
+                    "itemsize": _TRACE_DTYPE.itemsize})
 
 
 @dataclass
@@ -115,7 +123,10 @@ def sgd_train(model, x0, sampler, resolver, iterations, metrics,
         initial row.
     metrics:
         Callable from an ``(R, num_params)`` stack of points to the
-        ``(R, 3)`` full-partition train, validation and test losses.
+        ``(R, 3)`` full-partition train, validation and test losses.  One
+        call gets the points of many runs and iterations at once, in no
+        promised grouping, so it must be pure: each row's losses depend on
+        that row alone.
     policy:
         Probe sampling policy; ``fixed`` freezes each search on the batch
         that produced its direction gradient.
@@ -128,19 +139,23 @@ def sgd_train(model, x0, sampler, resolver, iterations, metrics,
 def _descend(model, x0, sampler, resolver, iterations, policy, lines, run):
     """One run of :func:`sgd_train` as an ask/tell generator.
 
-    Yields ``("metrics", point, None)``, the direction gradient ``("grad",
-    point, sample)`` and its search's ``("value", alpha, sample)`` and
-    ``("deriv", alpha, sample)`` requests, which are asked on row ``run`` of
-    the :class:`~gols.probe.LineTable` ``lines``, written before each
-    search.  Returns the :class:`TrainTrace`.
+    Yields the direction gradient ``("grad", point, sample)`` and its
+    search's ``("value", alpha, sample)`` and ``("deriv", alpha, sample)``
+    requests, which are asked on row ``run`` of the
+    :class:`~gols.probe.LineTable` ``lines``, written before each search.
+    After the initial row and each step it yields ``("metrics", point,
+    (losses, n))``, which is sent no reply: the losses of ``point`` belong
+    in row ``n`` of ``losses``, a plain ndarray view of the trace's loss
+    columns.  Returns the :class:`TrainTrace`.
     """
     search = make_search(resolver) if isinstance(resolver, str) else None
     x = np.array(x0, dtype=float)
 
     rows = np.recarray(iterations + 1, dtype=_TRACE_DTYPE)
+    losses = rows.view(np.ndarray).view(_LOSSES)["losses"]
     spent = EvalCounter()
-    losses = yield "metrics", x, None
-    rows[0] = (0, 0.0, np.nan, *losses, spent.cost, spent.info_calls)
+    rows[0] = (0, 0.0, np.nan, np.nan, np.nan, np.nan, spent.cost, spent.info_calls)
+    yield "metrics", x, (losses, 0)
 
     alpha_prev = ALPHA_MIN
     for n in range(1, iterations + 1):
@@ -178,10 +193,8 @@ def _descend(model, x0, sampler, resolver, iterations, policy, lines, run):
 
         if not np.isfinite(alpha) or not np.all(np.isfinite(x)):
             raise RuntimeError(f"non-finite step at iteration {n}")
-        losses = yield "metrics", x, None
-        if not np.all(np.isfinite(losses)):
-            raise RuntimeError(f"non-finite loss at iteration {n}")
-        rows[n] = (n, alpha, gnorm, *losses, spent.cost, spent.info_calls)
+        rows[n] = (n, alpha, gnorm, np.nan, np.nan, np.nan, spent.cost, spent.info_calls)
+        yield "metrics", x, (losses, n)
     return TrainTrace(rows)
 
 
@@ -190,61 +203,89 @@ def _lockstep(model, metrics, lines, runs) -> list:
     rows of ``lines`` in order, to their traces, one :class:`TrainTrace` per
     run, in order.
 
-    A run that raises stops, and so do the runs after it; the exception of
-    the first run that raised is re-raised once the runs before it have
+    A metric request waits for no round: it joins a queue, and its run goes
+    on to its next request at once.  One ``metrics`` call measures the whole
+    queue (:func:`_measure`) at the end of a round in which a run raised, or
+    after which every unfinished run has a point in it; the last round is
+    one of those.  A run with a non-finite loss fails with
+    ``RuntimeError("non-finite loss at iteration n")``, and any error it met
+    after that iteration, while its losses waited in the queue, is dropped.
+
+    A run that fails stops, and so do the runs after it; the error of the
+    first run that failed is re-raised once the runs before it have
     finished, the one a run-by-run loop would have raised.  A reply that is
     an exception is raised in its run.
     """
     traces = [None] * len(runs)
     failed, error = len(runs), None
+    queue, queued = [], set()
     replies = dict.fromkeys(range(len(runs)))
     while replies:
-        pending = {}
+        pending, raised = {}, False
         for i, reply in replies.items():
-            if i > failed:
+            if i >= failed:
                 continue
+            run = runs[i]
             try:
-                if isinstance(reply, ValueError):
-                    pending[i] = runs[i].throw(reply)
-                else:
-                    pending[i] = runs[i].send(reply)
+                request = run.throw(reply) if isinstance(reply, ValueError) else run.send(reply)
+                while request[0] == "metrics":
+                    queue.append((i, request[1], *request[2]))
+                    queued.add(i)
+                    request = run.send(None)
+                pending[i] = request
             except StopIteration as done:
                 traces[i] = done.value
             except Exception as exc:
-                failed, error = i, exc
-        replies = _answer_round(model, metrics, lines, {
+                failed, error, raised = i, exc, True
+        if queue and (raised or pending.keys() <= queued):
+            errors = _measure(metrics, queue)
+            queue, queued = [], set()
+            if errors and min(errors) <= failed:
+                failed = min(errors)
+                error = errors[failed]
+        replies = _answer_round(model, lines, {
             i: request for i, request in pending.items() if i < failed})
     if error is not None:
         raise error
     return traces
 
 
-def _answer_round(model, metrics, lines, pending) -> dict:
-    """Replies to one round's ``{run: request}``.
+def _measure(metrics, queue) -> dict:
+    """Writes the losses of the queued ``(run, point, losses, n)`` into row
+    ``n`` of their ``losses`` views from one ``metrics`` call; returns
+    ``{run: RuntimeError}`` for each run with a non-finite loss, at the
+    first iteration it has one."""
+    values = metrics(np.array([point for _, point, _, _ in queue]))
+    for (_, _, losses, n), value in zip(queue, values):
+        losses[n] = value
+    errors = {}
+    for k in np.flatnonzero(~np.isfinite(values).all(axis=1)):
+        run, _, _, n = queue[k]
+        errors.setdefault(run, RuntimeError(f"non-finite loss at iteration {n}"))
+    return errors
 
-    A group is the metric requests, or the objective requests of one sample
-    shape, and each group takes one stacked call: ``metrics``, a backprop
-    (``model.losses_and_gradients``) when any request of the group asks for
-    a gradient or a slope, which also gives the losses of its ``value``
-    requests, else a forward pass alone (``model.losses``).  The points of
-    a group's search requests come from ``lines`` in one array operation and
-    their replies, F or F', in another (:meth:`LineTable.replies`); a
-    search request whose step size or reply is not finite is answered with
-    the ``ValueError`` its run raises.  Each row of a stacked call is
-    evaluated on its own, so a group puts its search requests first and its
-    direction gradients after them.
+
+def _answer_round(model, lines, pending) -> dict:
+    """Replies to one round's ``{run: request}``, every one a direction
+    gradient or a search request.
+
+    A group is the requests of one sample shape, and each group takes one
+    stacked call: a backprop (``model.losses_and_gradients``) when any
+    request of the group asks for a gradient or a slope, which also gives
+    the losses of its ``value`` requests, else a forward pass alone
+    (``model.losses``).  The points of a group's search requests come from
+    ``lines`` in one array operation and their replies, F or F', in another
+    (:meth:`LineTable.replies`); a search request whose step size or reply
+    is not finite is answered with the ``ValueError`` its run raises.  Each
+    row of a stacked call is evaluated on its own, so a group puts its
+    search requests first and its direction gradients after them.
     """
     groups = {}
-    for i, (kind, _, sample) in pending.items():
-        key = (kind if kind == "metrics" else None if sample is None
-               else getattr(sample, "shape", ()))
-        groups.setdefault(key, []).append(i)
+    for i, (_, _, sample) in pending.items():
+        groups.setdefault(None if sample is None else getattr(sample, "shape", ()),
+                          []).append(i)
     replies = {}
-    for key, group in groups.items():
-        if key == "metrics":
-            points = np.array([pending[i][1] for i in group])
-            replies.update(zip(group, metrics(points)))
-            continue
+    for group in groups.values():
         group.sort(key=lambda i: pending[i][0] == "grad")
         kinds, ats, samples = zip(*[pending[i] for i in group])
         found = len(group) - kinds.count("grad")

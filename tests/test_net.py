@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gols.net import Network, sigmoid
+from gols.net import _SIG_HI, _SIG_LO, Network, sigmoid
 
 
 def forward_oracle(net, params, row):
@@ -67,6 +67,24 @@ class TestSigmoid:
             got = sigmoid(z)
             assert np.ndim(got) == 0 and isinstance(got, float)
             assert got == want
+
+    def test_bits_match_abs_then_negate_formula(self):
+        # -|z| is taken by one copysign; the bits equal those of the formula
+        # that takes abs and negates it, signed zeros, infinities, NaN and
+        # saturated outputs included.
+        def formula(z):
+            t = np.exp(np.negative(np.abs(z)))
+            out = np.where(z >= 0.0, 1.0, t) / (t + 1.0)
+            return np.minimum(np.maximum(out, _SIG_LO), _SIG_HI)
+
+        rng = np.random.default_rng(5)
+        z = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 36.7, -745.2, 800.0, -800.0],
+            rng.uniform(-800.0, 800.0, 20000), rng.normal(0.0, 3.0, 20000),
+            rng.uniform(-40.0, 40.0, 20000)])
+        got, want = sigmoid(z), formula(z)
+        assert np.sum(got == _SIG_HI) > 0 and np.sum(got == _SIG_LO) > 0
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     def test_input_array_left_unchanged(self):
         z = np.array([[0.5, -2.0], [0.0, 40.0]])

@@ -78,3 +78,6 @@ def test_traced_training_run_counts_iterations_and_searches(tmp_path):
             info_calls += int(list(csv.reader(fh))[-1][-1])
     assert summary["data.sample.calls"] == info_calls
     assert summary["trainer.iterations"] == 7
+    # The grid measures its trace losses through the closure dataset_metrics
+    # returns, so the tracer's span on it still sees them.
+    assert summary["trainer.metrics.share"] > 0

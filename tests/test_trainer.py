@@ -9,7 +9,9 @@ from gols.linesearch import (ALPHA_MIN, LineSearchOutcome, armijo, bisection_gol
 from gols.net import Network
 from gols.probe import (POLICIES, BatchObjective, DirectionalProbe, KeyStream, LineTable,
                         SyntheticObjective)
-from gols.trainer import TrainConfig, _lockstep, sgd_train, train_on_dataset, dataset_metrics
+from gols import trainer
+from gols.trainer import (TrainConfig, _descend, _lockstep, dataset_metrics, sgd_train,
+                          train_on_dataset)
 
 
 def quadratic_problem(center, noise=0.0):
@@ -416,3 +418,106 @@ class TestLockstepGrid:
                    for k, resolver in enumerate(["igols", blow_up_at(5), blow_up_at(2)])]
         with pytest.raises(RuntimeError, match="^non-finite step at iteration 5$"):
             train_on_dataset(net, ds, split, configs)
+
+
+# -- the metric queue ----------------------------------------------------------
+
+# Steepest descent on 0.5 (x - 1)^2 from 0 with steps of 0.5 visits
+# 1 - 0.5^n: 0.5, 0.75, 0.875 (iteration 3), 0.9375, ...  From 3 it visits
+# 2, 1.5 (iteration 2), 1.25, ...
+LINE = SyntheticObjective(lambda x: 0.5 * float((x[0] - 1.0) ** 2), lambda x: x - 1.0)
+
+
+def losses_nan_between(low, high):
+    """Pure stacked metrics: the loss three times, NaN where low < x < high."""
+    def metrics(points):
+        return np.array([[np.nan if low < x[0] < high else LINE.loss(x)] * 3
+                         for x in points])
+    return metrics
+
+
+def step_of(alpha, blow_up_at=None):
+    """A callable resolver that steps ``alpha`` and, at its call
+    ``blow_up_at``, an infinite step; ``calls`` counts its calls."""
+    def resolver(probe, alpha_init, alpha_max):
+        resolver.calls += 1
+        step = np.inf if resolver.calls == blow_up_at else alpha
+        return LineSearchOutcome(step, 0, 0, "tolerance")
+    resolver.calls = 0
+    return resolver
+
+
+def line_grid(metrics, *runs):
+    """``_lockstep`` over ``_descend`` runs on LINE under the full policy,
+    one ``(x0, resolver, iterations)`` each."""
+    lines = LineTable(len(runs), 1)
+    return _lockstep(LINE, metrics, lines, [
+        _descend(LINE, [x0], KeyStream(0), resolver, iterations, "full", lines, k)
+        for k, (x0, resolver, iterations) in enumerate(runs)])
+
+
+class TestMetricQueue:
+    def test_non_finite_gradient_fails_its_run(self):
+        model = SyntheticObjective(LINE.func, lambda x: x - 1.0 if x[0] < 0.8 else x * np.nan)
+        with pytest.raises(RuntimeError, match="^non-finite gradient at iteration 4$"):
+            sgd_train(model, np.zeros(1), KeyStream(0), "fixed:0.5", 8,
+                      losses_nan_between(5.0, 6.0))
+
+    def test_non_finite_loss_fails_a_single_run(self):
+        with pytest.raises(RuntimeError, match="^non-finite loss at iteration 3$"):
+            sgd_train(LINE, np.zeros(1), KeyStream(0), "fixed:0.5", 8,
+                      losses_nan_between(0.8, 0.9))
+
+    def test_loss_error_comes_ahead_of_a_later_error_of_its_run(self):
+        # Run 1's golden-section iterations take many rounds, so run 0's
+        # losses wait in the queue while it steps on; it meets an infinite
+        # step at iteration 5, but its losses at iterations 3 and 4 failed
+        # first, and the earlier one wins.
+        resolver = step_of(0.5, blow_up_at=5)
+        with pytest.raises(RuntimeError, match="^non-finite loss at iteration 3$"):
+            line_grid(losses_nan_between(0.8, 0.95), (0.0, resolver, 8), (3.0, "gs", 3))
+        assert resolver.calls == 5
+
+    def test_first_failing_run_in_order_wins_over_a_loss_error(self):
+        # Run 1's loss fails at iteration 2, run 0's step at iteration 5; a
+        # run-by-run loop would have raised run 0's error, and so does the
+        # grid.
+        with pytest.raises(RuntimeError, match="^non-finite step at iteration 5$"):
+            line_grid(losses_nan_between(1.4, 1.6), (0.0, step_of(0.5, blow_up_at=5), 8),
+                      (3.0, "fixed:0.5", 8))
+
+    def test_each_point_is_measured_once_in_stacked_calls(self, iris_setup, monkeypatch):
+        # No timing: four runs of ten iterations reach 44 points, and every
+        # call measures at least one point of the run that finishes last, so
+        # at most 11 calls measure them all.  No metric request takes a round.
+        net, ds, split = iris_setup
+        calls = []
+
+        def counting(*args):
+            metrics = dataset_metrics(*args)
+
+            def measure(points):
+                calls.append(points.copy())
+                return metrics(points)
+            return measure
+
+        def objective_only(model, lines, pending):
+            assert all(request[0] != "metrics" for request in pending.values())
+            return answer_round(model, lines, pending)
+
+        answer_round = trainer._answer_round
+        monkeypatch.setattr(trainer, "dataset_metrics", counting)
+        monkeypatch.setattr(trainer, "_answer_round", objective_only)
+        configs = [TrainConfig(iterations=10, resolver=name, weight_seed=k, sampler_seed=k)
+                   for k, name in enumerate(["gs", "arls", "bgols", "igols"])]
+        traces = train_on_dataset(net, ds, split, configs)
+        assert 1 <= len(calls) <= 11 and min(map(len, calls)) >= 1
+        points = np.concatenate(calls)
+        assert len(points) == 44
+        assert len({point.tobytes() for point in points}) == 44
+        measured = dataset_metrics(net, ds, split)(points)
+        written = np.concatenate([[list(row) for row in t.rows[
+            ["train_loss", "validation_loss", "test_loss"]]] for t in traces])
+        assert sorted(map(tuple, measured)) == sorted(map(tuple, written))
+        for trace, cfg in zip(traces, configs):
+            assert_same_bytes(trace, reference_on_dataset(net, ds, split, cfg))
