@@ -11,16 +11,29 @@ source paper's settings and are fixed; the only setting a caller passes is
 the information-call budget ``max_info_calls`` of golden section, B-GOLS and
 I-GOLS.
 
-Each search is an ask/tell generator: it yields ``("value", alpha)`` or
-``("deriv", alpha)`` requests, receives F(alpha) or F'(alpha) in reply, and
-returns ``(alpha, reason, intervals)``.  It reads only the numbers it is sent
-and the running count of its requests.  One wrapper generator,
-:func:`_drive`, passes the requests on and counts them, then clamps the
-returned step into ``[ALPHA_MIN, alpha_max]`` and returns the
-:class:`LineSearchOutcome`.  The public searches answer a driven search
-through a probe; :func:`make_search` hands it out unanswered, so that a
-caller such as :mod:`gols.trainer` can answer the requests of many searches
-at once.  Callers that resolve steps for steepest descent should pass
+Each search is an ask/tell generator.  It yields a list of requests,
+each ``("value", alpha)`` or ``("deriv", alpha)``, is sent the list of
+their replies, F(alpha) or F'(alpha), in the same order, and returns
+``(alpha, reason, intervals)``.  The requests of one list wait on no reply
+of each other; a search lists more than one only where it asks several
+steps before reading any answer:
+
+- its opening: golden section asks F(0) and the bracket steps of
+  :func:`_open_bracket` (2 or 4), B-GOLS the same steps as F', Armijo's
+  rule F(0), F'(0) and F(alpha_init), and I-GOLS F'(0) and F'(alpha_init);
+- golden section's first inner pair, once its bracket is found.
+
+Every other request is a list of one.  A search reads only the numbers it
+is sent and the running count of its requests, which grows by a whole list
+at a time, so it checks its budget between lists only.  One wrapper
+generator, :func:`_drive`, passes the lists on and counts their requests,
+then clamps the returned step into ``[ALPHA_MIN, alpha_max]``
+(:func:`_outcome`) and returns the :class:`LineSearchOutcome`.  The public
+searches answer a driven search through a probe, one request at a time in
+list order; :func:`make_search` hands it out unanswered, so that a caller
+that answers the requests of many searches at once can do so, and
+:mod:`gols.trainer` drives the raw searches of :func:`_search` itself.
+Callers that resolve steps for steepest descent should pass
 ``alpha_max=effective_alpha_max(norm(g))`` so that unbounded descent
 directions cannot produce runaway steps.
 """
@@ -94,27 +107,37 @@ def effective_alpha_max(gradient_norm: float) -> float:
     return min(1.0 / gradient_norm, ALPHA_CAP)
 
 
-def _drive(search, alpha_max, *args):
-    """``search(spent, alpha_max, *args)`` as a counted, clamped ask/tell
+def _drive(search, finish, alpha_max, *args):
+    """``search(spent, alpha_max, *args)`` as a counted, finished ask/tell
     generator.
 
-    Yields the search's ``(kind, alpha)`` requests, sends it each reply and
-    returns the :class:`LineSearchOutcome`.  ``spent`` is the
+    Yields the search's request lists, sends it each list of replies and
+    returns ``finish(spent, alpha_max, result)`` of what it returns:
+    :func:`_outcome` for the four searches.  ``spent`` is the
     :class:`~gols.probe.EvalCounter` of the requests passed on so far;
     searches check their budget against it.
     """
     spent = EvalCounter()
     requests = search(spent, alpha_max, *args)
     try:
-        request = next(requests)
+        asks = next(requests)
         while True:
-            if request[0] == "value":
-                spent.functions += 1
-            else:
-                spent.gradients += 1
-            request = requests.send((yield request))
+            for kind, _ in asks:
+                if kind == "value":
+                    spent.functions += 1
+                else:
+                    spent.gradients += 1
+            asks = requests.send((yield asks))
     except StopIteration as done:
-        alpha, reason, intervals = done.value
+        return finish(spent, alpha_max, done.value)
+
+
+def _outcome(spent, alpha_max, result):
+    """The :class:`LineSearchOutcome` of a search that returned ``result``,
+    ``(alpha, reason, intervals)``, and spent ``spent``: its step clamped
+    into ``[ALPHA_MIN, alpha_max]``, with ``cap_max`` or ``cap_min`` as the
+    reason when a bound clamps it."""
+    alpha, reason, intervals = result
     if alpha > alpha_max:
         alpha, reason = alpha_max, "cap_max"
     if alpha < ALPHA_MIN:
@@ -126,37 +149,35 @@ def _drive(search, alpha_max, *args):
 def _answer(probe, requests):
     """Run a driven search to its outcome, answering through ``probe``.
 
-    The probe's methods are looked up on every search, so wrappers installed
-    on the class see each evaluation.
+    The requests of a list are answered one by one in order, so the probe
+    draws their samples and counts them as it would one request at a time,
+    and the first non-finite reply raises its ``ValueError`` before the
+    requests after it are evaluated.  The probe's methods are looked up on
+    every search, so wrappers installed on the class see each evaluation.
     """
     answer = {"value": probe.value, "deriv": probe.deriv}
     try:
-        kind, alpha = next(requests)
+        asks = next(requests)
         while True:
-            kind, alpha = requests.send(answer[kind](alpha))
+            asks = requests.send([answer[kind](alpha) for kind, alpha in asks])
     except StopIteration as done:
         return done.value
 
 
-def _open_bracket(kind, alpha_max):
-    """Evaluate ``_DELTA`` and ``_DELTA + _GOLDEN * _DELTA``; when the latter
-    overshoots ``alpha_max``, evaluate the midpoint of ``[0, alpha_max]`` and
-    ``alpha_max`` instead.
+def _open_bracket(alpha_max):
+    """The opening bracket steps of golden section and B-GOLS: ``_DELTA``
+    and ``_DELTA + _GOLDEN * _DELTA``, then, when the latter overshoots
+    ``alpha_max``, the midpoint of ``[0, alpha_max]`` and ``alpha_max``.
 
-    Returns ``(first, (mid, y_mid), (high, y_high))`` where ``first`` is the
-    ``(_DELTA, y)`` pair evaluated first.
+    The first two steps are asked even when they lie beyond the cap, so
+    they can spend evaluations at steps the search never accepts (ROADMAP
+    item 5).  A search asks them all in one list: the last two steps give
+    its bracket, and the first is a point it has seen.
     """
-    mid = _DELTA
-    high = mid + _GOLDEN * _DELTA
-    y_mid = yield kind, mid
-    y_high = yield kind, high
-    first = (mid, y_mid)
+    high = _DELTA + _GOLDEN * _DELTA
     if high > alpha_max:
-        high = alpha_max
-        mid = 0.5 * high
-        y_mid = yield kind, mid
-        y_high = yield kind, high
-    return first, (mid, y_mid), (high, y_high)
+        return [_DELTA, high, 0.5 * alpha_max, alpha_max]
+    return [_DELTA, high]
 
 
 def _value(point):
@@ -176,16 +197,18 @@ def golden_section(probe, *, alpha_max: float = ALPHA_CAP,
     ``max_info_calls`` is checked before each growth or refinement step, not
     before the opening evaluations, so the search can spend a few calls more.
     """
-    return _answer(probe, _drive(_golden_section, alpha_max, max_info_calls))
+    return _answer(probe, _drive(_golden_section, _outcome, alpha_max, max_info_calls))
 
 
 def _golden_section(spent, alpha_max, max_info_calls):
-    f0 = yield "value", 0.0
-    first, (mid, f_mid), (high, f_high) = yield from _open_bracket(
-        "value", alpha_max)
+    steps = _open_bracket(alpha_max)
+    f0, *values = yield [("value", 0.0)] + [("value", step) for step in steps]
+    mid, high = steps[-2:]
+    f_mid, f_high = values[-2:]
     # Lowest value seen, earliest first: the step returned when the budget
     # runs out while the bracket grows.
-    best = min((0.0, f0), first, (high, f_high), (mid, f_mid), key=_value)
+    best = min((0.0, f0), (_DELTA, values[0]), (high, f_high), (mid, f_mid),
+               key=_value)
 
     if f_mid >= f0:
         # First probe already increased: a minimizer sits below mid.
@@ -200,26 +223,25 @@ def _golden_section(spent, alpha_max, max_info_calls):
             j += 1
             if high > alpha_max:
                 return high, "cap_max", []
-            f_high = yield "value", high
+            f_high, = yield [("value", high)]
             best = min(best, (high, f_high), key=_value)
         a, b = low, high
 
     intervals = []
     inner_low = b - (b - a) / _GOLDEN
     inner_high = a + (b - a) / _GOLDEN
-    f_il = yield "value", inner_low
-    f_ih = yield "value", inner_high
+    f_il, f_ih = yield [("value", inner_low), ("value", inner_high)]
     while b - a > _TOL and spent.info_calls < max_info_calls:
         if f_il < f_ih:
             b = inner_high
             inner_high, f_ih = inner_low, f_il
             inner_low = b - (b - a) / _GOLDEN
-            f_il = yield "value", inner_low
+            f_il, = yield [("value", inner_low)]
         else:
             a = inner_low
             inner_low, f_il = inner_high, f_ih
             inner_high = a + (b - a) / _GOLDEN
-            f_ih = yield "value", inner_high
+            f_ih, = yield [("value", inner_high)]
         intervals.append(b - a)
     reason = "tolerance" if b - a <= _TOL else "budget"
     return 0.5 * (a + b), reason, intervals
@@ -235,21 +257,21 @@ def armijo(probe, alpha_init: float, *,
     halved until the first pass.  Spends exactly one gradient evaluation, at
     the origin.
     """
-    return _answer(probe, _drive(_armijo, alpha_max, alpha_init))
+    return _answer(probe, _drive(_armijo, _outcome, alpha_max, alpha_init))
 
 
 def _armijo(spent, alpha_max, alpha_init):
-    f0 = yield "value", 0.0
-    slope0 = yield "deriv", 0.0
+    alpha = min(max(alpha_init, ALPHA_MIN), alpha_max)
+    f0, slope0, f_alpha = yield [("value", 0.0), ("deriv", 0.0), ("value", alpha)]
 
     def acceptable(alpha, value):
         return value < f0 + alpha * _DECREASE_FRACTION * slope0
 
-    alpha = min(max(alpha_init, ALPHA_MIN), alpha_max)
-    if acceptable(alpha, (yield "value", alpha)):
+    if acceptable(alpha, f_alpha):
         while alpha < alpha_max:
             bigger = min(alpha * _ARMIJO_FACTOR, alpha_max)
-            if not acceptable(bigger, (yield "value", bigger)):
+            f_bigger, = yield [("value", bigger)]
+            if not acceptable(bigger, f_bigger):
                 return alpha, "tolerance", []
             alpha = bigger
         return alpha, "cap_max", []
@@ -258,7 +280,10 @@ def _armijo(spent, alpha_max, alpha_init):
         alpha = alpha / _ARMIJO_FACTOR
         # A step below ALPHA_MIN ends the search unevaluated; the driver
         # clamps it and reports cap_min.
-        if alpha < ALPHA_MIN or acceptable(alpha, (yield "value", alpha)):
+        if alpha < ALPHA_MIN:
+            return alpha, "tolerance", []
+        f_alpha, = yield [("value", alpha)]
+        if acceptable(alpha, f_alpha):
             return alpha, "tolerance", []
 
 
@@ -274,18 +299,19 @@ def bisection_gols(probe, *, alpha_max: float = ALPHA_CAP,
     its length falls below 1e-12.  Uses only gradient evaluations.
     ``max_info_calls`` is checked as in :func:`golden_section`.
     """
-    return _answer(probe, _drive(_bisection_gols, alpha_max, max_info_calls))
+    return _answer(probe, _drive(_bisection_gols, _outcome, alpha_max, max_info_calls))
 
 
 def _bisection_gols(spent, alpha_max, max_info_calls):
-    _, (mid, mid_slope), (high, high_slope) = yield from _open_bracket(
-        "deriv", alpha_max)
+    steps = _open_bracket(alpha_max)
+    *_, mid_slope, high_slope = yield [("deriv", step) for step in steps]
+    mid, high = steps[-2:]
     j = 1
     while high_slope < 0 and spent.info_calls < max_info_calls:
         mid, mid_slope = high, high_slope
         high = mid + _GOLDEN**j * _DELTA
         j += 1
-        high_slope = yield "deriv", high
+        high_slope, = yield [("deriv", high)]
         if high > alpha_max:
             return high, "cap_max", []
 
@@ -300,7 +326,7 @@ def _bisection_gols(spent, alpha_max, max_info_calls):
             high, high_slope = mid, mid_slope
         length = high - low
         mid = low + 0.5 * length
-        mid_slope = yield "deriv", mid
+        mid_slope, = yield [("deriv", mid)]
         intervals.append(length)
 
     if length <= _TOL:
@@ -323,13 +349,12 @@ def inexact_gols(probe, alpha_init: float, *, alpha_max: float = ALPHA_CAP,
     accepts the initial step immediately).  Uses only gradient evaluations.
     ``max_info_calls`` is checked before each doubling or halving.
     """
-    return _answer(probe, _drive(_inexact_gols, alpha_max, alpha_init, max_info_calls))
+    return _answer(probe, _drive(_inexact_gols, _outcome, alpha_max, alpha_init, max_info_calls))
 
 
 def _inexact_gols(spent, alpha_max, alpha_init, max_info_calls):
-    slope0 = yield "deriv", 0.0
     alpha = min(max(alpha_init, ALPHA_MIN), alpha_max)
-    slope = yield "deriv", alpha
+    slope0, slope = yield [("deriv", 0.0), ("deriv", alpha)]
     band = abs(slope0)
     if slope == band:
         return alpha, "tolerance", []
@@ -338,10 +363,12 @@ def _inexact_gols(spent, alpha_max, alpha_init, max_info_calls):
     while spent.info_calls < max_info_calls:
         if halve:
             alpha = alpha / _ETA
-            done = (yield "deriv", alpha) < band
+            slope, = yield [("deriv", alpha)]
+            done = slope < band
         else:
             alpha = alpha * _ETA
-            done = (yield "deriv", alpha) > band
+            slope, = yield [("deriv", alpha)]
+            done = slope > band
             if done:
                 alpha = alpha / _ETA
         # A step outside the bounds ends the search; the driver clamps it
@@ -351,34 +378,31 @@ def _inexact_gols(spent, alpha_max, alpha_init, max_info_calls):
     return alpha, "budget", []
 
 
-# Each resolver name's ``(alpha_init, alpha_max) -> search`` factory.
+# Each resolver name's raw search, ``(spent, alpha_max, alpha_init) ->
+# requests`` (see the module docstring).
 _SEARCHES = {
-    "gs": lambda alpha_init, alpha_max: _drive(
-        _golden_section, alpha_max, _MAX_INFO_CALLS),
-    "arls": lambda alpha_init, alpha_max: _drive(_armijo, alpha_max, alpha_init),
-    "bgols": lambda alpha_init, alpha_max: _drive(
-        _bisection_gols, alpha_max, _MAX_INFO_CALLS),
-    "igols": lambda alpha_init, alpha_max: _drive(
-        _inexact_gols, alpha_max, alpha_init, _MAX_INFO_CALLS),
+    "gs": lambda spent, alpha_max, alpha_init: _golden_section(
+        spent, alpha_max, _MAX_INFO_CALLS),
+    "arls": _armijo,
+    "bgols": lambda spent, alpha_max, alpha_init: _bisection_gols(
+        spent, alpha_max, _MAX_INFO_CALLS),
+    "igols": lambda spent, alpha_max, alpha_init: _inexact_gols(
+        spent, alpha_max, alpha_init, _MAX_INFO_CALLS),
 }
 RESOLVER_NAMES = tuple(_SEARCHES)
 
 
-def make_search(name: str):
-    """Map a resolver name to an ``(alpha_init, alpha_max) -> search``
-    factory.
+def _search(name: str):
+    """The raw search of resolver ``name`` and its finish: ``(search,
+    finish)``.
 
-    A search is a generator that yields ``("value", alpha)`` and
-    ``("deriv", alpha)`` requests, takes F(alpha) or F'(alpha) in reply and
-    returns its :class:`LineSearchOutcome`; the exact searches run with their
-    default budget.  Accepted names: those of :data:`RESOLVER_NAMES` and
-    ``fixed:<alpha>``.  The fixed resolver is a zero-cost oracle that asks
-    nothing and returns the given constant step unconditionally, bypassing
-    the step caps; the step must be finite and non-negative, since a negative
-    one ascends.
+    ``search(spent, alpha_max, alpha_init)`` makes the ask/tell generator of
+    request lists and ``finish(spent, alpha_max, result)`` the
+    :class:`LineSearchOutcome` of what it returns, as :func:`_drive` drives
+    them.  See :func:`make_search` for the names.
     """
     if name in _SEARCHES:
-        return _SEARCHES[name]
+        return _SEARCHES[name], _outcome
     if name.startswith("fixed:"):
         try:
             value = float(name.split(":", 1)[1])
@@ -386,16 +410,40 @@ def make_search(name: str):
             raise ValueError(f"bad fixed step size in resolver {name!r}") from None
         if not 0.0 <= value < math.inf:
             raise ValueError("fixed step size must be finite and non-negative")
-        return lambda alpha_init, alpha_max: _fixed_step(value)
+        return lambda spent, alpha_max, alpha_init: _fixed_step(value), _as_returned
     raise ValueError(
         f"unknown resolver {name!r}; choose one of {RESOLVER_NAMES} or fixed:<alpha>"
     )
+
+
+def make_search(name: str):
+    """Map a resolver name to an ``(alpha_init, alpha_max) -> search``
+    factory.
+
+    A search is a generator that yields lists of ``("value", alpha)`` and
+    ``("deriv", alpha)`` requests, takes the list of their replies, F(alpha)
+    or F'(alpha) in the same order, and returns its
+    :class:`LineSearchOutcome`; the requests of one list do not depend on
+    each other's replies.  The exact searches run with their default
+    budget.  Accepted names: those of :data:`RESOLVER_NAMES` and
+    ``fixed:<alpha>``.  The fixed resolver is a zero-cost oracle that asks
+    nothing and returns the given constant step unconditionally, bypassing
+    the step caps; the step must be finite and non-negative, since a negative
+    one ascends.
+    """
+    search, finish = _search(name)
+    return lambda alpha_init, alpha_max: _drive(search, finish, alpha_max, alpha_init)
 
 
 def _fixed_step(alpha):
     return LineSearchOutcome(alpha=alpha, function_evals=0, gradient_evals=0,
                              reason="tolerance")
     yield  # a search that asks nothing
+
+
+def _as_returned(spent, alpha_max, outcome):
+    """The fixed step's finish: the outcome it returned, unclamped."""
+    return outcome
 
 
 def make_resolver(name: str):

@@ -10,32 +10,37 @@ the running totals of one :class:`~gols.probe.EvalCounter`: the direction
 gradient of every iteration plus whatever its search spent.
 
 A run is an ask/tell generator: it asks for the gradient that gives its
-direction and for the F and F' requests of its search, and is sent the
+direction and for the F and F' requests of its search, a list at a time as
+the search lists them (see :mod:`gols.linesearch`), and is sent the
 answers.  Runs of a grid go in lockstep, their lines held in one
 :class:`~gols.probe.LineTable`: each run writes its origin and direction
 into its row once per iteration, and its search requests carry only a step
-size and a sample.  Each round takes the pending request of every active
-run and answers them in stacked calls of the objective, one for the
-requests of each sample shape: a backprop if any of them asks for a
-gradient or a slope, else a forward pass alone.  The table builds the
-round's search points and takes its slopes.  No search reads the trace
-losses, so a run hands each point it reaches to the grid's metric queue
-and goes on in the same round; the queue fills the loss cells of many runs
-and iterations from one forward pass.  Every run keeps its own sampler, so
-its samples are drawn in the same order as when it trains alone;
-:func:`sgd_train` is the grid of one run.  A run with a callable resolver
-hands it a :class:`~gols.probe.DirectionalProbe`, which evaluates point by
-point outside the rounds.
+size and a sample.  Each round takes the pending list of every active run
+and answers all their requests in stacked calls of the objective, one for
+the requests of each sample shape: a backprop if any of them asks for a
+gradient or a slope, else a forward pass alone.  So a search's opening
+(three requests of Armijo's rule, two of I-GOLS, three or five of golden
+section, two or four of B-GOLS) and golden section's first inner pair each
+take one round.  The table builds the round's search points and takes its
+slopes.  No search reads the trace losses, so a run hands each point it
+reaches to the grid's metric queue and goes on in the same round; the
+queue fills the loss cells of many runs and iterations from one forward
+pass.  Every run keeps its own sampler, so its samples are drawn in the
+same order as when it trains alone; :func:`sgd_train` is the grid of one
+run.  A run with a callable resolver hands it a
+:class:`~gols.probe.DirectionalProbe`, which evaluates point by point
+outside the rounds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from gols.data import BatchSampler, Dataset, Split, check_count
-from gols.linesearch import ALPHA_MIN, effective_alpha_max, make_search
+from gols.linesearch import ALPHA_MIN, _search, effective_alpha_max, make_search
 from gols.net import Network
 from gols.probe import POLICIES, BatchObjective, DirectionalProbe, EvalCounter, LineTable
 
@@ -139,16 +144,22 @@ def sgd_train(model, x0, sampler, resolver, iterations, metrics,
 def _descend(model, x0, sampler, resolver, iterations, policy, lines, run):
     """One run of :func:`sgd_train` as an ask/tell generator.
 
-    Yields the direction gradient ``("grad", point, sample)`` and its
-    search's ``("value", alpha, sample)`` and ``("deriv", alpha, sample)``
-    requests, which are asked on row ``run`` of the
+    Yields lists of requests, each ``(kind, at, sample)``, and is sent the
+    list of their replies in the same order: the direction gradient
+    ``[("grad", point, sample)]``, and its search's request lists (see
+    :mod:`gols.linesearch`) as ``("value", alpha, sample)`` and
+    ``("deriv", alpha, sample)``, asked on row ``run`` of the
     :class:`~gols.probe.LineTable` ``lines``, written before each search.
+    Each request of a list draws its own sample, in list order, as the
+    probe draws one per request.  A list that cannot be answered is sent
+    the first ``ValueError`` of its replies in list order, thrown in.
     After the initial row and each step it yields ``("metrics", point,
     (losses, n))``, which is sent no reply: the losses of ``point`` belong
     in row ``n`` of ``losses``, a plain ndarray view of the trace's loss
     columns.  Returns the :class:`TrainTrace`.
     """
-    search = make_search(resolver) if isinstance(resolver, str) else None
+    search, finish = _search(resolver) if isinstance(resolver, str) else (None, None)
+    resample = policy == "resample"
     x = np.array(x0, dtype=float)
 
     rows = np.recarray(iterations + 1, dtype=_TRACE_DTYPE)
@@ -160,11 +171,13 @@ def _descend(model, x0, sampler, resolver, iterations, policy, lines, run):
     alpha_prev = ALPHA_MIN
     for n in range(1, iterations + 1):
         batch = sampler.sample()
-        g = yield "grad", x, batch
+        g, = yield [("grad", x, batch)]
         spent.gradients += 1
-        if not np.all(np.isfinite(g)):
-            raise RuntimeError(f"non-finite gradient at iteration {n}")
         gnorm = float(np.linalg.norm(g))
+        # The norm is finite when every entry is; a finite gradient whose
+        # norm overflows goes on to effective_alpha_max, which rejects it.
+        if not math.isfinite(gnorm) and not np.isfinite(g).all():
+            raise RuntimeError(f"non-finite gradient at iteration {n}")
 
         if gnorm == 0.0:
             alpha = 0.0  # converged on this batch: nothing to search along
@@ -176,22 +189,31 @@ def _descend(model, x0, sampler, resolver, iterations, policy, lines, run):
                                          fixed_sample=batch if policy == "fixed" else None)
                 outcome = resolver(probe, alpha_init, alpha_max)
             else:
+                # The search driven as gols.linesearch._drive drives it, with
+                # a sample drawn for each request as it is counted.
                 lines.set(run, x, -g)
                 fixed = batch if policy == "fixed" else None
-                requests = search(alpha_init, alpha_max)
+                counted = EvalCounter()
+                requests = search(counted, alpha_max, alpha_init)
                 try:
-                    kind, alpha = next(requests)
+                    asks = next(requests)
                     while True:
-                        sample = sampler.sample() if policy == "resample" else fixed
-                        kind, alpha = requests.send((yield kind, alpha, sample))
+                        asked = []
+                        for kind, alpha in asks:
+                            if kind == "value":
+                                counted.functions += 1
+                            else:
+                                counted.gradients += 1
+                            asked.append((kind, alpha, sampler.sample() if resample else fixed))
+                        asks = requests.send((yield asked))
                 except StopIteration as done:
-                    outcome = done.value
+                    outcome = finish(counted, alpha_max, done.value)
             alpha = alpha_prev = outcome.alpha
             spent.functions += outcome.function_evals
             spent.gradients += outcome.gradient_evals
             x = x - alpha * g
 
-        if not np.isfinite(alpha) or not np.all(np.isfinite(x)):
+        if not math.isfinite(alpha) or not np.isfinite(x).all():
             raise RuntimeError(f"non-finite step at iteration {n}")
         rows[n] = (n, alpha, gnorm, np.nan, np.nan, np.nan, spent.cost, spent.info_calls)
         yield "metrics", x, (losses, n)
@@ -228,6 +250,8 @@ def _lockstep(model, metrics, lines, runs) -> list:
             run = runs[i]
             try:
                 request = run.throw(reply) if isinstance(reply, ValueError) else run.send(reply)
+                # A metric request is a tuple; a list of requests starts with
+                # a request tuple, never equal to "metrics".
                 while request[0] == "metrics":
                     queue.append((i, request[1], *request[2]))
                     queued.add(i)
@@ -266,42 +290,62 @@ def _measure(metrics, queue) -> dict:
 
 
 def _answer_round(model, lines, pending) -> dict:
-    """Replies to one round's ``{run: request}``, every one a direction
-    gradient or a search request.
+    """Replies to one round's ``{run: requests}``, every one a list of
+    search requests or a direction gradient alone, whose samples are of one
+    shape.
 
-    A group is the requests of one sample shape, and each group takes one
-    stacked call: a backprop (``model.losses_and_gradients``) when any
-    request of the group asks for a gradient or a slope, which also gives
-    the losses of its ``value`` requests, else a forward pass alone
-    (``model.losses``).  The points of a group's search requests come from
-    ``lines`` in one array operation and their replies, F or F', in another
-    (:meth:`LineTable.replies`); a search request whose step size or reply
-    is not finite is answered with the ``ValueError`` its run raises.  Each
-    row of a stacked call is evaluated on its own, so a group puts its
-    search requests first and its direction gradients after them.
+    A run's reply is the list of its replies in order, or the first
+    ``ValueError`` among them in list order: a search request whose step
+    size or reply is not finite is answered with the ``ValueError`` its run
+    raises.  A group is the runs of one sample shape, and each group takes
+    one stacked call for all the requests of its runs: a backprop
+    (``model.losses_and_gradients``) when any of them asks for a gradient
+    or a slope, which also gives the losses of its ``value`` requests, else
+    a forward pass alone (``model.losses``).  The points of a group's search
+    requests come from ``lines`` in one array operation and their replies,
+    F or F', in another (:meth:`LineTable.replies`).  Each row of a stacked
+    call is evaluated on its own, so a group puts its search requests first,
+    each run's in list order, and its direction gradients after them.
     """
     groups = {}
-    for i, (_, _, sample) in pending.items():
-        groups.setdefault(None if sample is None else getattr(sample, "shape", ()),
-                          []).append(i)
+    for i, asked in pending.items():
+        kind, _, sample = asked[0]
+        key = None if sample is None else getattr(sample, "shape", ())
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = ([], [])
+        group[kind == "grad"].append(i)
     replies = {}
-    for group in groups.values():
-        group.sort(key=lambda i: pending[i][0] == "grad")
-        kinds, ats, samples = zip(*[pending[i] for i in group])
-        found = len(group) - kinds.count("grad")
-        runs = np.array(group[:found], dtype=np.intp)
-        alphas, slope = ats[:found], [kind == "deriv" for kind in kinds[:found]]
-        points = lines.points(runs, alphas)
-        if found < len(group):
-            points = np.concatenate([points, ats[found:]])
-        if found < len(group) or "deriv" in kinds:
-            losses, grads = model.losses_and_gradients(points, samples)
-            replies.update(zip(group[:found], lines.replies(
-                runs, alphas, slope, losses[:found], grads[:found])))
-            replies.update(zip(group[found:], grads[found:]))
+    for searches, grads in groups.values():
+        # The group's search requests as columns, in one pass.
+        runs, alphas, slope, samples = [], [], [], []
+        for i in searches:
+            for kind, alpha, sample in pending[i]:
+                runs.append(i)
+                alphas.append(alpha)
+                slope.append(kind == "deriv")
+                samples.append(sample)
+        found = len(runs)
+        rows = np.array(runs, dtype=np.intp)
+        points = lines.points(rows, alphas)
+        if grads:
+            points = np.concatenate([points, [pending[i][0][1] for i in grads]])
+            samples += [pending[i][0][2] for i in grads]
+        if grads or True in slope:
+            losses, gradients = model.losses_and_gradients(points, samples)
+            answers = lines.replies(rows, alphas, slope, losses[:found], gradients[:found])
+            for i, g in zip(grads, gradients[found:]):
+                replies[i] = [g]
         else:
-            replies.update(zip(group, lines.replies(
-                runs, alphas, slope, model.losses(points, samples))))
+            answers = lines.replies(rows, alphas, slope, model.losses(points, samples))
+        failed = ValueError in map(type, answers)
+        end = 0
+        for i in searches:
+            start, end = end, end + len(pending[i])
+            reply = answers[start:end]
+            if failed:
+                reply = next((a for a in reply if type(a) is ValueError), reply)
+            replies[i] = reply
     return replies
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -424,3 +425,56 @@ class TestNonFiniteLines:
         probe = make_1d_probe(*NON_FINITE_LINES[line])
         with pytest.raises(ValueError, match="non-finite"):
             make_resolver(name)(probe, 0.25, ALPHA_CAP)
+
+
+# The (kind, alpha) requests a probe answers for each public search started
+# at alpha_init = 0.25 on F(a) = 0.5 (a - 7.5)^2, keyed by (search,
+# alpha_max): at alpha_max = 10 the bracket step 5 + 5 phi overshoots the cap,
+# at 1e7 it does not.  Each entry is (request count, the first 16 hex digits
+# of the sha256 of the repr of the whole request list, its first 7 requests).
+# A probe draws one sample per request in this order, so these pins also fix
+# which sample answers which request.
+REQUEST_ORDER = {
+    ("gs", 10.0): (70, "877998d3461dcff2", [
+        ("value", 0.0), ("value", 5.0), ("value", 13.090169943749475),
+        ("value", 5.0), ("value", 10.0), ("value", 3.819660112501052),
+        ("value", 6.180339887498948)]),
+    ("gs", 1e7): (68, "e36548d98fbccb03", [
+        ("value", 0.0), ("value", 5.0), ("value", 13.090169943749475),
+        ("value", 5.0), ("value", 8.090169943749475), ("value", 10.0),
+        ("value", 6.9098300562505255)]),
+    ("arls", 10.0): (9, "d07cf7921e6eac28", [
+        ("value", 0.0), ("deriv", 0.0), ("value", 0.25), ("value", 0.5),
+        ("value", 1.0), ("value", 2.0), ("value", 4.0)]),
+    ("arls", 1e7): (9, "2d70d32fd38473da", [
+        ("value", 0.0), ("deriv", 0.0), ("value", 0.25), ("value", 0.5),
+        ("value", 1.0), ("value", 2.0), ("value", 4.0)]),
+    ("bgols", 10.0): (48, "e5520f9c1723bd57", [
+        ("deriv", 5.0), ("deriv", 13.090169943749475), ("deriv", 5.0),
+        ("deriv", 10.0), ("deriv", 7.5), ("deriv", 6.25), ("deriv", 6.875)]),
+    ("bgols", 1e7): (46, "e8a5dd6c9b9f248d", [
+        ("deriv", 5.0), ("deriv", 13.090169943749475), ("deriv", 9.045084971874736),
+        ("deriv", 7.022542485937368), ("deriv", 8.033813728906052),
+        ("deriv", 7.52817810742171), ("deriv", 7.275360296679539)]),
+    ("igols", 10.0): (8, "3e65e2aaf2f7d654", [
+        ("deriv", 0.0), ("deriv", 0.25), ("deriv", 0.5), ("deriv", 1.0),
+        ("deriv", 2.0), ("deriv", 4.0), ("deriv", 8.0)]),
+    ("igols", 1e7): (8, "3e65e2aaf2f7d654", [
+        ("deriv", 0.0), ("deriv", 0.25), ("deriv", 0.5), ("deriv", 1.0),
+        ("deriv", 2.0), ("deriv", 4.0), ("deriv", 8.0)]),
+}
+
+
+class TestRequestOrder:
+    @pytest.mark.parametrize("name,alpha_max", sorted(REQUEST_ORDER))
+    def test_probe_sees_the_pinned_requests(self, name, alpha_max):
+        probe = make_1d_probe(lambda a: 0.5 * (a - 7.5) ** 2, lambda a: a - 7.5)
+        seen = []
+        value, deriv = probe.value, probe.deriv
+        probe.value = lambda alpha: seen.append(("value", alpha)) or value(alpha)
+        probe.deriv = lambda alpha: seen.append(("deriv", alpha)) or deriv(alpha)
+        PUBLIC[name](probe, 0.25, alpha_max)
+        count, digest, opening = REQUEST_ORDER[name, alpha_max]
+        assert seen[:7] == opening
+        assert len(seen) == count
+        assert hashlib.sha256(repr(seen).encode()).hexdigest()[:16] == digest

@@ -3,9 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gols.data import BatchSampler, builtin_dataset, split_3_1_1
-from gols.linesearch import (ALPHA_MIN, LineSearchOutcome, armijo, bisection_gols,
-                             effective_alpha_max, golden_section, inexact_gols,
-                             make_resolver)
+from gols.linesearch import (ALPHA_MIN, LineSearchOutcome, _answer, armijo,
+                             bisection_gols, effective_alpha_max, golden_section,
+                             inexact_gols, make_resolver)
 from gols.net import Network
 from gols.probe import (POLICIES, BatchObjective, DirectionalProbe, KeyStream, LineTable,
                         SyntheticObjective)
@@ -357,7 +357,7 @@ class TestLockstepGrid:
         assert_same_bytes(trace, rows)
 
     @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("resolver", ["arls", "gs", "bgols"])
+    @pytest.mark.parametrize("resolver", ["arls", "gs", "bgols", "igols"])
     def test_requests_reach_the_model_in_draw_order(self, resolver, policy):
         # The grid evaluates each request at the point, and on the sample, the
         # per-point probe evaluates it at, in the same order: the direction
@@ -371,7 +371,17 @@ class TestLockstepGrid:
                                lambda x: metrics(x[None])[0], policy)
         assert_same_bytes(trace, rows)
         assert len(grid.seen) > 8
-        assert grid.seen == loop.seen
+        # ARLS asks F(0), F'(0) and F(alpha_init) in one list, so the backprop
+        # that answers F'(0) also answers both F: the grid records a G where
+        # the loop's probe records an F, at the records just before and just
+        # after each F'(0), every second G of the loop.  Nothing else differs.
+        grads = [k for k, (kind, _, _) in enumerate(loop.seen) if kind == "G"]
+        origin_slopes = grads[1::2] if resolver == "arls" else []
+        from_backprop = {k + step for k in origin_slopes for step in (-1, 1)}
+        assert len(from_backprop) == (8 if resolver == "arls" else 0)
+        assert all(loop.seen[k][0] == "F" for k in from_backprop)
+        assert grid.seen == [("G", *seen[1:]) if k in from_backprop else seen
+                             for k, seen in enumerate(loop.seen)]
 
     @pytest.mark.parametrize("kind", ["value", "deriv"])
     def test_first_run_with_a_non_finite_reply_raises(self, kind):
@@ -383,22 +393,54 @@ class TestLockstepGrid:
         lines = LineTable(2, 1)
         seen = []
 
-        def run(row, alphas):
+        def run(row, lists):
             lines.set(row, np.zeros(1), np.ones(1))
             try:
-                for alpha in alphas:
-                    seen.append((row, (yield kind, alpha, None)))
+                for alphas in lists:
+                    seen.append((row, (yield [(kind, alpha, None) for alpha in alphas])))
             except ValueError:
                 seen.append((row, "raised"))
                 raise
 
         with pytest.raises(ValueError) as grid:
-            _lockstep(model, None, lines, [run(0, [0.5, 0.75, 7.0]), run(1, [5.0])])
+            _lockstep(model, None, lines, [run(0, [[0.5], [0.75], [7.0]]), run(1, [[5.0]])])
         probe = DirectionalProbe(model, np.zeros(1), np.ones(1), policy="full")
         with pytest.raises(ValueError) as alone:
             getattr(probe, kind)(7.0)
         assert str(grid.value) == str(alone.value)
         assert seen[-1] == (0, "raised") and (1, "raised") in seen
+
+    @pytest.mark.parametrize("kind", ["value", "deriv"])
+    def test_non_finite_second_request_of_a_list_raises(self, kind):
+        # The second of three requests in a list is non-finite: the run is
+        # thrown the probe's error, and the probe, answering the list in
+        # order, raises it before it evaluates the third request.
+        model = SyntheticObjective(lambda x: np.nan if x[0] > 1.0 else float(x[0]),
+                                   lambda x: np.full(1, np.nan if x[0] > 1.0 else 1.0))
+        lines = LineTable(1, 1)
+        replies = []
+
+        def run():
+            lines.set(0, np.zeros(1), np.ones(1))
+            replies.append((yield [(kind, 0.5, None)]))
+            replies.append((yield [(kind, alpha, None) for alpha in (0.75, 7.0, 0.25)]))
+
+        def search():
+            yield [(kind, 0.5)]
+            yield [(kind, alpha) for alpha in (0.75, 7.0, 0.25)]
+
+        with pytest.raises(ValueError) as grid:
+            _lockstep(model, None, lines, [run()])
+        probe = DirectionalProbe(model, np.zeros(1), np.ones(1), policy="full")
+        evaluated = []
+        answer = getattr(probe, kind)
+        setattr(probe, kind, lambda alpha: evaluated.append(alpha) or answer(alpha))
+        with pytest.raises(ValueError) as alone:
+            _answer(probe, search())
+        name = "F" if kind == "value" else "F'"
+        assert str(grid.value) == str(alone.value) == f"non-finite {name}(7.0) = nan"
+        assert replies == [[0.5 if kind == "value" else 1.0]]
+        assert evaluated == [0.5, 0.75, 7.0]
 
     def test_first_failing_run_in_order_raises(self, iris_setup):
         # Run 2 fails in an earlier round than run 1; a run-by-run loop
@@ -418,6 +460,32 @@ class TestLockstepGrid:
                    for k, resolver in enumerate(["igols", blow_up_at(5), blow_up_at(2)])]
         with pytest.raises(RuntimeError, match="^non-finite step at iteration 5$"):
             train_on_dataset(net, ds, split, configs)
+
+
+class TestRoundsPerIteration:
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("resolver,opening", [("arls", 3), ("igols", 2)])
+    def test_one_round_per_request_list(self, resolver, opening, policy, monkeypatch):
+        # No timing: a run alone takes one round for its direction gradient,
+        # one for its search's opening list and one for each later request,
+        # whose number the trace's counters give.
+        asked = []
+
+        def counting(model, lines, pending):
+            if pending:
+                (requests,) = pending.values()
+                asked.append(len(requests))
+            return answer_round(model, lines, pending)
+
+        answer_round = trainer._answer_round
+        monkeypatch.setattr(trainer, "_answer_round", counting)
+        model, metrics = quadratic_problem([3.0, -2.0, 1.0], noise=0.05)
+        trace = sgd_train(model, np.zeros(3), KeyStream(7), resolver, 20, metrics,
+                          policy=policy)
+        expected = []
+        for searched in np.diff(trace.column("info_calls")) - 1:
+            expected += [1, opening] + [1] * (searched - opening)
+        assert asked == expected
 
 
 # -- the metric queue ----------------------------------------------------------
@@ -463,19 +531,45 @@ class TestMetricQueue:
             sgd_train(model, np.zeros(1), KeyStream(0), "fixed:0.5", 8,
                       losses_nan_between(5.0, 6.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_entry_fails_its_run(self, bad):
+        # One bad entry next to a finite one, from iteration 4 on.
+        model = SyntheticObjective(
+            LINE.func, lambda x: np.array([x[0] - 1.0, bad if x[0] > 0.8 else 0.0]))
+        with pytest.raises(RuntimeError, match="^non-finite gradient at iteration 4$"):
+            sgd_train(model, np.zeros(2), KeyStream(0), "fixed:0.5", 8,
+                      losses_nan_between(5.0, 6.0))
+
+    def test_finite_gradient_with_an_overflowing_norm_is_rejected(self):
+        model = SyntheticObjective(LINE.func, lambda x: np.full(2, 1e200))
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="^gradient norm must be finite, not inf$"):
+            sgd_train(model, np.zeros(2), KeyStream(0), "igols", 8,
+                      losses_nan_between(5.0, 6.0))
+
+    def test_overflowing_step_fails_its_run(self):
+        # A unit gradient everywhere: from 0 the step of 1e308 lands on
+        # -1e308, and the next one overflows.
+        model = SyntheticObjective(lambda x: 0.0, lambda x: np.ones(1))
+        with np.errstate(over="ignore"), pytest.raises(
+                RuntimeError, match="^non-finite step at iteration 2$"):
+            sgd_train(model, np.zeros(1), KeyStream(0), "fixed:1e308", 8,
+                      lambda points: np.zeros((len(points), 3)))
+
     def test_non_finite_loss_fails_a_single_run(self):
         with pytest.raises(RuntimeError, match="^non-finite loss at iteration 3$"):
             sgd_train(LINE, np.zeros(1), KeyStream(0), "fixed:0.5", 8,
                       losses_nan_between(0.8, 0.9))
 
     def test_loss_error_comes_ahead_of_a_later_error_of_its_run(self):
-        # Run 1's golden-section iterations take many rounds, so run 0's
-        # losses wait in the queue while it steps on; it meets an infinite
-        # step at iteration 5, but its losses at iterations 3 and 4 failed
-        # first, and the earlier one wins.
+        # Run 1's first golden-section iteration, from 1.5, refines a
+        # minimizer inside its cap and takes many rounds, so run 0's losses
+        # wait in the queue while it steps on; it meets an infinite step at
+        # iteration 5, but its losses at iterations 3 and 4 failed first, and
+        # the earlier one wins.
         resolver = step_of(0.5, blow_up_at=5)
         with pytest.raises(RuntimeError, match="^non-finite loss at iteration 3$"):
-            line_grid(losses_nan_between(0.8, 0.95), (0.0, resolver, 8), (3.0, "gs", 3))
+            line_grid(losses_nan_between(0.8, 0.95), (0.0, resolver, 8), (1.5, "gs", 3))
         assert resolver.calls == 5
 
     def test_first_failing_run_in_order_wins_over_a_loss_error(self):
@@ -502,7 +596,8 @@ class TestMetricQueue:
             return measure
 
         def objective_only(model, lines, pending):
-            assert all(request[0] != "metrics" for request in pending.values())
+            assert all(kind != "metrics" for requests in pending.values()
+                       for kind, _, _ in requests)
             return answer_round(model, lines, pending)
 
         answer_round = trainer._answer_round
