@@ -27,12 +27,11 @@ Every other request is a list of one.  A search reads only the numbers it
 is sent and the running count of its requests, which grows by a whole list
 at a time, so it checks its budget between lists only.  One wrapper
 generator, :func:`_drive`, passes the lists on and counts their requests,
-then clamps the returned step into ``[ALPHA_MIN, alpha_max]``
-(:func:`_outcome`) and returns the :class:`LineSearchOutcome`.  The public
-searches answer a driven search through a probe, one request at a time in
-list order; :func:`make_search` hands it out unanswered, so that a caller
-that answers the requests of many searches at once can do so, and
-:mod:`gols.trainer` drives the raw searches of :func:`_search` itself.
+then clamps the returned step into ``[ALPHA_MIN, alpha_max]`` and returns
+the :class:`LineSearchOutcome`.  The public searches answer a driven
+search through a probe, one request at a time in list order;
+:func:`make_search` hands it out unanswered, so that a caller that answers
+the requests of many searches at once can do so.
 Callers that resolve steps for steepest descent should pass
 ``alpha_max=effective_alpha_max(norm(g))`` so that unbounded descent
 directions cannot produce runaway steps.
@@ -107,13 +106,12 @@ def effective_alpha_max(gradient_norm: float) -> float:
     return min(1.0 / gradient_norm, ALPHA_CAP)
 
 
-def _drive(search, finish, alpha_max, *args):
-    """``search(spent, alpha_max, *args)`` as a counted, finished ask/tell
+def _drive(search, alpha_max, *args):
+    """``search(spent, alpha_max, *args)`` as a counted, clamped ask/tell
     generator.
 
     Yields the search's request lists, sends it each list of replies and
-    returns ``finish(spent, alpha_max, result)`` of what it returns:
-    :func:`_outcome` for the four searches.  ``spent`` is the
+    returns the :class:`LineSearchOutcome`.  ``spent`` is the
     :class:`~gols.probe.EvalCounter` of the requests passed on so far;
     searches check their budget against it.
     """
@@ -129,15 +127,7 @@ def _drive(search, finish, alpha_max, *args):
                     spent.gradients += 1
             asks = requests.send((yield asks))
     except StopIteration as done:
-        return finish(spent, alpha_max, done.value)
-
-
-def _outcome(spent, alpha_max, result):
-    """The :class:`LineSearchOutcome` of a search that returned ``result``,
-    ``(alpha, reason, intervals)``, and spent ``spent``: its step clamped
-    into ``[ALPHA_MIN, alpha_max]``, with ``cap_max`` or ``cap_min`` as the
-    reason when a bound clamps it."""
-    alpha, reason, intervals = result
+        alpha, reason, intervals = done.value
     if alpha > alpha_max:
         alpha, reason = alpha_max, "cap_max"
     if alpha < ALPHA_MIN:
@@ -197,7 +187,7 @@ def golden_section(probe, *, alpha_max: float = ALPHA_CAP,
     ``max_info_calls`` is checked before each growth or refinement step, not
     before the opening evaluations, so the search can spend a few calls more.
     """
-    return _answer(probe, _drive(_golden_section, _outcome, alpha_max, max_info_calls))
+    return _answer(probe, _drive(_golden_section, alpha_max, max_info_calls))
 
 
 def _golden_section(spent, alpha_max, max_info_calls):
@@ -257,7 +247,7 @@ def armijo(probe, alpha_init: float, *,
     halved until the first pass.  Spends exactly one gradient evaluation, at
     the origin.
     """
-    return _answer(probe, _drive(_armijo, _outcome, alpha_max, alpha_init))
+    return _answer(probe, _drive(_armijo, alpha_max, alpha_init))
 
 
 def _armijo(spent, alpha_max, alpha_init):
@@ -299,7 +289,7 @@ def bisection_gols(probe, *, alpha_max: float = ALPHA_CAP,
     its length falls below 1e-12.  Uses only gradient evaluations.
     ``max_info_calls`` is checked as in :func:`golden_section`.
     """
-    return _answer(probe, _drive(_bisection_gols, _outcome, alpha_max, max_info_calls))
+    return _answer(probe, _drive(_bisection_gols, alpha_max, max_info_calls))
 
 
 def _bisection_gols(spent, alpha_max, max_info_calls):
@@ -349,7 +339,7 @@ def inexact_gols(probe, alpha_init: float, *, alpha_max: float = ALPHA_CAP,
     accepts the initial step immediately).  Uses only gradient evaluations.
     ``max_info_calls`` is checked before each doubling or halving.
     """
-    return _answer(probe, _drive(_inexact_gols, _outcome, alpha_max, alpha_init, max_info_calls))
+    return _answer(probe, _drive(_inexact_gols, alpha_max, alpha_init, max_info_calls))
 
 
 def _inexact_gols(spent, alpha_max, alpha_init, max_info_calls):
@@ -378,42 +368,16 @@ def _inexact_gols(spent, alpha_max, alpha_init, max_info_calls):
     return alpha, "budget", []
 
 
-# Each resolver name's raw search, ``(spent, alpha_max, alpha_init) ->
-# requests`` (see the module docstring).
 _SEARCHES = {
-    "gs": lambda spent, alpha_max, alpha_init: _golden_section(
-        spent, alpha_max, _MAX_INFO_CALLS),
-    "arls": _armijo,
-    "bgols": lambda spent, alpha_max, alpha_init: _bisection_gols(
-        spent, alpha_max, _MAX_INFO_CALLS),
-    "igols": lambda spent, alpha_max, alpha_init: _inexact_gols(
-        spent, alpha_max, alpha_init, _MAX_INFO_CALLS),
+    "gs": lambda alpha_init, alpha_max: _drive(
+        _golden_section, alpha_max, _MAX_INFO_CALLS),
+    "arls": lambda alpha_init, alpha_max: _drive(_armijo, alpha_max, alpha_init),
+    "bgols": lambda alpha_init, alpha_max: _drive(
+        _bisection_gols, alpha_max, _MAX_INFO_CALLS),
+    "igols": lambda alpha_init, alpha_max: _drive(
+        _inexact_gols, alpha_max, alpha_init, _MAX_INFO_CALLS),
 }
 RESOLVER_NAMES = tuple(_SEARCHES)
-
-
-def _search(name: str):
-    """The raw search of resolver ``name`` and its finish: ``(search,
-    finish)``.
-
-    ``search(spent, alpha_max, alpha_init)`` makes the ask/tell generator of
-    request lists and ``finish(spent, alpha_max, result)`` the
-    :class:`LineSearchOutcome` of what it returns, as :func:`_drive` drives
-    them.  See :func:`make_search` for the names.
-    """
-    if name in _SEARCHES:
-        return _SEARCHES[name], _outcome
-    if name.startswith("fixed:"):
-        try:
-            value = float(name.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad fixed step size in resolver {name!r}") from None
-        if not 0.0 <= value < math.inf:
-            raise ValueError("fixed step size must be finite and non-negative")
-        return lambda spent, alpha_max, alpha_init: _fixed_step(value), _as_returned
-    raise ValueError(
-        f"unknown resolver {name!r}; choose one of {RESOLVER_NAMES} or fixed:<alpha>"
-    )
 
 
 def make_search(name: str):
@@ -431,19 +395,25 @@ def make_search(name: str):
     the step caps; the step must be finite and non-negative, since a negative
     one ascends.
     """
-    search, finish = _search(name)
-    return lambda alpha_init, alpha_max: _drive(search, finish, alpha_max, alpha_init)
+    if name in _SEARCHES:
+        return _SEARCHES[name]
+    if name.startswith("fixed:"):
+        try:
+            value = float(name.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"bad fixed step size in resolver {name!r}") from None
+        if not 0.0 <= value < math.inf:
+            raise ValueError("fixed step size must be finite and non-negative")
+        return lambda alpha_init, alpha_max: _fixed_step(value)
+    raise ValueError(
+        f"unknown resolver {name!r}; choose one of {RESOLVER_NAMES} or fixed:<alpha>"
+    )
 
 
 def _fixed_step(alpha):
     return LineSearchOutcome(alpha=alpha, function_evals=0, gradient_evals=0,
                              reason="tolerance")
     yield  # a search that asks nothing
-
-
-def _as_returned(spent, alpha_max, outcome):
-    """The fixed step's finish: the outcome it returned, unclamped."""
-    return outcome
 
 
 def make_resolver(name: str):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gols.data import BatchSampler, Dataset, Split, check_count
-from gols.linesearch import ALPHA_MIN, _search, effective_alpha_max, make_search
+from gols.linesearch import ALPHA_MIN, effective_alpha_max, make_search
 from gols.net import Network
 from gols.probe import POLICIES, BatchObjective, DirectionalProbe, EvalCounter, LineTable
 
@@ -158,7 +158,7 @@ def _descend(model, x0, sampler, resolver, iterations, policy, lines, run):
     in row ``n`` of ``losses``, a plain ndarray view of the trace's loss
     columns.  Returns the :class:`TrainTrace`.
     """
-    search, finish = _search(resolver) if isinstance(resolver, str) else (None, None)
+    search = make_search(resolver) if isinstance(resolver, str) else None
     resample = policy == "resample"
     x = np.array(x0, dtype=float)
 
@@ -174,8 +174,10 @@ def _descend(model, x0, sampler, resolver, iterations, policy, lines, run):
         g, = yield [("grad", x, batch)]
         spent.gradients += 1
         gnorm = float(np.linalg.norm(g))
-        # The norm is finite when every entry is; a finite gradient whose
-        # norm overflows goes on to effective_alpha_max, which rejects it.
+        # A NaN or infinite entry makes the norm NaN or infinite, so the
+        # entries are scanned only when the norm is not finite; a finite
+        # gradient whose norm overflows goes on to effective_alpha_max,
+        # which rejects it.
         if not math.isfinite(gnorm) and not np.isfinite(g).all():
             raise RuntimeError(f"non-finite gradient at iteration {n}")
 
@@ -189,25 +191,20 @@ def _descend(model, x0, sampler, resolver, iterations, policy, lines, run):
                                          fixed_sample=batch if policy == "fixed" else None)
                 outcome = resolver(probe, alpha_init, alpha_max)
             else:
-                # The search driven as gols.linesearch._drive drives it, with
-                # a sample drawn for each request as it is counted.
                 lines.set(run, x, -g)
                 fixed = batch if policy == "fixed" else None
-                counted = EvalCounter()
-                requests = search(counted, alpha_max, alpha_init)
+                requests = search(alpha_init, alpha_max)
                 try:
                     asks = next(requests)
                     while True:
+                        # A loop, not a list comprehension, which on
+                        # CPython 3.11 is a function call per list.
                         asked = []
                         for kind, alpha in asks:
-                            if kind == "value":
-                                counted.functions += 1
-                            else:
-                                counted.gradients += 1
                             asked.append((kind, alpha, sampler.sample() if resample else fixed))
                         asks = requests.send((yield asked))
                 except StopIteration as done:
-                    outcome = finish(counted, alpha_max, done.value)
+                    outcome = done.value
             alpha = alpha_prev = outcome.alpha
             spent.functions += outcome.function_evals
             spent.gradients += outcome.gradient_evals
