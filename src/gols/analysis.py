@@ -10,11 +10,7 @@ descent direction bottoms out regardless of how noisy the loss values are.
 
 The probe draws every node's sample first, in node order, exactly as a
 node-by-node walk would, and then evaluates all nodes in one stacked call
-(:meth:`DirectionalProbe.scan`), in blocks of at most 1024 batch rows.  The
-stacked and the node-by-node evaluation run the same forward pass and
-backprop, so F and F' could differ in the last bits only where numpy sums a
-stacked matrix product in another order than a single one; with numpy 2.4 on
-x86-64 they are bit-identical on every node compared.
+(:meth:`DirectionalProbe.scan`), in blocks of at most 1024 batch rows.
 """
 
 from __future__ import annotations
@@ -137,14 +133,15 @@ def scaled_descent_direction(model, origin, target_alpha=2.5):
     """Steepest-descent direction rescaled so that the deterministic
     minimizer along it falls at ``target_alpha``.
 
-    Resolves the sign change of the full-sample slope along ``-grad`` and
+    Resolves the sign change of the full-sample slope along ``-grad``, the
+    gradient from the objective's stacked ``losses_and_gradients``, and
     scales the direction so repeated stochastic scans of a fixed grid have
     their reference solution at a known interior location.  ``target_alpha``
     must be positive and finite.
     """
     if not 0.0 < target_alpha < math.inf:
         raise ValueError("target alpha must be positive and finite")
-    g = model.grad(origin, None)
+    g = model.losses_and_gradients([origin], [None])[1][0]
     gnorm = float(np.linalg.norm(g))
     if gnorm == 0.0:
         raise ValueError("gradient vanishes at the origin; no descent direction")

@@ -4,17 +4,20 @@ A probe freezes an origin point and a direction and exposes the loss and the
 directional derivative as functions of the step size alpha, while counting
 every evaluation.  The underlying objective is either a network over a data
 partition (:class:`BatchObjective`) or an analytic test problem
-(:class:`SyntheticObjective`); both speak the same interface
-``loss(x, sample)`` / ``grad(x, sample)`` where ``sample`` selects the
-sub-sampling realization and ``None`` means no sub-sampling at all, plus two
-stacked forms that evaluate many points, each with its own sample:
-``losses(points, samples)`` and ``losses_and_gradients(points, samples)``.
-The samples of one stacked call are either all ``None`` or all of one shape.
+(:class:`SyntheticObjective`).  A probe needs of it only two stacked calls
+that evaluate many points, each with its own sample:
+``losses(points, samples)`` and ``losses_and_gradients(points, samples)``,
+where a sample selects the sub-sampling realization and ``None`` means no
+sub-sampling at all.  The samples of one stacked call are either all
+``None`` or all of one shape.  Both objectives also keep the one-point
+forms ``loss(x, sample)`` and ``grad(x, sample)`` for direct use.
 
-A :class:`LineTable` holds the lines of a whole grid of runs, for
-:mod:`gols.trainer`, which answers the requests of every run's line search
-in one round: it builds all of a round's points in one array operation and
-takes all its slopes in another, with the bits a probe gives for each line.
+A :class:`LineTable` holds the lines of a whole grid of runs and answers the
+requests of every run's line search in one round (:meth:`LineTable.answer`):
+it builds all of a round's points in one array operation and takes all its
+slopes in another.  A :class:`DirectionalProbe` is a table of one line, so
+the searches, the scans and the training grid evaluate F and F' along a line
+through one path.
 """
 
 from __future__ import annotations
@@ -201,22 +204,132 @@ class KeyStream:
         return [self.sample() for _ in range(count)]
 
 
-class DirectionalProbe:
+class LineTable:
+    """The search lines of a grid of runs: row ``r`` of ``origins`` and
+    ``directions`` is the line of run ``r``, written by that run once per
+    iteration.
+
+    A round's search requests on many lines take one array operation for all
+    their points and one for all their slopes, and each point and slope has
+    the bits of its line alone: ``origin + alpha * direction`` elementwise,
+    and F' one dot product per row.  A :class:`DirectionalProbe` is a table
+    of one row.
+    """
+
+    def __init__(self, runs, num_params):
+        self.origins = np.zeros((runs, num_params))
+        self.directions = np.zeros((runs, num_params))
+
+    def set(self, run, origin, direction) -> None:
+        self.origins[run] = origin
+        self.directions[run] = direction
+
+    def points(self, runs, alphas) -> np.ndarray:
+        """The point at ``alphas[k]`` on the line of ``runs[k]``, one row
+        each; ``runs`` is an integer array."""
+        alphas = np.array(alphas, dtype=float)
+        return (self.origins.take(runs, axis=0)
+                + alphas[:, None] * self.directions.take(runs, axis=0))
+
+    def replies(self, runs, alphas, slope, losses, grads=None) -> list:
+        """The reply to each request on the lines of ``runs`` at ``alphas``:
+        F from ``losses``, or, where ``slope`` is true, F' from ``grads``, as
+        floats.
+
+        A request whose step size or reply is not finite gets, in place of
+        its reply, a ``ValueError`` that names it: ``step size must be
+        finite`` or, say, ``non-finite F'(5.0) = nan``.
+        """
+        replies = losses.tolist()
+        if grads is not None:
+            slopes = np.vecdot(grads, self.directions.take(runs, axis=0)).tolist()
+            replies = [s if d else f for d, s, f in zip(slope, slopes, replies)]
+        # A sum is finite when every term is; one that overflows only sends
+        # the round down the term-by-term check.
+        if not math.isfinite(sum(alphas) + sum(replies)):
+            for k, alpha in enumerate(alphas):
+                try:
+                    _finite("F'" if slope[k] else "F", _step(alpha), replies[k])
+                except ValueError as exc:
+                    replies[k] = exc
+        return replies
+
+    def answer(self, model, pending) -> dict:
+        """Replies to one round's ``{run: requests}``, every one a list of
+        search requests ``(kind, alpha, sample)`` on the line of ``run`` or a
+        direction gradient ``[("grad", point, sample)]`` alone, whose samples
+        are of one shape.
+
+        A run's reply is the list of its replies in order, or the first
+        ``ValueError`` among them in list order (see :meth:`replies`).  A
+        group is the runs of one sample shape, and each group takes one
+        stacked call of ``model`` for all the requests of its runs: a backprop
+        (``model.losses_and_gradients``) when any of them asks for a gradient
+        or a slope, which also gives the losses of its ``value`` requests,
+        else a forward pass alone (``model.losses``).  The points of a group's
+        search requests come from :meth:`points` in one array operation and
+        their replies, F or F', from :meth:`replies` in another.  Each row of
+        a stacked call is evaluated on its own, so a group puts its search
+        requests first, each run's in list order, and its direction gradients
+        after them.
+        """
+        groups = {}
+        for i, asked in pending.items():
+            kind, _, sample = asked[0]
+            key = None if sample is None else getattr(sample, "shape", ())
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = ([], [])
+            group[kind == "grad"].append(i)
+        replies = {}
+        for searches, grads in groups.values():
+            # The group's search requests as columns, in one pass.
+            runs, alphas, slope, samples = [], [], [], []
+            for i in searches:
+                for kind, alpha, sample in pending[i]:
+                    runs.append(i)
+                    alphas.append(alpha)
+                    slope.append(kind == "deriv")
+                    samples.append(sample)
+            found = len(runs)
+            rows = np.array(runs, dtype=np.intp)
+            points = self.points(rows, alphas)
+            if grads:
+                points = np.concatenate([points, [pending[i][0][1] for i in grads]])
+                samples += [pending[i][0][2] for i in grads]
+            if grads or True in slope:
+                losses, gradients = model.losses_and_gradients(points, samples)
+                answers = self.replies(rows, alphas, slope, losses[:found],
+                                       gradients[:found])
+                for i, g in zip(grads, gradients[found:]):
+                    replies[i] = [g]
+            else:
+                answers = self.replies(rows, alphas, slope, model.losses(points, samples))
+            failed = ValueError in map(type, answers)
+            end = 0
+            for i in searches:
+                start, end = end, end + len(pending[i])
+                reply = answers[start:end]
+                if failed:
+                    reply = next((a for a in reply if type(a) is ValueError), reply)
+                replies[i] = reply
+        return replies
+
+
+class DirectionalProbe(LineTable):
     """F(alpha) = loss at ``origin + alpha * direction``, with accounting.
 
-    The direction is used exactly as given (unnormalized).  Counters only
-    ever increase.  A non-finite F or F' raises ``ValueError`` rather than
-    reach a search, whose comparisons a NaN would silently steer.
+    A probe is a :class:`LineTable` of one row, and every F and F' it gives
+    comes from the objective's stacked calls, as the grid's do: ``value``
+    and ``deriv`` each answer a round of one request (:meth:`answer`), and
+    :meth:`scan` a whole grid of step sizes in one call, in blocks of at
+    most 1024 batch rows for a :class:`BatchObjective`.  So the objective
+    needs only ``losses`` and ``losses_and_gradients``.
 
-    :meth:`scan` evaluates F and F' at a whole grid of step sizes in one
-    stacked call, in blocks of at most 1024 batch rows for a
-    :class:`BatchObjective`.  Under ``resample`` it takes the node samples
-    in one ``sampler.samples(count)`` call, the draws of a
-    :meth:`value_and_deriv` loop over the grid, and it runs the same forward
-    pass and backprop (:mod:`gols.net`).  F and F' could differ
-    from that loop's in the last bits only where numpy sums a stacked matrix
-    product in another order than a single one; with numpy 2.4 on x86-64
-    they are bit-identical on every node compared.
+    The direction is used exactly as given (unnormalized).  Counters only
+    ever increase.  A non-finite step size raises ``ValueError`` before
+    anything is counted or drawn, and a non-finite F or F' raises one rather
+    than reach a search, whose comparisons a NaN would silently steer.
     """
 
     def __init__(self, model, origin, direction, policy="resample",
@@ -244,9 +357,8 @@ class DirectionalProbe:
         else:
             self.fixed_sample = None
         self.counter = EvalCounter()
-
-    def _point(self, alpha):
-        return self.origin + _step(alpha) * self.direction
+        # The table's one row, as views of the line.
+        self.origins, self.directions = self.origin[None], self.direction[None]
 
     def _sample(self):
         if self.policy == "full":
@@ -255,35 +367,32 @@ class DirectionalProbe:
             return self.fixed_sample
         return self._sampler.sample()
 
-    def _draw(self, kind, alpha):
-        """Point and sample of one ``value`` or ``deriv`` evaluation, counted."""
-        point = self._point(alpha)
+    def _ask(self, kind, alpha) -> float:
+        """F or F' at ``alpha`` as a round of one request, counted."""
+        alpha = _step(alpha)
         if kind == "value":
             self.counter.functions += 1
         else:
             self.counter.gradients += 1
-        return point, self._sample()
+        reply = self.answer(self.model, {0: [(kind, alpha, self._sample())]})[0]
+        if type(reply) is ValueError:
+            raise reply
+        return reply[0]
 
     def value(self, alpha) -> float:
         """F(alpha) under the probe's sampling policy; counts one loss eval."""
-        point, sample = self._draw("value", alpha)
-        return _finite("F", alpha, self.model.loss(point, sample))
+        return self._ask("value", alpha)
 
     def deriv(self, alpha) -> float:
         """F'(alpha), the gradient projected onto the direction; counts one
         gradient eval."""
-        point, sample = self._draw("deriv", alpha)
-        return _finite("F'", alpha, self.model.grad(point, sample) @ self.direction)
+        return self._ask("deriv", alpha)
 
     def value_and_deriv(self, alpha):
-        """F and F' at one step size sharing a single sample draw."""
-        point = self._point(alpha)
-        sample = self._sample()
-        self.counter.functions += 1
-        self.counter.gradients += 1
-        value = _finite("F", alpha, self.model.loss(point, sample))
-        slope = _finite("F'", alpha, self.model.grad(point, sample) @ self.direction)
-        return value, slope
+        """F and F' at one step size sharing a single sample draw: a scan
+        of one node."""
+        values, slopes = self.scan([alpha])
+        return float(values[0]), float(slopes[0])
 
     def scan(self, alphas):
         """F and F' at every step size of ``alphas``, one sample draw per node.
@@ -312,57 +421,6 @@ class DirectionalProbe:
             _finite("F", alphas[i], values[i])
             _finite("F'", alphas[i], slopes[i])
         return values, slopes
-
-
-class LineTable:
-    """The search lines of a grid of runs: row ``r`` of ``origins`` and
-    ``directions`` is the line of run ``r``, written by that run once per
-    iteration.
-
-    A round's search requests on many lines take one array operation for all
-    their points and one for all their slopes, and each point and slope has
-    the bits :class:`DirectionalProbe` gives for its own line:
-    ``origin + alpha * direction`` elementwise, and F' the one dot product
-    per row that :meth:`DirectionalProbe.deriv` takes.
-    """
-
-    def __init__(self, runs, num_params):
-        self.origins = np.zeros((runs, num_params))
-        self.directions = np.zeros((runs, num_params))
-
-    def set(self, run, origin, direction) -> None:
-        self.origins[run] = origin
-        self.directions[run] = direction
-
-    def points(self, runs, alphas) -> np.ndarray:
-        """The point at ``alphas[k]`` on the line of ``runs[k]``, one row
-        each; ``runs`` is an integer array."""
-        alphas = np.array(alphas, dtype=float)
-        return (self.origins.take(runs, axis=0)
-                + alphas[:, None] * self.directions.take(runs, axis=0))
-
-    def replies(self, runs, alphas, slope, losses, grads=None) -> list:
-        """The reply to each request on the lines of ``runs`` at ``alphas``:
-        F from ``losses``, or, where ``slope`` is true, F' from ``grads``, as
-        floats.
-
-        A request whose step size or reply is not finite gets, in place of
-        its reply, the ``ValueError`` that :meth:`DirectionalProbe.value` or
-        :meth:`DirectionalProbe.deriv` raises.
-        """
-        replies = losses.tolist()
-        if grads is not None:
-            slopes = np.vecdot(grads, self.directions.take(runs, axis=0)).tolist()
-            replies = [s if d else f for d, s, f in zip(slope, slopes, replies)]
-        # A sum is finite when every term is; one that overflows only sends
-        # the round down the term-by-term check.
-        if not math.isfinite(sum(alphas) + sum(replies)):
-            for k, alpha in enumerate(alphas):
-                try:
-                    _finite("F'" if slope[k] else "F", _step(alpha), replies[k])
-                except ValueError as exc:
-                    replies[k] = exc
-        return replies
 
 
 def _step(alpha) -> float:

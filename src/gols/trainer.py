@@ -11,25 +11,25 @@ gradient of every iteration plus whatever its search spent.
 
 A run is an ask/tell generator: it asks for the gradient that gives its
 direction and for the F and F' requests of its search, a list at a time as
-the search lists them (see :mod:`gols.linesearch`), and is sent the
-answers.  Runs of a grid go in lockstep, their lines held in one
+the search lists them (see :mod:`gols.linesearch`), and is sent the answers.
+Runs of a grid go in lockstep, their lines held in one
 :class:`~gols.probe.LineTable`: each run writes its origin and direction
 into its row once per iteration, and its search requests carry only a step
 size and a sample.  Each round takes the pending list of every active run
-and answers all their requests in stacked calls of the objective, one for
-the requests of each sample shape: a backprop if any of them asks for a
-gradient or a slope, else a forward pass alone.  So a search's opening
-(three requests of Armijo's rule, two of I-GOLS, three or five of golden
-section, two or four of B-GOLS) and golden section's first inner pair each
-take one round.  The table builds the round's search points and takes its
-slopes.  No search reads the trace losses, so a run hands each point it
-reaches to the grid's metric queue and goes on in the same round; the
-queue fills the loss cells of many runs and iterations from one forward
-pass.  Every run keeps its own sampler, so its samples are drawn in the
-same order as when it trains alone; :func:`sgd_train` is the grid of one
-run.  A run with a callable resolver hands it a
-:class:`~gols.probe.DirectionalProbe`, which evaluates point by point
-outside the rounds.
+and answers all their requests (:meth:`~gols.probe.LineTable.answer`) in
+stacked calls of the objective, one for the requests of each sample shape: a
+backprop if any of them asks for a gradient or a slope, else a forward pass
+alone.  So a search's opening (three requests of Armijo's rule, two of
+I-GOLS, three or five of golden section, two or four of B-GOLS) and golden
+section's first inner pair each take one round.  The table builds the
+round's search points and takes its slopes.  No search reads the trace
+losses, so a run hands each point it reaches to the grid's metric queue and
+goes on in the same round; the queue fills the loss cells of many runs and
+iterations from one forward pass.  Every run keeps its own sampler, so its
+samples are drawn in the same order as when it trains alone;
+:func:`sgd_train` is the grid of one run.  A run with a callable resolver
+hands it a :class:`~gols.probe.DirectionalProbe`, a table of the run's line
+alone, which answers each request in a round of its own outside the grid's.
 """
 
 from __future__ import annotations
@@ -100,6 +100,9 @@ class TrainConfig:
         check_count("batch size", self.batch_size)
         if isinstance(self.resolver, str):
             make_search(self.resolver)  # raises ValueError on an unknown name
+        elif not callable(self.resolver):
+            raise ValueError(
+                f"resolver must be a name or a callable, not {self.resolver!r}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
 
@@ -111,9 +114,9 @@ def sgd_train(model, x0, sampler, resolver, iterations, metrics,
     Parameters
     ----------
     model:
-        Objective with ``loss(x, sample)`` / ``grad(x, sample)`` and their
-        stacked forms ``losses(points, samples)`` /
-        ``losses_and_gradients(points, samples)`` (see :mod:`gols.probe`).
+        Objective with the stacked calls ``losses(points, samples)`` and
+        ``losses_and_gradients(points, samples)`` (see :mod:`gols.probe`),
+        which answer every evaluation of the run.
     x0:
         Starting parameter vector.
     sampler:
@@ -264,8 +267,8 @@ def _lockstep(model, metrics, lines, runs) -> list:
             if errors and min(errors) <= failed:
                 failed = min(errors)
                 error = errors[failed]
-        replies = _answer_round(model, lines, {
-            i: request for i, request in pending.items() if i < failed})
+        asked = {i: request for i, request in pending.items() if i < failed}
+        replies = lines.answer(model, asked) if asked else {}
     if error is not None:
         raise error
     return traces
@@ -284,66 +287,6 @@ def _measure(metrics, queue) -> dict:
         run, _, _, n = queue[k]
         errors.setdefault(run, RuntimeError(f"non-finite loss at iteration {n}"))
     return errors
-
-
-def _answer_round(model, lines, pending) -> dict:
-    """Replies to one round's ``{run: requests}``, every one a list of
-    search requests or a direction gradient alone, whose samples are of one
-    shape.
-
-    A run's reply is the list of its replies in order, or the first
-    ``ValueError`` among them in list order: a search request whose step
-    size or reply is not finite is answered with the ``ValueError`` its run
-    raises.  A group is the runs of one sample shape, and each group takes
-    one stacked call for all the requests of its runs: a backprop
-    (``model.losses_and_gradients``) when any of them asks for a gradient
-    or a slope, which also gives the losses of its ``value`` requests, else
-    a forward pass alone (``model.losses``).  The points of a group's search
-    requests come from ``lines`` in one array operation and their replies,
-    F or F', in another (:meth:`LineTable.replies`).  Each row of a stacked
-    call is evaluated on its own, so a group puts its search requests first,
-    each run's in list order, and its direction gradients after them.
-    """
-    groups = {}
-    for i, asked in pending.items():
-        kind, _, sample = asked[0]
-        key = None if sample is None else getattr(sample, "shape", ())
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = ([], [])
-        group[kind == "grad"].append(i)
-    replies = {}
-    for searches, grads in groups.values():
-        # The group's search requests as columns, in one pass.
-        runs, alphas, slope, samples = [], [], [], []
-        for i in searches:
-            for kind, alpha, sample in pending[i]:
-                runs.append(i)
-                alphas.append(alpha)
-                slope.append(kind == "deriv")
-                samples.append(sample)
-        found = len(runs)
-        rows = np.array(runs, dtype=np.intp)
-        points = lines.points(rows, alphas)
-        if grads:
-            points = np.concatenate([points, [pending[i][0][1] for i in grads]])
-            samples += [pending[i][0][2] for i in grads]
-        if grads or True in slope:
-            losses, gradients = model.losses_and_gradients(points, samples)
-            answers = lines.replies(rows, alphas, slope, losses[:found], gradients[:found])
-            for i, g in zip(grads, gradients[found:]):
-                replies[i] = [g]
-        else:
-            answers = lines.replies(rows, alphas, slope, model.losses(points, samples))
-        failed = ValueError in map(type, answers)
-        end = 0
-        for i in searches:
-            start, end = end, end + len(pending[i])
-            reply = answers[start:end]
-            if failed:
-                reply = next((a for a in reply if type(a) is ValueError), reply)
-            replies[i] = reply
-    return replies
 
 
 def dataset_metrics(net: Network, dataset: Dataset, split: Split):

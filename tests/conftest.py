@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gols.probe import DirectionalProbe, SyntheticObjective
+from gols.probe import DirectionalProbe, EvalCounter, SyntheticObjective
 
 
 def make_1d_probe(func, grad, **probe_kwargs):
@@ -27,6 +27,49 @@ def make_quadratic_probe(distance=1.0):
     )
     x0 = np.zeros(2)
     return DirectionalProbe(model, x0, -model.grad(x0), policy="full")
+
+
+class PointProbe:
+    """Reference for :class:`DirectionalProbe`, independent of its stacked
+    path: F and F' from the objective's one-point ``loss`` and ``grad`` at
+    ``origin + alpha * direction``, one point at a time, with the probe's
+    sampling policies, counters and errors."""
+
+    def __init__(self, model, origin, direction, policy="resample", sampler=None,
+                 fixed_sample=None):
+        self.model, self.policy, self.sampler = model, policy, sampler
+        self.origin = np.asarray(origin, dtype=float)
+        self.direction = np.asarray(direction, dtype=float)
+        if policy == "fixed" and fixed_sample is None:
+            fixed_sample = sampler.sample()
+        self.fixed_sample = fixed_sample
+        self.counter = EvalCounter()
+
+    def _sample(self):
+        if self.policy == "full":
+            return None
+        return self.fixed_sample if self.policy == "fixed" else self.sampler.sample()
+
+    def _evaluate(self, alpha, value, slope):
+        point, sample = self.origin + float(alpha) * self.direction, self._sample()
+        self.counter.functions += value
+        self.counter.gradients += slope
+        numbers = [("F", self.model.loss(point, sample))] if value else []
+        if slope:
+            numbers.append(("F'", self.model.grad(point, sample) @ self.direction))
+        for name, number in numbers:
+            if not np.isfinite(number):
+                raise ValueError(f"non-finite {name}({float(alpha)!r}) = {float(number)!r}")
+        return [float(number) for _, number in numbers]
+
+    def value(self, alpha):
+        return self._evaluate(alpha, True, False)[0]
+
+    def deriv(self, alpha):
+        return self._evaluate(alpha, False, True)[0]
+
+    def value_and_deriv(self, alpha):
+        return tuple(self._evaluate(alpha, True, True))
 
 
 @pytest.fixture

@@ -4,7 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from gols.analysis import scaled_descent_direction, scan_line
 from gols.data import BatchSampler, builtin_dataset, split_3_1_1
+from gols.linesearch import (armijo, bisection_gols, golden_section, inexact_gols,
+                             make_resolver)
 from gols.net import Network
 from gols.probe import (
     POLICIES,
@@ -15,6 +18,9 @@ from gols.probe import (
     LineTable,
     SyntheticObjective,
 )
+from gols.trainer import sgd_train
+
+from conftest import PointProbe
 
 
 def quadratic_bowl(center):
@@ -184,6 +190,24 @@ class TestValidation:
             with pytest.raises(ValueError):
                 probe.deriv(bad)
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("method", ["value", "deriv", "value_and_deriv"])
+    def test_non_finite_step_counts_and_draws_nothing(self, iris_objective, method,
+                                                      policy):
+        net, obj = iris_objective
+        sampler = BatchSampler(np.arange(obj.num_rows), 10, seed=3)
+        probe = DirectionalProbe(obj, net.init_params(1), np.ones(net.num_params),
+                                 policy=policy, sampler=sampler)
+        # Under fixed the probe drew its one batch when it was made.
+        untouched = BatchSampler(np.arange(obj.num_rows), 10, seed=3)
+        if policy == "fixed":
+            untouched.sample()
+        for bad in [np.nan, np.inf, -np.inf]:
+            with pytest.raises(ValueError, match="^step size must be finite$"):
+                getattr(probe, method)(bad)
+        assert counts(probe) == (0, 0)
+        assert np.array_equal(sampler.sample(), untouched.sample())
+
     def test_non_finite_loss_or_slope_rejected(self):
         for bad in [np.nan, np.inf, -np.inf]:
             model = SyntheticObjective(lambda x: bad, lambda x: np.array([bad]))
@@ -223,9 +247,9 @@ class TestLineTable:
     @settings(max_examples=200, deadline=None)
     def test_points_and_slopes_match_probe(self, runs, num_params, requests, seed,
                                            scale):
-        # Every point equals DirectionalProbe._point on the run's own line, and
-        # every slope equals the F' deriv takes from the same gradient, bit for
-        # bit, for any subset of runs in any order.
+        # Every point equals origin + alpha * direction on the run's own line,
+        # and every slope equals the F' of a per-point probe on that line with
+        # the same gradient, bit for bit, for any subset of runs in any order.
         rng = np.random.default_rng(seed)
         table = LineTable(runs, num_params)
         lines = []
@@ -246,13 +270,13 @@ class TestLineTable:
             origin, direction = lines[run]
             gradient = grads[k]
             model = SyntheticObjective(lambda x: 0.0, lambda x: gradient)
-            probe = DirectionalProbe(model, origin, direction, policy="full")
-            assert points[k].tobytes() == probe._point(alphas[k]).tobytes()
+            probe = PointProbe(model, origin, direction, policy="full")
+            assert points[k].tobytes() == (origin + alphas[k] * direction).tobytes()
             assert replies[k] == probe.deriv(alphas[k])
 
     def test_replies_are_what_value_and_deriv_return(self):
-        # Two runs share one stacked call; each reply is the float its own
-        # probe's value or deriv returns on the same sample key.
+        # Two runs share one stacked call; each reply is the float the
+        # objective's one-point loss or gradient gives on the same sample key.
         model = SyntheticObjective(lambda x: float(x @ x), lambda x: 2.0 * x,
                                    noise_value=0.3, noise_grad=0.3)
         table = LineTable(2, 2)
@@ -267,8 +291,8 @@ class TestLineTable:
         replies = table_replies(table, model, runs, kinds, alphas, samples)
         assert all(type(reply) is float for reply in replies)
         for run, kind, alpha, key, reply in zip(runs, kinds, alphas, samples, replies):
-            mirror = DirectionalProbe(model, origins[run], directions[run],
-                                      policy="fixed", fixed_sample=key)
+            mirror = PointProbe(model, origins[run], directions[run],
+                                policy="fixed", fixed_sample=key)
             assert reply == getattr(mirror, kind)(alpha)  # bit-equal floats
 
     @pytest.mark.parametrize("kind", ["value", "deriv"])
@@ -302,7 +326,8 @@ class TestLineTable:
 
 
 def per_node(probe, alphas):
-    """Reference for ``probe.scan``: one ``value_and_deriv`` call per node."""
+    """Reference for ``probe.scan``: one per-point ``value_and_deriv`` call of
+    a :class:`PointProbe` per node."""
     pairs = [probe.value_and_deriv(alpha) for alpha in alphas]
     return np.array([f for f, _ in pairs]), np.array([fp for _, fp in pairs])
 
@@ -336,13 +361,12 @@ class TestStackedScan:
         direction = rng.normal(size=net.num_params)
         alphas = np.sort(rng.uniform(-1.0, 5.0, nodes))
 
-        def probe():
+        def probe(kind):
             sampler = BatchSampler(np.arange(rows), batch, seed=seed)
-            return DirectionalProbe(model, origin, direction, policy=policy,
-                                    sampler=sampler), sampler
+            return kind(model, origin, direction, policy=policy, sampler=sampler), sampler
 
-        stacked, stacked_sampler = probe()
-        looped, looped_sampler = probe()
+        stacked, stacked_sampler = probe(DirectionalProbe)
+        looped, looped_sampler = probe(PointProbe)
         values, slopes = stacked.scan(alphas)
         ref_values, ref_slopes = per_node(looped, alphas)
         for got, want in ((values, ref_values), (slopes, ref_slopes)):
@@ -357,9 +381,9 @@ class TestStackedScan:
                                    noise_value=0.3, noise_grad=0.3)
         alphas = np.linspace(0.0, 3.0, 31)
         keys = KeyStream(4), KeyStream(4)
-        stacked, looped = (DirectionalProbe(model, np.ones(2), np.array([-1.0, 0.5]),
-                                            policy=policy, sampler=key)
-                           for key in keys)
+        stacked, looped = (kind(model, np.ones(2), np.array([-1.0, 0.5]),
+                                policy=policy, sampler=key)
+                           for kind, key in zip((DirectionalProbe, PointProbe), keys))
         values, slopes = stacked.scan(alphas)
         ref_values, ref_slopes = per_node(looped, alphas)
         assert np.array_equal(values, ref_values)
@@ -375,10 +399,9 @@ class TestStackedScan:
         model = BatchObjective(net, inputs, obj.targets)
         alphas = 0.1 * np.arange(40)
         stacked, looped = (
-            DirectionalProbe(model, net.init_params(5), np.ones(net.num_params),
-                             policy=policy,
-                             sampler=BatchSampler(np.arange(obj.num_rows), 10, seed=8))
-            for _ in range(2))
+            kind(model, net.init_params(5), np.ones(net.num_params), policy=policy,
+                 sampler=BatchSampler(np.arange(obj.num_rows), 10, seed=8))
+            for kind in (DirectionalProbe, PointProbe))
         with pytest.raises(ValueError) as want:
             per_node(looped, alphas)
         first_bad = looped.counter.functions - 1
@@ -393,3 +416,59 @@ class TestStackedScan:
                                  policy="full")
         with pytest.raises(ValueError, match="finite"):
             probe.scan(np.array([0.0, np.nan]))
+
+
+class StackedOnly:
+    """An objective with the two stacked calls and nothing else."""
+
+    def __init__(self, model):
+        self.losses = model.losses
+        self.losses_and_gradients = model.losses_and_gradients
+
+
+class TestStackedOnlyObjective:
+    # Every evaluation along a line, the grid's and a probe's alike, takes
+    # one of the two stacked calls; the outcomes are those of the per-point
+    # reference on the full objective.
+    model = SyntheticObjective(lambda x: 0.5 * float(x @ x) + np.sin(3.0 * x[0]),
+                               lambda x: x + np.array([3.0 * np.cos(3.0 * x[0]), 0.0]),
+                               noise_value=0.05, noise_grad=0.05)
+    origin, direction = np.array([1.5, -1.0]), np.array([-1.0, 0.5])
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("search", [
+        golden_section, bisection_gols,
+        lambda probe: armijo(probe, 0.25), lambda probe: inexact_gols(probe, 0.25)])
+    def test_public_searches(self, search, policy):
+        stacked, reference = (
+            kind(model, self.origin, self.direction, policy=policy, sampler=KeyStream(2))
+            for kind, model in ((DirectionalProbe, StackedOnly(self.model)),
+                                (PointProbe, self.model)))
+        out, expected = search(stacked), search(reference)
+        assert (out.alpha, out.function_evals, out.gradient_evals, out.reason) == (
+            expected.alpha, expected.function_evals, expected.gradient_evals,
+            expected.reason)
+        assert counts(stacked) == counts(reference)
+
+    def test_scan_line(self):
+        probe = DirectionalProbe(StackedOnly(self.model), self.origin, self.direction,
+                                 sampler=KeyStream(3))
+        scan = scan_line(probe, step=0.1, steps=20)
+        reference = per_node(PointProbe(self.model, self.origin, self.direction,
+                                        sampler=KeyStream(3)), scan.alphas)
+        assert np.array_equal(scan.values, reference[0])
+        assert np.array_equal(scan.slopes, reference[1])
+
+    def test_scaled_descent_direction(self):
+        got = scaled_descent_direction(StackedOnly(self.model), self.origin)
+        assert got.tobytes() == scaled_descent_direction(self.model, self.origin).tobytes()
+
+    @pytest.mark.parametrize("resolver", ["bgols", make_resolver("arls")])
+    def test_sgd_train(self, resolver):
+        def metrics(points):
+            return np.zeros((len(points), 3))
+
+        traces = [sgd_train(model, self.origin, KeyStream(4), resolver, 6, metrics)
+                  for model in (StackedOnly(self.model), self.model)]
+        assert traces[0].rows.tobytes() == traces[1].rows.tobytes()
+        assert traces[0].final.info_calls > 6

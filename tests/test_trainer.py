@@ -13,6 +13,8 @@ from gols import trainer
 from gols.trainer import (TrainConfig, _descend, _lockstep, dataset_metrics, sgd_train,
                           train_on_dataset)
 
+from conftest import PointProbe
+
 
 def quadratic_problem(center, noise=0.0):
     center = np.asarray(center, dtype=float)
@@ -178,6 +180,11 @@ class TestSgdTrain:
                 TrainConfig(**bad)
         TrainConfig(iterations=np.int64(3), batch_size=np.int32(5))
 
+    @pytest.mark.parametrize("resolver", [5, None, ["gs"]])
+    def test_config_rejects_a_resolver_neither_name_nor_callable(self, resolver):
+        with pytest.raises(ValueError, match="^resolver must be a name or a callable"):
+            TrainConfig(resolver=resolver)
+
     def test_config_accepts_callable_resolver(self):
         TrainConfig(resolver=make_resolver("igols"))
 
@@ -214,8 +221,9 @@ REFERENCE_SEARCHES = {
 
 
 def reference_train(model, x0, sampler, resolver, iterations, metrics, policy):
-    """Steepest descent one run at a time, every evaluation one blocking probe
-    call through the public searches: the loop the lockstep grid replaced.
+    """Steepest descent one run at a time, every evaluation one blocking call
+    of a per-point probe through the public searches: the loop the lockstep
+    grid replaced, with the objective's one-point ``loss`` and ``grad``.
     ``metrics`` takes one point and returns its three losses."""
     if isinstance(resolver, str) and resolver.startswith("fixed:"):
         step = float(resolver.split(":", 1)[1])
@@ -235,8 +243,8 @@ def reference_train(model, x0, sampler, resolver, iterations, metrics, policy):
         if gnorm == 0.0:
             alpha = 0.0
         else:
-            probe = DirectionalProbe(model, x, -g, policy=policy, sampler=sampler,
-                                     fixed_sample=batch if policy == "fixed" else None)
+            probe = PointProbe(model, x, -g, policy=policy, sampler=sampler,
+                               fixed_sample=batch if policy == "fixed" else None)
             alpha_max = effective_alpha_max(gnorm)
             out = resolver(probe, min(max(alpha_prev, ALPHA_MIN), alpha_max), alpha_max)
             alpha = alpha_prev = out.alpha
@@ -463,6 +471,29 @@ class TestLockstepGrid:
 
 
 class TestRoundsPerIteration:
+    def test_answer_never_gets_an_empty_round(self, iris_setup, monkeypatch):
+        # Runs finish in different rounds, and in the second grid a run fails
+        # while the runs before it go on; once no run waits for a reply the
+        # grid stops without asking the table.
+        net, ds, split = iris_setup
+        rounds = []
+
+        def nonempty(lines, model, pending):
+            assert pending
+            rounds.append(len(pending))
+            return answer(lines, model, pending)
+
+        answer = LineTable.answer
+        monkeypatch.setattr(LineTable, "answer", nonempty)
+        configs = [TrainConfig(iterations=2 + 3 * k, resolver=GRID_RESOLVERS[k],
+                               weight_seed=k, sampler_seed=k) for k in range(5)]
+        train_on_dataset(net, ds, split, configs)
+        failing = [TrainConfig(iterations=6, resolver="arls"),
+                   TrainConfig(iterations=6, resolver=step_of(1e-3, blow_up_at=2))]
+        with pytest.raises(RuntimeError, match="^non-finite step at iteration 2$"):
+            train_on_dataset(net, ds, split, failing)
+        assert len(rounds) > 20 and max(rounds) == 5
+
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("resolver,opening", [("arls", 3), ("igols", 2)])
     def test_one_round_per_request_list(self, resolver, opening, policy, monkeypatch):
@@ -471,14 +502,14 @@ class TestRoundsPerIteration:
         # whose number the trace's counters give.
         asked = []
 
-        def counting(model, lines, pending):
+        def counting(lines, model, pending):
             if pending:
                 (requests,) = pending.values()
                 asked.append(len(requests))
-            return answer_round(model, lines, pending)
+            return answer(lines, model, pending)
 
-        answer_round = trainer._answer_round
-        monkeypatch.setattr(trainer, "_answer_round", counting)
+        answer = LineTable.answer
+        monkeypatch.setattr(LineTable, "answer", counting)
         model, metrics = quadratic_problem([3.0, -2.0, 1.0], noise=0.05)
         trace = sgd_train(model, np.zeros(3), KeyStream(7), resolver, 20, metrics,
                           policy=policy)
@@ -595,14 +626,14 @@ class TestMetricQueue:
                 return metrics(points)
             return measure
 
-        def objective_only(model, lines, pending):
+        def objective_only(lines, model, pending):
             assert all(kind != "metrics" for requests in pending.values()
                        for kind, _, _ in requests)
-            return answer_round(model, lines, pending)
+            return answer(lines, model, pending)
 
-        answer_round = trainer._answer_round
+        answer = LineTable.answer
         monkeypatch.setattr(trainer, "dataset_metrics", counting)
-        monkeypatch.setattr(trainer, "_answer_round", objective_only)
+        monkeypatch.setattr(LineTable, "answer", objective_only)
         configs = [TrainConfig(iterations=10, resolver=name, weight_seed=k, sampler_seed=k)
                    for k, name in enumerate(["gs", "arls", "bgols", "igols"])]
         traces = train_on_dataset(net, ds, split, configs)
