@@ -29,9 +29,12 @@ at a time, so it checks its budget between lists only.  One wrapper
 generator, :func:`_drive`, passes the lists on and counts their requests,
 then clamps the returned step into ``[ALPHA_MIN, alpha_max]`` and returns
 the :class:`LineSearchOutcome`.  The public searches answer a driven
-search through a probe, one request at a time in list order;
-:func:`make_search` hands it out unanswered, so that a caller that answers
-the requests of many searches at once can do so.
+search through a probe, one request at a time in list order, and the probe
+draws each request's sample.  :func:`make_search` hands a driven search out
+unanswered, so that a caller that answers the requests of many searches at
+once can do so: a training run hands its search to the grid with
+``yield from``, and the grid's :class:`~gols.probe.LineTable` draws each
+request's sample from the run's line.  A request carries no sample.
 Callers that resolve steps for steepest descent should pass
 ``alpha_max=effective_alpha_max(norm(g))`` so that unbounded descent
 directions cannot produce runaway steps.

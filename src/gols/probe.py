@@ -12,12 +12,13 @@ sub-sampling at all.  The samples of one stacked call are either all
 ``None`` or all of one shape.  Both objectives also keep the one-point
 forms ``loss(x, sample)`` and ``grad(x, sample)`` for direct use.
 
-A :class:`LineTable` holds the lines of a whole grid of runs and answers the
-requests of every run's line search in one round (:meth:`LineTable.answer`):
-it builds all of a round's points in one array operation and takes all its
-slopes in another.  A :class:`DirectionalProbe` is a table of one line, so
-the searches, the scans and the training grid evaluate F and F' along a line
-through one path.
+A :class:`LineTable` holds the lines of a whole grid of runs, each with the
+draw that gives the samples of its evaluations, and answers the requests of
+every run's line search in one round (:meth:`LineTable.answer`): it draws
+their samples, builds all of a round's points in one array operation and
+takes all its slopes in another.  A :class:`DirectionalProbe` is a table of
+one line, so the searches, the scans and the training grid evaluate F and
+F' along a line through one path.
 """
 
 from __future__ import annotations
@@ -206,8 +207,8 @@ class KeyStream:
 
 class LineTable:
     """The search lines of a grid of runs: row ``r`` of ``origins`` and
-    ``directions`` is the line of run ``r``, written by that run once per
-    iteration.
+    ``directions`` is the line of run ``r``, and ``draws[r]`` the draw of
+    its samples, all written by that run once per iteration.
 
     A round's search requests on many lines take one array operation for all
     their points and one for all their slopes, and each point and slope has
@@ -219,10 +220,15 @@ class LineTable:
     def __init__(self, runs, num_params):
         self.origins = np.zeros((runs, num_params))
         self.directions = np.zeros((runs, num_params))
+        self.draws = [None] * runs
 
-    def set(self, run, origin, direction) -> None:
+    def set(self, run, origin, direction, draw) -> None:
+        """Write the line of ``run``: its origin, its direction and ``draw``,
+        a callable of no arguments that returns the sample of the line's
+        next evaluation (``None`` for no sub-sampling)."""
         self.origins[run] = origin
         self.directions[run] = direction
+        self.draws[run] = draw
 
     def points(self, runs, alphas) -> np.ndarray:
         """The point at ``alphas[k]`` on the line of ``runs[k]``, one row
@@ -256,9 +262,10 @@ class LineTable:
 
     def answer(self, model, pending) -> dict:
         """Replies to one round's ``{run: requests}``, every one a list of
-        search requests ``(kind, alpha, sample)`` on the line of ``run`` or a
-        direction gradient ``[("grad", point, sample)]`` alone, whose samples
-        are of one shape.
+        search requests ``(kind, alpha)`` on the line of ``run`` or a
+        direction gradient ``[("grad", point, sample)]`` alone.  Each search
+        request is evaluated on a sample from its run's draw, drawn in list
+        order, and the samples of a run are of one shape.
 
         A run's reply is the list of its replies in order, or the first
         ``ValueError`` among them in list order (see :meth:`replies`).  A
@@ -273,24 +280,32 @@ class LineTable:
         requests first, each run's in list order, and its direction gradients
         after them.
         """
-        groups = {}
+        groups, drawn = {}, {}
         for i, asked in pending.items():
-            kind, _, sample = asked[0]
+            grad = asked[0][0] == "grad"
+            if grad:
+                sample = asked[0][2]
+            else:
+                draw = self.draws[i]
+                drawn[i] = samples = []
+                for _ in asked:
+                    samples.append(draw())
+                sample = samples[0]
             key = None if sample is None else getattr(sample, "shape", ())
             group = groups.get(key)
             if group is None:
                 group = groups[key] = ([], [])
-            group[kind == "grad"].append(i)
+            group[grad].append(i)
         replies = {}
         for searches, grads in groups.values():
             # The group's search requests as columns, in one pass.
             runs, alphas, slope, samples = [], [], [], []
             for i in searches:
-                for kind, alpha, sample in pending[i]:
+                samples += drawn[i]
+                for kind, alpha in pending[i]:
                     runs.append(i)
                     alphas.append(alpha)
                     slope.append(kind == "deriv")
-                    samples.append(sample)
             found = len(runs)
             rows = np.array(runs, dtype=np.intp)
             points = self.points(rows, alphas)
@@ -319,12 +334,14 @@ class LineTable:
 class DirectionalProbe(LineTable):
     """F(alpha) = loss at ``origin + alpha * direction``, with accounting.
 
-    A probe is a :class:`LineTable` of one row, and every F and F' it gives
-    comes from the objective's stacked calls, as the grid's do: ``value``
-    and ``deriv`` each answer a round of one request (:meth:`answer`), and
-    :meth:`scan` a whole grid of step sizes in one call, in blocks of at
-    most 1024 batch rows for a :class:`BatchObjective`.  So the objective
-    needs only ``losses`` and ``losses_and_gradients``.
+    A probe is a :class:`LineTable` of one row, whose draw gives the
+    sample of each evaluation under the probe's ``policy``, and every F and
+    F' it gives comes from the objective's stacked calls, as the grid's do:
+    ``value`` and ``deriv`` each answer a round of one request
+    (:meth:`answer`), and :meth:`scan` a whole grid of step sizes in one
+    call, in blocks of at most 1024 batch rows for a
+    :class:`BatchObjective`.  So the objective needs only ``losses`` and
+    ``losses_and_gradients``.
 
     The direction is used exactly as given (unnormalized).  Counters only
     ever increase.  A non-finite step size raises ``ValueError`` before
@@ -359,13 +376,7 @@ class DirectionalProbe(LineTable):
         self.counter = EvalCounter()
         # The table's one row, as views of the line.
         self.origins, self.directions = self.origin[None], self.direction[None]
-
-    def _sample(self):
-        if self.policy == "full":
-            return None
-        if self.policy == "fixed":
-            return self.fixed_sample
-        return self._sampler.sample()
+        self.draws = [_draw(policy, sampler, self.fixed_sample)]
 
     def _ask(self, kind, alpha) -> float:
         """F or F' at ``alpha`` as a round of one request, counted."""
@@ -374,7 +385,7 @@ class DirectionalProbe(LineTable):
             self.counter.functions += 1
         else:
             self.counter.gradients += 1
-        reply = self.answer(self.model, {0: [(kind, alpha, self._sample())]})[0]
+        reply = self.answer(self.model, {0: [(kind, alpha)]})[0]
         if type(reply) is ValueError:
             raise reply
         return reply[0]
@@ -406,10 +417,7 @@ class DirectionalProbe(LineTable):
             raise ValueError("step sizes must form a 1-d grid")
         if not np.all(np.isfinite(alphas)):
             raise ValueError("step size must be finite")
-        if self.policy == "resample":
-            samples = self._sampler.samples(len(alphas))
-        else:
-            samples = [self._sample()] * len(alphas)
+        samples = _draw(self.policy, self._sampler, self.fixed_sample, len(alphas))
         points = self.origin + alphas[:, None] * self.direction
         self.counter.functions += len(alphas)
         self.counter.gradients += len(alphas)
@@ -421,6 +429,21 @@ class DirectionalProbe(LineTable):
             _finite("F", alphas[i], values[i])
             _finite("F'", alphas[i], slopes[i])
         return values, slopes
+
+
+def _draw(policy, sampler, fixed, count=None):
+    """The samples of a line's evaluations under ``policy``: a fresh one
+    from ``sampler`` each (``resample``), ``fixed`` each (``fixed``), or
+    ``None`` (``full``).
+
+    Without ``count``, the line's draw: a callable of no arguments that
+    returns the sample of its next evaluation.  With one, the samples of its
+    next ``count`` evaluations, the ones ``count`` calls of the draw return.
+    """
+    if policy == "resample":
+        return sampler.sample if count is None else sampler.samples(count)
+    sample = fixed if policy == "fixed" else None
+    return (lambda: sample) if count is None else [sample] * count
 
 
 def _step(alpha) -> float:

@@ -13,23 +13,26 @@ A run is an ask/tell generator: it asks for the gradient that gives its
 direction and for the F and F' requests of its search, a list at a time as
 the search lists them (see :mod:`gols.linesearch`), and is sent the answers.
 Runs of a grid go in lockstep, their lines held in one
-:class:`~gols.probe.LineTable`: each run writes its origin and direction
-into its row once per iteration, and its search requests carry only a step
-size and a sample.  Each round takes the pending list of every active run
-and answers all their requests (:meth:`~gols.probe.LineTable.answer`) in
-stacked calls of the objective, one for the requests of each sample shape: a
-backprop if any of them asks for a gradient or a slope, else a forward pass
-alone.  So a search's opening (three requests of Armijo's rule, two of
-I-GOLS, three or five of golden section, two or four of B-GOLS) and golden
-section's first inner pair each take one round.  The table builds the
-round's search points and takes its slopes.  No search reads the trace
-losses, so a run hands each point it reaches to the grid's metric queue and
-goes on in the same round; the queue fills the loss cells of many runs and
-iterations from one forward pass.  Every run keeps its own sampler, so its
-samples are drawn in the same order as when it trains alone;
-:func:`sgd_train` is the grid of one run.  A run with a callable resolver
-hands it a :class:`~gols.probe.DirectionalProbe`, a table of the run's line
-alone, which answers each request in a round of its own outside the grid's.
+:class:`~gols.probe.LineTable`: each run writes its origin, its direction
+and the draw of its sampling policy into its row once per iteration, and
+hands its search to the grid with ``yield from``, so its search requests
+are the search's own ``(kind, alpha)`` pairs.  Each round takes the pending
+list of every active run and answers all their requests
+(:meth:`~gols.probe.LineTable.answer`), each search request on a sample
+from its run's draw, in stacked calls of the objective, one for the
+requests of each sample shape: a backprop if any of them asks for a
+gradient or a slope, else a forward pass alone.  So a search's opening
+(three requests of Armijo's rule, two of I-GOLS, three or five of golden
+section, two or four of B-GOLS) and golden section's first inner pair each
+take one round.  The table builds the round's search points and takes its
+slopes.  No search reads the trace losses, so a run hands each point it
+reaches to the grid's metric queue and goes on in the same round; the queue
+fills the loss cells of many runs and iterations from one forward pass.
+Every run keeps its own sampler, so its samples are drawn in the same order
+as when it trains alone; :func:`sgd_train` is the grid of one run.  A run
+with a callable resolver hands it a :class:`~gols.probe.DirectionalProbe`,
+a table of the run's line alone, which answers each request in a round of
+its own outside the grid's.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ import numpy as np
 from gols.data import BatchSampler, Dataset, Split, check_count
 from gols.linesearch import ALPHA_MIN, effective_alpha_max, make_search
 from gols.net import Network
-from gols.probe import POLICIES, BatchObjective, DirectionalProbe, EvalCounter, LineTable
+from gols.probe import (POLICIES, BatchObjective, DirectionalProbe, EvalCounter, LineTable,
+                        _draw)
 
 __all__ = [
     "TRACE_COLUMNS",
@@ -96,15 +100,21 @@ class TrainConfig:
     sampler_seed: object = 0
 
     def __post_init__(self):
-        check_count("iterations", self.iterations)
         check_count("batch size", self.batch_size)
-        if isinstance(self.resolver, str):
-            make_search(self.resolver)  # raises ValueError on an unknown name
-        elif not callable(self.resolver):
-            raise ValueError(
-                f"resolver must be a name or a callable, not {self.resolver!r}")
-        if self.policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}")
+        _check_run(self.iterations, self.resolver, self.policy)
+
+
+def _check_run(iterations, resolver, policy) -> None:
+    """Raise ``ValueError`` unless a run can train with these settings: a
+    whole number of iterations of at least 1, a resolver name or callable,
+    and a sampling policy of :data:`~gols.probe.POLICIES`."""
+    check_count("iterations", iterations)
+    if isinstance(resolver, str):
+        make_search(resolver)  # raises ValueError on an unknown name
+    elif not callable(resolver):
+        raise ValueError(f"resolver must be a name or a callable, not {resolver!r}")
+    if policy not in POLICIES:
+        raise ValueError(f"policy must be one of {POLICIES}")
 
 
 def sgd_train(model, x0, sampler, resolver, iterations, metrics,
@@ -138,7 +148,12 @@ def sgd_train(model, x0, sampler, resolver, iterations, metrics,
     policy:
         Probe sampling policy; ``fixed`` freezes each search on the batch
         that produced its direction gradient.
+
+    ``iterations``, ``resolver`` and ``policy`` are checked as
+    :class:`TrainConfig` checks them, and a bad one raises ``ValueError``
+    before anything is evaluated.
     """
+    _check_run(iterations, resolver, policy)
     lines = LineTable(1, np.size(x0))
     run = _descend(model, x0, sampler, resolver, iterations, policy, lines, 0)
     return _lockstep(model, metrics, lines, [run])[0]
@@ -147,22 +162,22 @@ def sgd_train(model, x0, sampler, resolver, iterations, metrics,
 def _descend(model, x0, sampler, resolver, iterations, policy, lines, run):
     """One run of :func:`sgd_train` as an ask/tell generator.
 
-    Yields lists of requests, each ``(kind, at, sample)``, and is sent the
-    list of their replies in the same order: the direction gradient
-    ``[("grad", point, sample)]``, and its search's request lists (see
-    :mod:`gols.linesearch`) as ``("value", alpha, sample)`` and
-    ``("deriv", alpha, sample)``, asked on row ``run`` of the
-    :class:`~gols.probe.LineTable` ``lines``, written before each search.
-    Each request of a list draws its own sample, in list order, as the
-    probe draws one per request.  A list that cannot be answered is sent
-    the first ``ValueError`` of its replies in list order, thrown in.
+    Yields lists of requests and is sent the list of their replies in the
+    same order: the direction gradient ``[("grad", point, batch)]``, on a
+    batch it draws itself, and its search's request lists (see
+    :mod:`gols.linesearch`), ``("value", alpha)`` and ``("deriv", alpha)``,
+    which it hands on from the search with ``yield from``.  They are asked
+    on row ``run`` of the :class:`~gols.probe.LineTable` ``lines``, which
+    the run writes before each search: its origin, its direction and the
+    draw of its policy, from which the table draws each request's sample.
+    A list that cannot be answered is sent the first ``ValueError`` of its
+    replies in list order, thrown in.
     After the initial row and each step it yields ``("metrics", point,
     (losses, n))``, which is sent no reply: the losses of ``point`` belong
     in row ``n`` of ``losses``, a plain ndarray view of the trace's loss
     columns.  Returns the :class:`TrainTrace`.
     """
     search = make_search(resolver) if isinstance(resolver, str) else None
-    resample = policy == "resample"
     x = np.array(x0, dtype=float)
 
     rows = np.recarray(iterations + 1, dtype=_TRACE_DTYPE)
@@ -191,23 +206,11 @@ def _descend(model, x0, sampler, resolver, iterations, policy, lines, run):
             alpha_init = min(max(alpha_prev, ALPHA_MIN), alpha_max)
             if search is None:
                 probe = DirectionalProbe(model, x, -g, policy=policy, sampler=sampler,
-                                         fixed_sample=batch if policy == "fixed" else None)
+                                         fixed_sample=batch)
                 outcome = resolver(probe, alpha_init, alpha_max)
             else:
-                lines.set(run, x, -g)
-                fixed = batch if policy == "fixed" else None
-                requests = search(alpha_init, alpha_max)
-                try:
-                    asks = next(requests)
-                    while True:
-                        # A loop, not a list comprehension, which on
-                        # CPython 3.11 is a function call per list.
-                        asked = []
-                        for kind, alpha in asks:
-                            asked.append((kind, alpha, sampler.sample() if resample else fixed))
-                        asks = requests.send((yield asked))
-                except StopIteration as done:
-                    outcome = done.value
+                lines.set(run, x, -g, _draw(policy, sampler, batch))
+                outcome = yield from search(alpha_init, alpha_max)
             alpha = alpha_prev = outcome.alpha
             spent.functions += outcome.function_evals
             spent.gradients += outcome.gradient_evals
@@ -223,7 +226,8 @@ def _descend(model, x0, sampler, resolver, iterations, policy, lines, run):
 def _lockstep(model, metrics, lines, runs) -> list:
     """Drive the :func:`_descend` generators ``runs``, whose lines are the
     rows of ``lines`` in order, to their traces, one :class:`TrainTrace` per
-    run, in order.
+    run, in order.  A bare search of :func:`~gols.linesearch.make_search`
+    on a row that its caller has set runs the same way, to its outcome.
 
     A metric request waits for no round: it joins a queue, and its run goes
     on to its next request at once.  One ``metrics`` call measures the whole

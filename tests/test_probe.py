@@ -256,7 +256,7 @@ class TestLineTable:
         for run in range(runs):
             origin = scale * rng.normal(size=num_params)
             direction = scale * rng.normal(size=num_params)
-            table.set(run, origin, direction)
+            table.set(run, origin, direction, lambda: None)
             lines.append((origin, direction))
         asked = rng.integers(0, runs, requests)
         alphas = rng.choice([0.0, 5e-324, 1e-8, 0.3, 5.0, 13.09, 1e7], requests)
@@ -283,7 +283,7 @@ class TestLineTable:
         origins = np.array([1.0, -2.0]), np.array([0.5, 0.25])
         directions = np.array([-0.5, 1.5]), np.array([2.0, -1.0])
         for run in (1, 0):
-            table.set(run, origins[run], directions[run])
+            table.set(run, origins[run], directions[run], lambda: None)
         runs, kinds, alphas = [0, 1, 1, 0], ["value", "deriv", "value", "deriv"], \
             [0.0, 0.5, 1.5, 3.0]
         keys = KeyStream(4)
@@ -301,7 +301,7 @@ class TestLineTable:
                                  lambda x: np.full(2, np.nan if x[0] > 1.0 else 1.0))
         origin, direction = np.zeros(2), np.array([1.0, 0.0])
         table = LineTable(1, 2)
-        table.set(0, origin, direction)
+        table.set(0, origin, direction, lambda: None)
         replies = table_replies(table, bad, [0, 0], [kind, kind], [0.5, 1.5],
                                 [None, None])
         assert replies[0] == 0.5 if kind == "value" else replies[0] == 1.0
@@ -314,7 +314,7 @@ class TestLineTable:
     def test_non_finite_step_is_the_probes_error(self):
         model = quadratic_bowl([1.0, 0.0])
         table = LineTable(1, 2)
-        table.set(0, np.zeros(2), np.ones(2))
+        table.set(0, np.zeros(2), np.ones(2), lambda: None)
         mirror = DirectionalProbe(model, np.zeros(2), np.ones(2), policy="full")
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError) as direct:

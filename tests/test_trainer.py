@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from gols.data import BatchSampler, builtin_dataset, split_3_1_1
 from gols.linesearch import (ALPHA_MIN, LineSearchOutcome, _answer, armijo,
                              bisection_gols, effective_alpha_max, golden_section,
-                             inexact_gols, make_resolver)
+                             inexact_gols, make_resolver, make_search)
 from gols.net import Network
 from gols.probe import (POLICIES, BatchObjective, DirectionalProbe, KeyStream, LineTable,
                         SyntheticObjective)
@@ -187,6 +187,23 @@ class TestSgdTrain:
 
     def test_config_accepts_callable_resolver(self):
         TrainConfig(resolver=make_resolver("igols"))
+
+    @pytest.mark.parametrize("bad", [{"policy": "bogus"}, {"iterations": -1},
+                                     {"iterations": 2.5}, {"resolver": 5}])
+    def test_sgd_train_checks_its_settings_as_the_config_does(self, bad):
+        # The error TrainConfig raises, before anything is evaluated.
+        evaluated = []
+        model = SyntheticObjective(lambda x: evaluated.append(x) or float(x @ x),
+                                   lambda x: evaluated.append(x) or 2.0 * x)
+        settings = {"resolver": "igols", "iterations": 3, "policy": "resample", **bad}
+        with pytest.raises(ValueError) as config:
+            TrainConfig(**bad)
+        with pytest.raises(ValueError) as trained:
+            sgd_train(model, np.ones(2), KeyStream(0), settings["resolver"],
+                      settings["iterations"], lambda points: np.zeros((len(points), 3)),
+                      policy=settings["policy"])
+        assert str(trained.value) == str(config.value)
+        assert evaluated == []
 
 
 class TestBisectionDescentProperty:
@@ -402,10 +419,10 @@ class TestLockstepGrid:
         seen = []
 
         def run(row, lists):
-            lines.set(row, np.zeros(1), np.ones(1))
+            lines.set(row, np.zeros(1), np.ones(1), lambda: None)
             try:
                 for alphas in lists:
-                    seen.append((row, (yield [(kind, alpha, None) for alpha in alphas])))
+                    seen.append((row, (yield [(kind, alpha) for alpha in alphas])))
             except ValueError:
                 seen.append((row, "raised"))
                 raise
@@ -429,9 +446,9 @@ class TestLockstepGrid:
         replies = []
 
         def run():
-            lines.set(0, np.zeros(1), np.ones(1))
-            replies.append((yield [(kind, 0.5, None)]))
-            replies.append((yield [(kind, alpha, None) for alpha in (0.75, 7.0, 0.25)]))
+            lines.set(0, np.zeros(1), np.ones(1), lambda: None)
+            replies.append((yield [(kind, 0.5)]))
+            replies.append((yield [(kind, alpha) for alpha in (0.75, 7.0, 0.25)]))
 
         def search():
             yield [(kind, 0.5)]
@@ -449,6 +466,38 @@ class TestLockstepGrid:
         assert str(grid.value) == str(alone.value) == f"non-finite {name}(7.0) = nan"
         assert replies == [[0.5 if kind == "value" else 1.0]]
         assert evaluated == [0.5, 0.75, 7.0]
+
+    def test_bare_searches_in_lockstep_match_their_probes(self):
+        # Eight rows on one noisy line, each drawing from its own key stream:
+        # the grid draws each row's samples from that row's draw, in order,
+        # so every search ends as it does alone on a resample probe with
+        # the same stream, and draws one key per request.
+        model = SyntheticObjective(lambda x: 0.5 * float((x - 3.0) @ (x - 3.0)),
+                                   lambda x: x - 3.0, noise_value=0.05, noise_grad=0.05)
+        origin, direction = np.zeros(2), np.array([1.0, 0.5])
+        names = 2 * ("gs", "arls", "bgols", "igols")
+        lines = LineTable(len(names), 2)
+        draws = [0] * len(names)
+
+        def draw_of(row):
+            keys = KeyStream(row)
+
+            def draw():
+                draws[row] += 1
+                return keys.sample()
+            return draw
+
+        for row in range(len(names)):
+            lines.set(row, origin, direction, draw_of(row))
+        outcomes = _lockstep(model, None, lines,
+                             [make_search(name)(0.25, 10.0) for name in names])
+        for row, (name, outcome) in enumerate(zip(names, outcomes)):
+            probe = DirectionalProbe(model, origin, direction, sampler=KeyStream(row))
+            alone = make_resolver(name)(probe, 0.25, 10.0)
+            assert (outcome.alpha, outcome.function_evals, outcome.gradient_evals,
+                    outcome.reason) == (alone.alpha, alone.function_evals,
+                                        alone.gradient_evals, alone.reason)
+            assert draws[row] == outcome.function_evals + outcome.gradient_evals
 
     def test_first_failing_run_in_order_raises(self, iris_setup):
         # Run 2 fails in an earlier round than run 1; a run-by-run loop
@@ -628,7 +677,7 @@ class TestMetricQueue:
 
         def objective_only(lines, model, pending):
             assert all(kind != "metrics" for requests in pending.values()
-                       for kind, _, _ in requests)
+                       for kind, *_ in requests)
             return answer(lines, model, pending)
 
         answer = LineTable.answer
