@@ -8,9 +8,12 @@ samples; slope sign changes are counted between adjacent nodes where the
 derivative turns from negative to non-negative, which is where a sub-sampled
 descent direction bottoms out regardless of how noisy the loss values are.
 
-The probe draws every node's sample first, in node order, exactly as a
-node-by-node walk would, and then evaluates all nodes in one stacked call
-(:meth:`DirectionalProbe.scan`), in blocks of at most 1024 batch rows.
+Each probe draws every node's sample first, in node order, exactly as a
+node-by-node walk would.  :func:`scan_lines` then evaluates all the nodes of
+several probes, say every repeat of one batch size, in one stacked call
+(:func:`gols.probe.scan_probes`), in blocks of at most 1024 batch rows, and
+its scans share one step-size grid, whose text a CSV writes once
+(:func:`write_scan_csv`).
 """
 
 from __future__ import annotations
@@ -23,12 +26,13 @@ import numpy as np
 
 from gols.data import write_csv
 from gols.linesearch import ALPHA_CAP, bisection_gols
-from gols.probe import DirectionalProbe
+from gols.probe import DirectionalProbe, scan_probes
 
 __all__ = [
     "ScanResult",
     "BallEstimate",
     "scan_line",
+    "scan_lines",
     "count_local_minima",
     "count_snngpp",
     "estimate_ball",
@@ -72,18 +76,30 @@ class BallEstimate:
 def scan_line(probe: DirectionalProbe, step=0.1, steps=100,
               batch_size=0) -> ScanResult:
     """Evaluate F and F' on the ``steps + 1`` nodes ``0, step, ...,
-    steps * step``.
+    steps * step``: :func:`scan_lines` of this probe alone.
 
     Each node spends one loss and one gradient evaluation sharing a single
     sample draw, so a resampling probe sees one fresh batch per node.
+    """
+    return scan_lines([probe], step, steps, batch_size)[0]
+
+
+def scan_lines(probes, step=0.1, steps=100, batch_size=0) -> list:
+    """One :class:`ScanResult` per probe of ``probes``, each on the nodes
+    ``0, step, ..., steps * step``, all from one stacked evaluation
+    (:func:`gols.probe.scan_probes`).
+
+    The scans share one ``alphas`` array, and each has the values and slopes
+    that :func:`scan_line` of its probe alone gives.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     if steps < 1:
         raise ValueError("steps must be at least 1")
     alphas = step * np.arange(steps + 1)
-    values, slopes = probe.scan(alphas)
-    return ScanResult(alphas, values, slopes, batch_size=batch_size)
+    values, slopes = scan_probes(probes, alphas)
+    return [ScanResult(alphas, v, s, batch_size=batch_size)
+            for v, s in zip(values, slopes)]
 
 
 def count_local_minima(scan: ScanResult):

@@ -4,7 +4,9 @@ All randomness flows from ``--seed``; identical invocations produce
 byte-identical outputs.  The training runs of ``train`` and ``compare``, one
 per resolver and repeat, go through one call of
 :func:`gols.trainer.train_on_dataset`, which trains them in lockstep; the
-scans of ``scan``, one per batch size and repeat, run one after another.
+scans of ``scan``, one per batch size and repeat, take one stacked
+evaluation per batch size (:func:`gols.analysis.scan_lines`) for all its
+repeats.
 Everything runs in one thread.  Exit codes: 0 on success, 2 on a bad
 invocation, 1 on a runtime failure.
 """
@@ -21,7 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from gols.analysis import estimate_ball, scaled_descent_direction, scan_line, write_scan_csv
+from gols.analysis import estimate_ball, scaled_descent_direction, scan_lines, write_scan_csv
+# cmd_scan no longer calls scan_line, but bench/tracer.py patches it under
+# this name (tests/test_tracer_bindings.py checks that it can).
+from gols.analysis import scan_line  # noqa: F401
 from gols.data import (BUILTIN_DATASETS, BatchSampler, builtin_dataset, load_csv,
                        split_3_1_1, write_csv)
 from gols.linesearch import RESOLVER_NAMES, make_search
@@ -234,22 +239,19 @@ def cmd_scan(spec) -> None:
     direction = scaled_descent_direction(model, origin, spec.target_alpha)
     rows = len(split.train)
 
-    def run(size_index, repeat):
-        size = spec.batch_sizes[size_index]
+    def probe(size_index, size, repeat):
         if size == "full":
-            probe = DirectionalProbe(model, origin, direction, policy="full")
-            actual = rows
-        else:
-            sampler = BatchSampler(np.arange(rows), size,
-                                   seed=(spec.seed, 303, size_index, repeat))
-            probe = DirectionalProbe(model, origin, direction,
-                                     policy=spec.policy, sampler=sampler)
-            actual = min(size, rows)
-        return scan_line(probe, spec.scan_step, spec.scan_steps,
-                         batch_size=actual)
+            return DirectionalProbe(model, origin, direction, policy="full")
+        sampler = BatchSampler(np.arange(rows), size,
+                               seed=(spec.seed, 303, size_index, repeat))
+        return DirectionalProbe(model, origin, direction,
+                                policy=spec.policy, sampler=sampler)
 
-    groups = [[run(si, rep) for rep in range(spec.repeats)]
-              for si in range(len(spec.batch_sizes))]
+    # One stacked evaluation per batch size answers all its repeats.
+    groups = [scan_lines([probe(si, size, rep) for rep in range(spec.repeats)],
+                         spec.scan_step, spec.scan_steps,
+                         batch_size=rows if size == "full" else min(size, rows))
+              for si, size in enumerate(spec.batch_sizes)]
     for size, scans in zip(spec.batch_sizes, groups):
         write_scan_csv(spec.out / f"scan_{_safe(str(size))}.csv", scans)
     write_csv(spec.out / "scan_summary.csv",

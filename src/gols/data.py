@@ -10,6 +10,7 @@ indices 0..K-1 in order of first appearance.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -124,18 +125,65 @@ def load_csv(path, name=None) -> Dataset:
 def write_csv(path, header, blocks) -> None:
     """Write ``header`` and then each block of columns to ``path`` as CSV.
 
-    A block is a sequence of columns: arrays of one length, or scalars that
-    repeat down the block (a block of scalars is one row).  Rows are streamed
-    block by block.  Every cell is written as the Python value of its numpy
-    element, so a float reads ``repr(float(x))``, the shortest text that
-    parses back to the same double.
+    A block is a sequence of columns: 1-d arrays of one length, or scalars
+    that repeat down the block (a block of scalars is one row).  Rows are
+    written block by block, in the text ``csv.writer`` gives them: fields
+    joined by ``,``, rows ended by ``\r\n``, and a field quoted (its quotes
+    doubled) when it holds a comma, a quote or a line break, or when it is
+    the only field of its row and empty.  Every cell is the ``str`` of the
+    Python value of its numpy element, and ``None`` is empty, so a float
+    reads ``repr(float(x))``, the shortest text that parses back to the same
+    double.
+
+    Each column is formatted once, as a whole.  A column object that comes
+    again in a later block, say the step-size grid that scans share, is
+    taken to hold the same values and reuses its text.
     """
+    formatted = {}  # id -> (column, its fields); holding it keeps the id unique
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(_rows([[field] for field in _fields(header)]))
         for block in blocks:
-            columns = np.broadcast_arrays(*(np.atleast_1d(c) for c in block))
-            writer.writerows(zip(*(c.tolist() for c in columns)))
+            columns = []
+            for column in block:
+                known = formatted.get(id(column))
+                if known is None:
+                    known = formatted[id(column)] = (column, _fields(column))
+                columns.append(known[1])
+            lengths = {len(fields) for fields in columns} - {1}
+            if len(lengths) > 1:
+                raise ValueError(f"columns of one block differ in length: {sorted(lengths)}")
+            rows = lengths.pop() if lengths else 1
+            fh.write(_rows([f if len(f) == rows else f * rows for f in columns]))
+
+
+# The characters that make csv.writer quote a field under QUOTE_MINIMAL.
+_QUOTED = re.compile('[,"\r\n]')
+
+
+def _fields(column) -> list:
+    """The CSV fields of a column's values, quoted where needed."""
+    values = np.atleast_1d(column)
+    if values.ndim != 1:
+        raise ValueError("a CSV column must be 1-d")
+    if values.dtype == object:
+        fields = ["" if v is None else str(v) for v in values.tolist()]
+    else:
+        fields = list(map(str, values.tolist()))
+    # The text of a number never needs quotes.
+    if values.dtype.kind not in "biuf" and _QUOTED.search("".join(fields)):
+        fields = ['"' + text.replace('"', '""') + '"' if _QUOTED.search(text) else text
+                  for text in fields]
+    return fields
+
+
+def _rows(columns) -> str:
+    """The text of the rows of ``columns``, lists of fields of one length."""
+    # csv.writer quotes a lone empty field, which unquoted would read back
+    # as an empty line.
+    if len(columns) == 1:
+        columns = [[text or '""' for text in columns[0]]]
+    lines = "\r\n".join(map(",".join, zip(*columns)))
+    return lines + "\r\n" if lines else ""
 
 
 def check_count(name, value) -> None:
@@ -232,14 +280,17 @@ class BatchSampler:
 
     def samples(self, count) -> np.ndarray:
         """The next ``count`` batches as the rows of one array: the batches
-        that ``count`` calls of :meth:`sample` return."""
+        that ``count`` calls of :meth:`sample` return.  The sampler keeps
+        only a copy of the batches it has not handed out, so the array it
+        returns is the only one that holds these."""
         parts = [self._ready[self._next:]]
         have = len(parts[0])
         while have < count:
             parts.append(self._draw_block(count - have))
             have += len(parts[-1])
-        self._ready, self._next = np.concatenate(parts), count
-        return self._ready[:count]
+        batches = np.concatenate(parts)
+        self._ready, self._next = batches[count:].copy(), 0
+        return batches[:count]
 
     def _draw_block(self, most):
         """The next batches of the stream as rows: ``most`` of them or as many
@@ -295,7 +346,7 @@ class BatchSampler:
         if count > spare.size:
             raw = self._rng.bit_generator.random_raw((count - spare.size + 1) // 2)
             spare = np.concatenate([spare, raw.astype("<u8", copy=False).view("<u4")])
-        self._spare = spare[count:]
+        self._spare = spare[count:].copy()  # a view would keep every word read
         return spare[:count]
 
     def _bounded(self, top):

@@ -34,6 +34,7 @@ __all__ = [
     "SyntheticObjective",
     "KeyStream",
     "DirectionalProbe",
+    "scan_probes",
 ]
 
 # resample: fresh sample per evaluation (the stochastic, discontinuous view)
@@ -406,29 +407,81 @@ class DirectionalProbe(LineTable):
         return float(values[0]), float(slopes[0])
 
     def scan(self, alphas):
-        """F and F' at every step size of ``alphas``, one sample draw per node.
+        """F and F' at every step size of ``alphas``, one sample draw per node:
+        :func:`scan_probes` of this probe alone.
 
         Counts one loss and one gradient eval per node, as a
         :meth:`value_and_deriv` loop over ``alphas`` does, and names the first
         node, in grid order, whose F or F' is non-finite.
         """
-        alphas = np.asarray(alphas, dtype=float)
-        if alphas.ndim != 1:
-            raise ValueError("step sizes must form a 1-d grid")
-        if not np.all(np.isfinite(alphas)):
-            raise ValueError("step size must be finite")
-        samples = _draw(self.policy, self._sampler, self.fixed_sample, len(alphas))
-        points = self.origin + alphas[:, None] * self.direction
-        self.counter.functions += len(alphas)
-        self.counter.gradients += len(alphas)
-        values, grads = self.model.losses_and_gradients(points, samples)
-        slopes = np.vecdot(grads, self.direction)
-        bad = ~(np.isfinite(values) & np.isfinite(slopes))
-        if bad.any():
-            i = int(np.argmax(bad))
-            _finite("F", alphas[i], values[i])
-            _finite("F'", alphas[i], slopes[i])
-        return values, slopes
+        values, slopes = scan_probes([self], alphas)
+        return values[0], slopes[0]
+
+
+def scan_probes(probes, alphas):
+    """F and F' of every probe of ``probes`` at every step size of
+    ``alphas``: arrays of shape ``(len(probes), len(alphas))``.
+
+    Each probe draws the samples of its nodes under its own policy, one per
+    node in grid order, probe after probe, and counts one loss and one
+    gradient eval per node, as one :meth:`DirectionalProbe.scan` per probe
+    does.  Then every node of every probe takes one stacked
+    ``losses_and_gradients`` call of the probes' one model (in blocks of at
+    most 1024 batch rows for a :class:`BatchObjective`), and all the slopes
+    one dot product per row.  So the probes must share their model, and
+    their samples must be of one shape; each row is evaluated on its own,
+    so every F and F' has the bits that a scan of its probe alone gives.
+
+    A non-finite step size raises ``ValueError`` before anything is counted
+    or drawn.  A non-finite F or F' raises one that names the first bad
+    node, in probe order and then grid order, after every probe has drawn
+    and counted its nodes.
+    """
+    if not probes:
+        raise ValueError("need at least one probe to scan")
+    model = probes[0].model
+    if any(probe.model is not model for probe in probes):
+        raise ValueError("probes must share one model")
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1:
+        raise ValueError("step sizes must form a 1-d grid")
+    if not np.all(np.isfinite(alphas)):
+        raise ValueError("step size must be finite")
+    nodes = len(alphas)
+    samples = _node_samples(probes, nodes)
+    origins = np.array([probe.origin for probe in probes])
+    directions = np.array([probe.direction for probe in probes])
+    points = alphas[:, None] * directions[:, None]
+    points += origins[:, None]
+    values, grads = model.losses_and_gradients(
+        points.reshape(-1, origins.shape[1]), samples)
+    values = values.reshape(len(probes), nodes)
+    slopes = np.vecdot(grads.reshape(points.shape), directions[:, None])
+    bad = ~(np.isfinite(values) & np.isfinite(slopes))
+    if bad.any():
+        p, i = divmod(int(np.argmax(bad)), nodes)
+        _finite("F", alphas[i], values[p, i])
+        _finite("F'", alphas[i], slopes[p, i])
+    return values, slopes
+
+
+def _node_samples(probes, nodes):
+    """The samples of ``nodes`` evaluations of each probe, probe after
+    probe, each probe counting its evaluations: one array when every probe
+    draws its samples as one, else a list.  The probes' own draws are
+    released on return, before the evaluation needs its memory."""
+    drawn = []
+    for probe in probes:
+        drawn.append(_draw(probe.policy, probe._sampler, probe.fixed_sample, nodes))
+        probe.counter.functions += nodes
+        probe.counter.gradients += nodes
+    if nodes:
+        shapes = {None if d[0] is None else getattr(d[0], "shape", ()) for d in drawn}
+        if len(shapes) > 1:
+            raise ValueError("probes must draw samples of one shape")
+    if all(type(d) is np.ndarray for d in drawn):
+        return np.concatenate(drawn)
+    return [sample for d in drawn for sample in d]
 
 
 def _draw(policy, sampler, fixed, count=None):

@@ -13,6 +13,7 @@ from gols.analysis import (
     estimate_ball,
     scaled_descent_direction,
     scan_line,
+    scan_lines,
     write_scan_csv,
 )
 from gols.data import builtin_dataset, split_3_1_1
@@ -78,6 +79,35 @@ class TestScanLine:
         probe = make_1d_probe(lambda a: a, lambda a: 1.0)
         with pytest.raises(ValueError, match="steps"):
             scan_line(probe, steps=steps)
+
+
+class TestScanLines:
+    def test_scans_share_one_grid_and_match_scan_line(self):
+        model = shifted_bowl(2.5, noise_grad=0.2, noise_value=0.2)
+
+        def probes():
+            return [DirectionalProbe(model, np.array([0.1 * k]), np.ones(1),
+                                     sampler=KeyStream(k)) for k in range(3)]
+
+        scans = scan_lines(probes(), step=0.05, steps=60, batch_size=7)
+        assert len(scans) == 3
+        for scan, probe in zip(scans, probes()):
+            assert scan.alphas is scans[0].alphas
+            alone = scan_line(probe, step=0.05, steps=60, batch_size=7)
+            assert scan.alphas.tobytes() == alone.alphas.tobytes()
+            assert scan.values.tobytes() == alone.values.tobytes()
+            assert scan.slopes.tobytes() == alone.slopes.tobytes()
+            assert scan.batch_size == 7
+            assert np.array_equal(scan.minima_alphas, alone.minima_alphas)
+            assert np.array_equal(scan.snngpp_alphas, alone.snngpp_alphas)
+
+    @pytest.mark.parametrize("step, steps", [(0.0, 10), (0.1, 0)])
+    def test_bad_grid_rejected_before_any_draw(self, step, steps):
+        probe = DirectionalProbe(shifted_bowl(), np.zeros(1), np.ones(1),
+                                 sampler=KeyStream(0))
+        with pytest.raises(ValueError, match="step"):
+            scan_lines([probe], step=step, steps=steps)
+        assert probe.counter.info_calls == 0
 
 
 class TestCountLocalMinima:

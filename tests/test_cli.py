@@ -141,14 +141,43 @@ class TestScanCommand:
         assert float(row[2]) > 0.0  # minima counts vary across repeats
         assert float(row[4]) >= 0.0
 
+    # sha256 of each CSV of a seeded scan.  The summaries were recorded when
+    # every scan node was still evaluated on its own, the scan files when
+    # each scan still took a stacked call of its own and csv.writer wrote
+    # them; the stacked evaluation must reproduce the same bytes.
+    SCAN_PINS = {
+        "resample": {
+            "scan_summary.csv":
+                "f25e872086524981d01c099d5b2c3e6a3b4a906a0c17254bdfdab0a0e89693c9",
+            "scan_1.csv": "ae826a42f8e89f6fb38014b44deb9608c5b79f2c6eeb532229f07ffcef2a90a6",
+            "scan_10.csv": "5fb2270bd7e5ddaed7a260992149417ea495bcf3953d05187e571111a0d1a61a",
+            "scan_full.csv":
+                "86511dbf41f63c0dbfaff286cb155137064996759b058482f99c477a84dd9ccb",
+        },
+        "fixed": {
+            "scan_summary.csv":
+                "143305609f3a574493c54be23fe45a1f7287b8958360c692919e3bb50e273ee7",
+            "scan_1.csv": "e121ff2488d74caf8d061a0ed9abcd522c839022c6d8dc0815cb7bb951febc55",
+            "scan_10.csv": "4077c96166f497ff00f64f2d6c0da2eaf254d62a8496fe1a42e38b0219080557",
+            "scan_full.csv":
+                "86511dbf41f63c0dbfaff286cb155137064996759b058482f99c477a84dd9ccb",
+        },
+    }
+
     def test_seeded_scan_summary_is_pinned(self, tmp_path):
-        # Recorded when every scan node was still evaluated on its own; the
-        # stacked evaluation must reproduce the same summary bytes.
         run_ok(["scan", "--dataset", "iris", "--batch-sizes", "1,10,full",
                 "--repeats", "3", "--seed", "3", "--out", str(tmp_path)])
-        digest = hashlib.sha256((tmp_path / "scan_summary.csv").read_bytes())
-        assert digest.hexdigest() == (
-            "f25e872086524981d01c099d5b2c3e6a3b4a906a0c17254bdfdab0a0e89693c9")
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.iterdir()}
+        assert digests == self.SCAN_PINS["resample"]
+
+    def test_seeded_fixed_policy_scan_is_pinned(self, tmp_path):
+        run_ok(["scan", "--dataset", "iris", "--batch-sizes", "1,10,full",
+                "--repeats", "3", "--seed", "3", "--policy", "fixed",
+                "--out", str(tmp_path)])
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.iterdir()}
+        assert digests == self.SCAN_PINS["fixed"]
 
     def test_scan_rerun_byte_identical(self, tmp_path):
         args = ["scan", "--dataset", "iris", "--repeats", "2",

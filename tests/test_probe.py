@@ -17,6 +17,7 @@ from gols.probe import (
     KeyStream,
     LineTable,
     SyntheticObjective,
+    scan_probes,
 )
 from gols.trainer import sgd_train
 
@@ -416,6 +417,141 @@ class TestStackedScan:
                                  policy="full")
         with pytest.raises(ValueError, match="finite"):
             probe.scan(np.array([0.0, np.nan]))
+
+
+class TestScanProbes:
+    """Several probes scanned in one stacked evaluation against one
+    :meth:`DirectionalProbe.scan` per probe."""
+
+    alphas = np.linspace(0.0, 4.0, 41)
+    # On the iris partition of 90 rows, 4 probes x 41 nodes of batches of 10
+    # span two blocks of 102 points, and the full policy 15 blocks of 11.
+    PROBES = 4
+
+    @staticmethod
+    def synthetic():
+        return SyntheticObjective(lambda x: 0.5 * float(x @ x) + np.sin(3.0 * x[0]),
+                                  lambda x: x + np.array([3.0 * np.cos(3.0 * x[0]), 0.0]),
+                                  noise_value=0.3, noise_grad=0.3)
+
+    def probes(self, model, policy, batch=10, seed=0):
+        """``PROBES`` probes of ``model`` on lines of their own, each with its
+        own sampler, and the samplers."""
+        rng = np.random.default_rng(seed)
+        dim = model.net.num_params if isinstance(model, BatchObjective) else 2
+        made, samplers = [], []
+        for k in range(self.PROBES):
+            if isinstance(model, BatchObjective):
+                sampler = BatchSampler(np.arange(model.num_rows), batch, seed=(seed, k))
+            else:
+                sampler = KeyStream((seed, k))
+            made.append(DirectionalProbe(model, rng.uniform(-1.0, 1.0, dim),
+                                         0.3 * rng.normal(size=dim), policy=policy,
+                                         sampler=sampler))
+            samplers.append(sampler)
+        return made, samplers
+
+    def models(self, objective, iris_objective):
+        return iris_objective[1] if objective == "batch" else self.synthetic()
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("objective", ["batch", "synthetic"])
+    def test_matches_one_scan_per_probe(self, iris_objective, objective, policy):
+        model = self.models(objective, iris_objective)
+        stacked, stacked_samplers = self.probes(model, policy)
+        alone, alone_samplers = self.probes(model, policy)
+        values, slopes = scan_probes(stacked, self.alphas)
+        assert values.shape == slopes.shape == (self.PROBES, len(self.alphas))
+        for k, probe in enumerate(alone):
+            want_values, want_slopes = probe.scan(self.alphas)
+            assert values[k].tobytes() == want_values.tobytes()
+            assert slopes[k].tobytes() == want_slopes.tobytes()
+            assert counts(stacked[k]) == counts(probe) == (41, 41)
+        for got, want in zip(stacked_samplers, alone_samplers):
+            assert np.array_equal(got.sample(), want.sample())
+
+    def test_probes_may_share_a_sampler(self, iris_objective):
+        # Sharing a sampler, the probes draw their nodes probe after probe.
+        model = iris_objective[1]
+        shared = [BatchSampler(np.arange(model.num_rows), 10, seed=3) for _ in range(2)]
+        stacked, alone = ([DirectionalProbe(model, np.full(model.net.num_params, 0.1 * k),
+                                            np.ones(model.net.num_params), sampler=sampler)
+                           for k in range(3)] for sampler in shared)
+        values, slopes = scan_probes(stacked, self.alphas)
+        for k, probe in enumerate(alone):
+            want_values, want_slopes = probe.scan(self.alphas)
+            assert values[k].tobytes() == want_values.tobytes()
+            assert slopes[k].tobytes() == want_slopes.tobytes()
+        assert np.array_equal(shared[0].sample(), shared[1].sample())
+
+    @pytest.mark.parametrize("kind", ["F", "F'"])
+    def test_first_bad_node_in_probe_order_names_the_error(self, kind):
+        # Past x[0] = 1 the loss (or slope) is NaN.  The line from 0.35
+        # fails at node 7, the one from 0.75 at node 3; the first line never
+        # fails.  The error is the first failing scan's, in probe order.
+        def guard(x, good):
+            return np.nan if x[0] > 1.0 else good
+
+        model = SyntheticObjective(
+            lambda x: guard(x, 0.5 * float(x @ x)) if kind == "F" else 0.5 * float(x @ x),
+            lambda x: x * guard(x, 1.0) if kind == "F'" else x)
+        alphas = np.linspace(0.0, 2.0, 21)
+
+        def lines():
+            return [DirectionalProbe(model, np.array([x0, 0.0]), np.array([1.0, 0.5]),
+                                     policy="full") for x0 in (-5.0, 0.35, 0.75)]
+
+        messages = []
+        for probe in lines():
+            try:
+                probe.scan(alphas)
+            except ValueError as exc:
+                messages.append(str(exc))
+        assert len(messages) == 2
+        assert f"{kind}({float(alphas[7])!r})" in messages[0]
+        with pytest.raises(ValueError) as got:
+            scan_probes(lines(), alphas)
+        assert str(got.value) == messages[0]
+
+    @pytest.mark.parametrize("policy", ["resample", "full"])
+    def test_nan_row_raises_the_first_failing_scans_error(self, iris_objective, policy):
+        net, obj = iris_objective
+        inputs = obj.inputs.copy()
+        inputs[7] = np.nan
+        model = BatchObjective(net, inputs, obj.targets)
+        messages = []
+        for probe in self.probes(model, policy)[0]:
+            try:
+                probe.scan(self.alphas)
+            except ValueError as exc:
+                messages.append(str(exc))
+        assert messages
+        with pytest.raises(ValueError) as got:
+            scan_probes(self.probes(model, policy)[0], self.alphas)
+        assert str(got.value) == messages[0]
+
+    def test_probes_of_different_models_rejected(self, iris_objective):
+        model = iris_objective[1]
+        probes = self.probes(model, "full")[0]
+        twin = BatchObjective(model.net, model.inputs, model.targets)
+        probes.append(DirectionalProbe(twin, probes[0].origin, probes[0].direction,
+                                       policy="full"))
+        with pytest.raises(ValueError, match="one model"):
+            scan_probes(probes, self.alphas)
+
+    @pytest.mark.parametrize("other", [dict(policy="resample", batch=20),
+                                       dict(policy="fixed", batch=5),
+                                       dict(policy="full")])
+    def test_probes_of_different_sample_shapes_rejected(self, iris_objective, other):
+        model = iris_objective[1]
+        probes = self.probes(model, "resample", batch=10)[0]
+        probes += self.probes(model, **other)[0][:1]
+        with pytest.raises(ValueError, match="one shape"):
+            scan_probes(probes, self.alphas)
+
+    def test_no_probes_rejected(self):
+        with pytest.raises(ValueError, match="at least one probe"):
+            scan_probes([], self.alphas)
 
 
 class StackedOnly:
