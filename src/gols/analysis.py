@@ -153,7 +153,9 @@ def scaled_descent_direction(model, origin, target_alpha=2.5):
     gradient from the objective's stacked ``losses_and_gradients``, and
     scales the direction so repeated stochastic scans of a fixed grid have
     their reference solution at a known interior location.  ``target_alpha``
-    must be positive and finite.
+    must be positive and finite, and so small or so large a one that the
+    rescaled direction's norm overflows or vanishes raises ``ValueError``
+    that names it, without a numpy warning.
     """
     if not 0.0 < target_alpha < math.inf:
         raise ValueError("target alpha must be positive and finite")
@@ -165,7 +167,11 @@ def scaled_descent_direction(model, origin, target_alpha=2.5):
     out = bisection_gols(probe)
     if not 0 < out.alpha < ALPHA_CAP:
         raise ValueError("no interior minimizer along the descent direction")
-    return -g * (out.alpha / target_alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        direction = -g * (out.alpha / target_alpha)
+        if 0.0 < np.linalg.norm(direction) < math.inf:
+            return direction
+    raise ValueError(f"target alpha {target_alpha!r} leaves no finite, nonzero direction")
 
 
 def _strict_minima(alphas, values):

@@ -6,7 +6,7 @@ per resolver and repeat, go through one call of
 :func:`gols.trainer.train_on_dataset`, which trains them in lockstep; the
 scans of ``scan``, one per batch size and repeat, take one stacked
 evaluation per batch size (:func:`gols.analysis.scan_lines`) for all its
-repeats.
+repeats, and the repeats of ``full`` share its one deterministic scan.
 Everything runs in one thread.  Exit codes: 0 on success, 2 on a bad
 invocation, 1 on a runtime failure.
 """
@@ -239,21 +239,22 @@ def cmd_scan(spec) -> None:
     direction = scaled_descent_direction(model, origin, spec.target_alpha)
     rows = len(split.train)
 
-    def probe(size_index, size, repeat):
+    def scans(size_index, size):
+        """Every repeat's scan of one batch size, from one stacked
+        evaluation; the repeats of ``full`` share its one deterministic
+        scan."""
         if size == "full":
-            return DirectionalProbe(model, origin, direction, policy="full")
-        sampler = BatchSampler(np.arange(rows), size,
-                               seed=(spec.seed, 303, size_index, repeat))
-        return DirectionalProbe(model, origin, direction,
-                                policy=spec.policy, sampler=sampler)
+            probe = DirectionalProbe(model, origin, direction, policy="full")
+            return scan_lines([probe], spec.scan_step, spec.scan_steps, rows) * spec.repeats
+        probes = [DirectionalProbe(model, origin, direction, policy=spec.policy,
+                                   sampler=BatchSampler(np.arange(rows), size,
+                                                        seed=(spec.seed, 303, size_index, rep)))
+                  for rep in range(spec.repeats)]
+        return scan_lines(probes, spec.scan_step, spec.scan_steps, min(size, rows))
 
-    # One stacked evaluation per batch size answers all its repeats.
-    groups = [scan_lines([probe(si, size, rep) for rep in range(spec.repeats)],
-                         spec.scan_step, spec.scan_steps,
-                         batch_size=rows if size == "full" else min(size, rows))
-              for si, size in enumerate(spec.batch_sizes)]
-    for size, scans in zip(spec.batch_sizes, groups):
-        write_scan_csv(spec.out / f"scan_{_safe(str(size))}.csv", scans)
+    groups = [scans(si, size) for si, size in enumerate(spec.batch_sizes)]
+    for size, group in zip(spec.batch_sizes, groups):
+        write_scan_csv(spec.out / f"scan_{_safe(str(size))}.csv", group)
     write_csv(spec.out / "scan_summary.csv",
               ["batch_size", "local_minima_mean", "local_minima_std",
                "snngpp_mean", "snngpp_std", "ball_center", "ball_epsilon"],

@@ -29,10 +29,11 @@ at a time, so it checks its budget between lists only.  One wrapper
 generator, :func:`_drive`, passes the lists on and counts their requests,
 then clamps the returned step into ``[ALPHA_MIN, alpha_max]`` and returns
 the :class:`LineSearchOutcome`.  The public searches answer a driven
-search through a probe, one request at a time in list order, and the probe
-draws each request's sample.  :func:`make_search` hands a driven search out
-unanswered, so that a caller that answers the requests of many searches at
-once can do so: a training run hands its search to the grid with
+search through a probe, each list in one round
+(:meth:`~gols.probe.DirectionalProbe.ask`), and the probe draws each
+request's sample in list order.  :func:`make_search` hands a driven search
+out unanswered, so that a caller that answers the requests of many searches
+at once can do so: a training run hands its search to the grid with
 ``yield from``, and the grid's :class:`~gols.probe.LineTable` draws each
 request's sample from the run's line.  A request carries no sample.
 Callers that resolve steps for steepest descent should pass
@@ -45,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from gols.probe import EvalCounter
+from gols.probe import EvalCounter, _count
 
 __all__ = [
     "ALPHA_MIN",
@@ -123,11 +124,7 @@ def _drive(search, alpha_max, *args):
     try:
         asks = next(requests)
         while True:
-            for kind, _ in asks:
-                if kind == "value":
-                    spent.functions += 1
-                else:
-                    spent.gradients += 1
+            _count(spent, asks)
             asks = requests.send((yield asks))
     except StopIteration as done:
         alpha, reason, intervals = done.value
@@ -142,17 +139,16 @@ def _drive(search, alpha_max, *args):
 def _answer(probe, requests):
     """Run a driven search to its outcome, answering through ``probe``.
 
-    The requests of a list are answered one by one in order, so the probe
-    draws their samples and counts them as it would one request at a time,
-    and the first non-finite reply raises its ``ValueError`` before the
-    requests after it are evaluated.  The probe's methods are looked up on
-    every search, so wrappers installed on the class see each evaluation.
+    Each request list is one call of ``probe.ask``, one round of the
+    probe's line: the probe counts every request and draws its sample in
+    list order, as the grid does for a run, and raises the first
+    ``ValueError`` among the replies in list order.  ``probe.ask`` is looked
+    up on every list, so a wrapper installed on the class sees each round.
     """
-    answer = {"value": probe.value, "deriv": probe.deriv}
     try:
         asks = next(requests)
         while True:
-            asks = requests.send([answer[kind](alpha) for kind, alpha in asks])
+            asks = requests.send(probe.ask(asks))
     except StopIteration as done:
         return done.value
 

@@ -338,16 +338,17 @@ class DirectionalProbe(LineTable):
     A probe is a :class:`LineTable` of one row, whose draw gives the
     sample of each evaluation under the probe's ``policy``, and every F and
     F' it gives comes from the objective's stacked calls, as the grid's do:
-    ``value`` and ``deriv`` each answer a round of one request
-    (:meth:`answer`), and :meth:`scan` a whole grid of step sizes in one
-    call, in blocks of at most 1024 batch rows for a
-    :class:`BatchObjective`.  So the objective needs only ``losses`` and
-    ``losses_and_gradients``.
+    :meth:`ask` answers a search's whole request list in one round
+    (:meth:`answer`), ``value`` and ``deriv`` are lists of one request, and
+    :meth:`scan` answers a whole grid of step sizes in one call, in blocks
+    of at most 1024 batch rows for a :class:`BatchObjective`.  So the
+    objective needs only ``losses`` and ``losses_and_gradients``.
 
     The direction is used exactly as given (unnormalized).  Counters only
     ever increase.  A non-finite step size raises ``ValueError`` before
     anything is counted or drawn, and a non-finite F or F' raises one rather
-    than reach a search, whose comparisons a NaN would silently steer.
+    than reach a search, whose comparisons a NaN would silently steer; the
+    rest of its list has then been counted and drawn, as in the grid.
     """
 
     def __init__(self, model, origin, direction, policy="resample",
@@ -379,26 +380,31 @@ class DirectionalProbe(LineTable):
         self.origins, self.directions = self.origin[None], self.direction[None]
         self.draws = [_draw(policy, sampler, self.fixed_sample)]
 
-    def _ask(self, kind, alpha) -> float:
-        """F or F' at ``alpha`` as a round of one request, counted."""
-        alpha = _step(alpha)
-        if kind == "value":
-            self.counter.functions += 1
-        else:
-            self.counter.gradients += 1
-        reply = self.answer(self.model, {0: [(kind, alpha)]})[0]
-        if type(reply) is ValueError:
-            raise reply
-        return reply[0]
+    def ask(self, requests) -> list:
+        """The replies to the list ``requests``, each ``("value", alpha)``
+        or ``("deriv", alpha)``, in order: F or F' from one round of the
+        probe's one row (:meth:`answer`), as the grid answers a run's list.
+
+        Every step size is checked before anything is counted or drawn.
+        Then each request counts one loss or gradient eval and draws one
+        sample, in list order, and the first ``ValueError`` among the
+        replies, in list order, is raised.
+        """
+        requests = [(kind, _step(alpha)) for kind, alpha in requests]
+        _count(self.counter, requests)
+        replies = self.answer(self.model, {0: requests})[0]
+        if type(replies) is ValueError:
+            raise replies
+        return replies
 
     def value(self, alpha) -> float:
         """F(alpha) under the probe's sampling policy; counts one loss eval."""
-        return self._ask("value", alpha)
+        return self.ask([("value", alpha)])[0]
 
     def deriv(self, alpha) -> float:
         """F'(alpha), the gradient projected onto the direction; counts one
         gradient eval."""
-        return self._ask("deriv", alpha)
+        return self.ask([("deriv", alpha)])[0]
 
     def value_and_deriv(self, alpha):
         """F and F' at one step size sharing a single sample draw: a scan
@@ -482,6 +488,14 @@ def _node_samples(probes, nodes):
     if all(type(d) is np.ndarray for d in drawn):
         return np.concatenate(drawn)
     return [sample for d in drawn for sample in d]
+
+
+def _count(counter, requests) -> None:
+    """Charge ``counter`` one eval per search request ``(kind, alpha)``: a
+    gradient eval for a ``deriv``, a loss eval for a ``value``."""
+    for kind, _ in requests:
+        counter.functions += kind == "value"
+        counter.gradients += kind == "deriv"
 
 
 def _draw(policy, sampler, fixed, count=None):

@@ -31,8 +31,8 @@ fills the loss cells of many runs and iterations from one forward pass.
 Every run keeps its own sampler, so its samples are drawn in the same order
 as when it trains alone; :func:`sgd_train` is the grid of one run.  A run
 with a callable resolver hands it a :class:`~gols.probe.DirectionalProbe`,
-a table of the run's line alone, which answers each request in a round of
-its own outside the grid's.
+a table of the run's line alone, which answers its own one-line rounds
+outside the grid's, one per request list of a search it runs.
 """
 
 from __future__ import annotations

@@ -71,6 +71,12 @@ class PointProbe:
     def value_and_deriv(self, alpha):
         return tuple(self._evaluate(alpha, True, True))
 
+    def ask(self, requests):
+        """The replies to a search's request list, one request at a time
+        through :meth:`value` and :meth:`deriv`, in list order."""
+        answer = {"value": self.value, "deriv": self.deriv}
+        return [answer[kind](alpha) for kind, alpha in requests]
+
 
 @pytest.fixture
 def quadratic_probe():

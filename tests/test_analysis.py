@@ -1,5 +1,7 @@
 import csv
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +249,20 @@ class TestScaledDescentDirection:
         )
         with pytest.raises(ValueError, match="target alpha"):
             scaled_descent_direction(model, np.zeros(3), target_alpha=target)
+
+    @pytest.mark.parametrize("target", [1e-300, 5e-324, 1e300, 1e308])
+    def test_target_whose_direction_norm_overflows_or_vanishes_is_named(self, target):
+        # The minimizer sits at 1 along -grad = (3, 3, 3), so a target of
+        # 1e-300 scales it to a norm past the largest double and one of 1e300
+        # to one whose square underflows to 0; neither may warn.
+        model = SyntheticObjective(
+            func=lambda x: 0.5 * float(np.sum((x - 3.0) ** 2)),
+            grad_func=lambda x: x - 3.0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^target alpha {re.escape(repr(target))} "):
+                scaled_descent_direction(model, np.zeros(3), target_alpha=target)
 
 
 class TestScanCsv:

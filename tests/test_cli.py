@@ -1,11 +1,13 @@
 import csv
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from gols.cli import main
+from gols.probe import BatchObjective
 
 
 def read_csv(path):
@@ -178,6 +180,43 @@ class TestScanCommand:
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for path in tmp_path.iterdir()}
         assert digests == self.SCAN_PINS["fixed"]
+
+    def test_full_batch_size_is_scanned_once(self, tmp_path, monkeypatch):
+        # Every repeat of full is the same deterministic scan, so the
+        # objective sees the rows of one scan whatever --repeats is: the
+        # direction gradient, the direction search, then one 21-node scan.
+        stacked = BatchObjective.losses_and_gradients
+        calls, rows = [], {}
+
+        def counting(model, points, samples):
+            calls.append(len(points))
+            return stacked(model, points, samples)
+
+        monkeypatch.setattr(BatchObjective, "losses_and_gradients", counting)
+        for repeats in (1, 4):
+            calls.clear()
+            out = tmp_path / str(repeats)
+            run_ok(["scan", "--dataset", "iris", "--batch-sizes", "full",
+                    "--repeats", str(repeats), "--scan-steps", "20", "--out", str(out)])
+            rows[repeats] = list(calls)
+            assert len(read_csv(out / "scan_full.csv")) == 1 + repeats * 21
+        assert rows[4] == rows[1]
+        assert rows[1][-1] == 21 and rows[1].count(21) == 1
+
+    @pytest.mark.parametrize("target", ["1e-300", "1e300"])
+    def test_out_of_range_target_alpha_fails_naming_it(self, tmp_path, capsys, target):
+        # Positive and finite, so not a bad invocation, but the rescaled
+        # direction's norm overflows or vanishes: one failure line, no
+        # numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["scan", "--dataset", "iris", "--batch-sizes", "10",
+                         "--repeats", "1", "--target-alpha", target,
+                         "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"gols: failed: target alpha {float(target)!r} leaves no finite, "
+            "nonzero direction\n")
 
     def test_scan_rerun_byte_identical(self, tmp_path):
         args = ["scan", "--dataset", "iris", "--repeats", "2",

@@ -465,16 +465,23 @@ REQUEST_ORDER = {
 }
 
 
+# The rounds the probe answers them in, one per request list, at either
+# alpha_max: a search's opening list and golden section's first inner pair
+# each take one round.
+ROUNDS = {"gs": 65, "arls": 7, "bgols": 45, "igols": 7}
+
+
 class TestRequestOrder:
     @pytest.mark.parametrize("name,alpha_max", sorted(REQUEST_ORDER))
     def test_probe_sees_the_pinned_requests(self, name, alpha_max):
         probe = make_1d_probe(lambda a: 0.5 * (a - 7.5) ** 2, lambda a: a - 7.5)
-        seen = []
-        value, deriv = probe.value, probe.deriv
-        probe.value = lambda alpha: seen.append(("value", alpha)) or value(alpha)
-        probe.deriv = lambda alpha: seen.append(("deriv", alpha)) or deriv(alpha)
+        lists = []
+        ask = probe.ask
+        probe.ask = lambda requests: lists.append(list(requests)) or ask(requests)
         PUBLIC[name](probe, 0.25, alpha_max)
+        seen = [request for asked in lists for request in asked]
         count, digest, opening = REQUEST_ORDER[name, alpha_max]
         assert seen[:7] == opening
         assert len(seen) == count
         assert hashlib.sha256(repr(seen).encode()).hexdigest()[:16] == digest
+        assert len(lists) == ROUNDS[name]

@@ -192,7 +192,7 @@ class TestValidation:
                 probe.deriv(bad)
 
     @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("method", ["value", "deriv", "value_and_deriv"])
+    @pytest.mark.parametrize("method", ["value", "deriv", "value_and_deriv", "ask"])
     def test_non_finite_step_counts_and_draws_nothing(self, iris_objective, method,
                                                       policy):
         net, obj = iris_objective
@@ -205,7 +205,12 @@ class TestValidation:
             untouched.sample()
         for bad in [np.nan, np.inf, -np.inf]:
             with pytest.raises(ValueError, match="^step size must be finite$"):
-                getattr(probe, method)(bad)
+                if method == "ask":
+                    # The bad step comes last: nothing of its list is
+                    # counted or drawn.
+                    probe.ask([("value", 0.5), ("deriv", 1.0), ("value", bad)])
+                else:
+                    getattr(probe, method)(bad)
         assert counts(probe) == (0, 0)
         assert np.array_equal(sampler.sample(), untouched.sample())
 

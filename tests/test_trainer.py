@@ -438,10 +438,11 @@ class TestLockstepGrid:
     @pytest.mark.parametrize("kind", ["value", "deriv"])
     def test_non_finite_second_request_of_a_list_raises(self, kind):
         # The second of three requests in a list is non-finite: the run is
-        # thrown the probe's error, and the probe, answering the list in
-        # order, raises it before it evaluates the third request.
+        # thrown the probe's error.  The grid and the probe each answer the
+        # list in one round, so both evaluate its third request too.
         model = SyntheticObjective(lambda x: np.nan if x[0] > 1.0 else float(x[0]),
                                    lambda x: np.full(1, np.nan if x[0] > 1.0 else 1.0))
+        on_grid, on_probe = Recording(model), Recording(model)
         lines = LineTable(1, 1)
         replies = []
 
@@ -455,17 +456,17 @@ class TestLockstepGrid:
             yield [(kind, alpha) for alpha in (0.75, 7.0, 0.25)]
 
         with pytest.raises(ValueError) as grid:
-            _lockstep(model, None, lines, [run()])
-        probe = DirectionalProbe(model, np.zeros(1), np.ones(1), policy="full")
-        evaluated = []
-        answer = getattr(probe, kind)
-        setattr(probe, kind, lambda alpha: evaluated.append(alpha) or answer(alpha))
+            _lockstep(on_grid, None, lines, [run()])
+        probe = DirectionalProbe(on_probe, np.zeros(1), np.ones(1), policy="full")
         with pytest.raises(ValueError) as alone:
             _answer(probe, search())
         name = "F" if kind == "value" else "F'"
         assert str(grid.value) == str(alone.value) == f"non-finite {name}(7.0) = nan"
         assert replies == [[0.5 if kind == "value" else 1.0]]
-        assert evaluated == [0.5, 0.75, 7.0]
+        assert on_grid.seen == on_probe.seen
+        assert [np.frombuffer(point)[0] for _, point, _ in on_probe.seen] == [
+            0.5, 0.75, 7.0, 0.25]
+        assert probe.counter.info_calls == 4
 
     def test_bare_searches_in_lockstep_match_their_probes(self):
         # Eight rows on one noisy line, each drawing from its own key stream:

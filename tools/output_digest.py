@@ -37,14 +37,23 @@ def jobs(root) -> dict:
         listed[f"train-{policy}"] = TRAIN + ["--policy", policy]
         listed[f"scan-{policy}"] = SCAN + ["--policy", policy]
     listed["compare"] = COMPARE
+    for name, argv in bench_jobs(root).items():
+        listed[f"bench-{name}"] = argv
+    return listed
+
+
+def bench_jobs(root) -> dict:
+    """``{workload name: argv without --out}`` of the workloads of the
+    ``bench/run.py`` under ``root``, at seed 7."""
     sys.path.insert(0, str(root / "bench"))  # bench/run.py imports checks
     spec = importlib.util.spec_from_file_location("gols_bench_run", root / "bench" / "run.py")
     bench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    listed = {}
     for name, workload in bench.WORKLOADS.items():
         argv = workload.argv(BENCH_SEED, "-")
         at = argv.index("--out")
-        listed[f"bench-{name}"] = argv[:at] + argv[at + 2:]
+        listed[name] = argv[:at] + argv[at + 2:]
     return listed
 
 

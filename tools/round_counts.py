@@ -1,0 +1,61 @@
+"""Count the rounds of ``LineTable.answer`` in the jobs of the three
+``bench/run.py`` workloads at seed 7, and the requests those rounds answer.
+
+A round is one ``LineTable.answer`` call, and a request one entry of the
+lists it answers: an F, an F' or a direction gradient, one stacked row
+each.  Grid rounds are those of the lockstep training grid's table; probe
+rounds those of a ``DirectionalProbe``, a table of one line, such as the
+direction search of ``gols scan``.  Prints one line per job:
+
+    <workload>  grid <rounds> rounds / <requests> requests  probe <rounds> rounds / <requests> requests
+
+Run it as
+
+    python tools/round_counts.py [checkout root]
+
+As with ``output_digest.py``, the root defaults to the checkout this file
+lives in, and its ``src/`` and ``bench/run.py`` are the ones used, so the
+counts of two checkouts (say, a change and its parent) can be compared.
+"""
+
+import sys
+import tempfile
+from pathlib import Path
+
+from output_digest import bench_jobs
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    root = Path(args[0]).resolve() if args else Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "src"))
+    from gols.cli import main as gols_main
+    from gols.probe import DirectionalProbe, LineTable
+
+    answer = LineTable.answer
+    counts = {}
+
+    def counting(table, model, pending):
+        tally = counts["probe" if isinstance(table, DirectionalProbe) else "grid"]
+        tally[0] += 1
+        tally[1] += sum(map(len, pending.values()))
+        return answer(table, model, pending)
+
+    LineTable.answer = counting
+    failed = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, job in bench_jobs(root).items():
+            counts.update(grid=[0, 0], probe=[0, 0])
+            code = gols_main(job + ["--out", str(Path(scratch) / name)])
+            if code != 0:
+                print(f"{name}: exit code {code}")
+                failed += 1
+                continue
+            print(f"{name}  " + "  ".join(
+                f"{kind} {rounds} rounds / {requests} requests"
+                for kind, (rounds, requests) in counts.items()))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
