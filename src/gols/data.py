@@ -186,13 +186,13 @@ def _rows(columns) -> str:
     return lines + "\r\n" if lines else ""
 
 
-def check_count(name, value) -> None:
-    """Raise ``ValueError`` unless ``value`` is a whole number of at least 1:
-    a Python or numpy integer, not a bool."""
+def check_count(name, value, least=1) -> None:
+    """Raise ``ValueError`` unless ``value`` is a whole number of at least
+    ``least``: a Python or numpy integer, not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be a whole number, not {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
 
 
 def split_3_1_1(dataset: Dataset, seed) -> Split:
@@ -214,14 +214,20 @@ def split_3_1_1(dataset: Dataset, seed) -> Split:
     )
 
 
-# Batches a sampler draws at once for sample(); larger blocks were no faster
-# per draw and raised peak memory.
-_BLOCK = 64
+# A sampler draws the batches of sample() in blocks of about this many row
+# indices (40 KiB), of 64 to 512 batches: 512 of 10 rows, 102 of 50, 80 of
+# 64.  A block's numpy calls cost the same for any number of batches, so a
+# larger block is cheaper per draw: with numpy 2.4 on x86-64, a draw of 10
+# of 90 rows took 1.43 us in blocks of 64 and 0.65 us in blocks of 512, and
+# one of 50 rows 4.56 and 2.43 us.
+_BLOCK_INDICES = 5120
+_BLOCK_MIN, _BLOCK_MAX = 64, 512
 # A block takes a few numpy calls per row of a batch, so choice catches up
 # with it near 100 rows.
 _BLOCK_MAX_BATCH = 64
 # A block's mask holds one byte per row of the partition and batch of the
-# block: 64 batches of up to 65 536 rows.
+# block, so past 8 192 rows a block can hold fewer than 512 batches; a
+# partition takes the block path if 64 batches of it fit, up to 65 536 rows.
 _MASK_BYTES = 1 << 22
 _LOW_WORD = 0xFFFFFFFF
 
@@ -239,16 +245,18 @@ class BatchSampler:
     Floyd 1987) and shuffles them by Fisher-Yates, each step a Lemire bounded
     integer (Lemire 2019) from the next 32-bit word of PCG64, the low half of
     each 64-bit output first.  The first batch comes from ``choice`` itself.
-    After it the sampler takes the words of 64 batches at once, runs every
-    step for the 64 batches together, and hands the batches out one per
-    call; :meth:`samples` takes as many batches as it asks for in one block,
-    up to a mask of 4 MiB.  A block in which Lemire's method would reject a
-    word keeps the batches before that one, draws that batch word by word,
-    and the next block starts after it.  Batches of more than 64 rows and
-    partitions of more than 65 536 rows call ``choice`` for every batch; that
-    covers the partitions of more than 10 000 rows with a batch above
-    rows // 50, where numpy shuffles a tail instead of running Floyd's
-    algorithm.
+    After it the sampler takes the words of a block of batches at once, runs
+    every step for the block's batches together, and hands the batches out
+    one per call.  A block holds about 5 120 row indices (40 KiB), 64 to 512
+    batches, and fewer in a partition of more than 8 192 rows, whose mask of
+    one byte per row and batch is held to 4 MiB; :meth:`samples` takes as
+    many batches as it asks for in one block, up to that mask.  A block in
+    which Lemire's method would reject a word keeps the batches before that
+    one, draws that batch word by word, and the next block starts after it.
+    Batches of more than 64 rows and partitions of more than 65 536 rows
+    call ``choice`` for every batch; that covers the partitions of more than
+    10 000 rows with a batch above rows // 50, where numpy shuffles a tail
+    instead of running Floyd's algorithm.
     """
 
     def __init__(self, indices, batch_size: int, seed):
@@ -262,7 +270,8 @@ class BatchSampler:
         self._rng = np.random.default_rng(seed)
         n, b = self.indices.size, self.batch_size
         self._ready, self._next = np.empty((0, b), self.indices.dtype), 0
-        self._blocked = b <= _BLOCK_MAX_BATCH and n * _BLOCK <= _MASK_BYTES
+        self._blocked = b <= _BLOCK_MAX_BATCH and n * _BLOCK_MIN <= _MASK_BYTES
+        self._block = min(max(_BLOCK_INDICES // b, _BLOCK_MIN), _BLOCK_MAX)
         # Floyd's step j draws from 0..j (no word when j is 0) and takes row
         # j itself when the draw was taken before; the shuffle's step i swaps
         # position i with one of 0..i, for i = b-1 down to 1.
@@ -274,7 +283,7 @@ class BatchSampler:
 
     def sample(self) -> np.ndarray:
         if self._next == len(self._ready):
-            self._ready, self._next = self._draw_block(_BLOCK), 0
+            self._ready, self._next = self._draw_block(self._block), 0
         self._next += 1
         return self._ready[self._next - 1]
 
@@ -282,7 +291,9 @@ class BatchSampler:
         """The next ``count`` batches as the rows of one array: the batches
         that ``count`` calls of :meth:`sample` return.  The sampler keeps
         only a copy of the batches it has not handed out, so the array it
-        returns is the only one that holds these."""
+        returns is the only one that holds these.  ``count`` is a whole
+        number of at least 0."""
+        check_count("count", count, least=0)
         parts = [self._ready[self._next:]]
         have = len(parts[0])
         while have < count:
@@ -298,7 +309,7 @@ class BatchSampler:
         ``choice`` (the first batch, or any batch outside the block path)."""
         if not self._blocked or self._spare is None:
             # A sampler that draws one batch, as a scan under the fixed policy
-            # does, would pay for 64 if its first batch came from a block.
+            # does, would pay for a whole block if its first came from one.
             batch = self._rng.choice(self.indices, self.batch_size, replace=False)
             if self._blocked:
                 # choice leaves the high half of a half-read output buffered.
@@ -314,10 +325,13 @@ class BatchSampler:
         # Row t of each (steps, lanes) array is step t of all the block's
         # batches.
         products = words.reshape(size, width).T * self._bounds[:, None]
-        rejected = ((products & _LOW_WORD) < self._floors[:, None]).any(axis=0)
+        # The cast keeps each product's low word; the shift, in place, its
+        # high word, the draw.
+        rejected = (products.astype(np.uint32) < self._floors[:, None]).any(axis=0)
         # Key v * size + lane names row v of one lane's batch; as a flat
         # index into a (b, lanes) array it names position v of that batch.
-        keys = (products >> 32).astype(np.int64)
+        products >>= 32
+        keys = products.view(np.int64)
         keys *= size
         keys += lanes
         picks = np.empty((b, size), np.int64)

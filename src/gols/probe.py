@@ -385,12 +385,16 @@ class DirectionalProbe(LineTable):
         or ``("deriv", alpha)``, in order: F or F' from one round of the
         probe's one row (:meth:`answer`), as the grid answers a run's list.
 
-        Every step size is checked before anything is counted or drawn.
-        Then each request counts one loss or gradient eval and draws one
-        sample, in list order, and the first ``ValueError`` among the
-        replies, in list order, is raised.
+        Every request is checked before anything is counted or drawn: an
+        empty list, a kind other than ``value`` or ``deriv`` or a non-finite
+        step size raises ``ValueError``.  Then each request counts one loss
+        or gradient eval and draws one sample, in list order, and the first
+        ``ValueError`` among the replies, in list order, is raised.
         """
         requests = [(kind, _step(alpha)) for kind, alpha in requests]
+        if not requests or not all(kind in ("value", "deriv") for kind, _ in requests):
+            raise ValueError(f"a probe answers a nonempty list of 'value' and 'deriv' "
+                             f"requests, not {requests!r}")
         _count(self.counter, requests)
         replies = self.answer(self.model, {0: requests})[0]
         if type(replies) is ValueError:

@@ -27,7 +27,8 @@ section, two or four of B-GOLS) and golden section's first inner pair each
 take one round.  The table builds the round's search points and takes its
 slopes.  No search reads the trace losses, so a run hands each point it
 reaches to the grid's metric queue and goes on in the same round; the queue
-fills the loss cells of many runs and iterations from one forward pass.
+fills the loss cells of many runs and iterations from forward passes of up
+to 16 points each.
 Every run keeps its own sampler, so its samples are drawn in the same order
 as when it trains alone; :func:`sgd_train` is the grid of one run.  A run
 with a callable resolver hands it a :class:`~gols.probe.DirectionalProbe`,
@@ -69,6 +70,11 @@ TRACE_COLUMNS = _TRACE_DTYPE.names
 _LOSSES = np.dtype({"names": ["losses"], "formats": [(float, 3)],
                     "offsets": [_TRACE_DTYPE.fields["train_loss"][1]],
                     "itemsize": _TRACE_DTYPE.itemsize})
+# The most queued points one metrics call measures.  A forward pass holds
+# every layer's activations of all its points over all three partitions, so
+# a queue of 34 points took four times the memory of one of 8; chunks of 16
+# keep the peak there and measured no slower.
+_METRIC_CHUNK = 16
 
 
 @dataclass
@@ -230,8 +236,8 @@ def _lockstep(model, metrics, lines, runs) -> list:
     on a row that its caller has set runs the same way, to its outcome.
 
     A metric request waits for no round: it joins a queue, and its run goes
-    on to its next request at once.  One ``metrics`` call measures the whole
-    queue (:func:`_measure`) at the end of a round in which a run raised, or
+    on to its next request at once.  The whole queue is measured
+    (:func:`_measure`) at the end of a round in which a run raised, or
     after which every unfinished run has a point in it; the last round is
     one of those.  A run with a non-finite loss fails with
     ``RuntimeError("non-finite loss at iteration n")``, and any error it met
@@ -280,10 +286,12 @@ def _lockstep(model, metrics, lines, runs) -> list:
 
 def _measure(metrics, queue) -> dict:
     """Writes the losses of the queued ``(run, point, losses, n)`` into row
-    ``n`` of their ``losses`` views from one ``metrics`` call; returns
-    ``{run: RuntimeError}`` for each run with a non-finite loss, at the
-    first iteration it has one."""
-    values = metrics(np.array([point for _, point, _, _ in queue]))
+    ``n`` of their ``losses`` views from one ``metrics`` call per
+    ``_METRIC_CHUNK`` points; returns ``{run: RuntimeError}`` for each run
+    with a non-finite loss, at the first iteration it has one."""
+    points = np.array([point for _, point, _, _ in queue])
+    values = np.concatenate([metrics(points[k:k + _METRIC_CHUNK])
+                             for k in range(0, len(points), _METRIC_CHUNK)])
     for (_, _, losses, n), value in zip(queue, values):
         losses[n] = value
     errors = {}

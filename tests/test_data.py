@@ -274,6 +274,11 @@ def choice_stream(indices, batch_size, seed, draws):
     return [rng.choice(indices, size, replace=False) for _ in range(draws)]
 
 
+def block_of(indices, batch_size):
+    """The batches ``sample()`` draws at once from ``indices``."""
+    return BatchSampler(indices, batch_size, 0)._block
+
+
 def assert_same_batches(sampler, expected):
     for k, want in enumerate(expected):
         got = sampler.sample()
@@ -304,9 +309,10 @@ class TestSamplerStream:
     ])
     @pytest.mark.parametrize("seed", [0, 1, (3, 303, 1, 2)])
     def test_matches_choice_across_blocks(self, indices, batch_size, seed):
-        # 200 draws: the first from choice, then four blocks of 64.
+        # The first draw from choice, then two whole blocks and part of a third.
+        draws = 1 + 2 * block_of(indices, batch_size) + 7
         assert_same_batches(BatchSampler(indices, batch_size, seed),
-                            choice_stream(indices, batch_size, seed, 200))
+                            choice_stream(indices, batch_size, seed, draws))
 
     @pytest.mark.parametrize("n, batch_size, seed, draws", [
         (10_000, 1, 70, 4000),
@@ -348,19 +354,22 @@ class TestSamplerStream:
         assert_same_batches(BatchSampler(indices, batch_size, 9),
                             choice_stream(indices, batch_size, 9, 5))
 
+    # A count (k, c) is k blocks of sample() and c batches more.
     @pytest.mark.parametrize("n, batch_size, seed, counts", [
-        (90, 10, 0, [1, 63, 64, 65, 100, 200]),
-        (90, 1, 1, [200, 1, 100]),
-        (90, 50, 2, [65, 64, 63]),
-        (5, 3, 3, [100, 1]),
-        (90, 65, 4, [64, 65]),  # outside the block path: choice per batch
-        (10_000, 1, 70, [1000, 3000]),  # a rejection in the second call
-        (10_000, 10, 28, [640]),  # a rejection inside one call
+        (90, 10, 0, [(0, 1), (1, -1), (1, 0), (1, 1), (0, 100), (2, 0)]),
+        (90, 1, 1, [(2, 8), (0, 1), (0, 100)]),
+        (90, 50, 2, [(1, 1), (1, 0), (1, -1)]),
+        (5, 3, 3, [(1, 36), (0, 1)]),
+        (90, 65, 4, [(1, 0), (1, 1)]),  # outside the block path: choice per batch
+        (10_000, 1, 70, [(0, 1000), (0, 3000)]),  # a rejection in the second call
+        (10_000, 10, 28, [(0, 640)]),  # a rejection inside one call
     ])
     def test_samples_match_single_draws(self, n, batch_size, seed, counts):
         # samples(count) gives the batches of count sample() calls, and
         # leaves the stream where they would: mixed calls match choice.
         indices = np.arange(n)
+        block = block_of(indices, batch_size)
+        counts = [k * block + c for k, c in counts]
         total = sum(counts) + 2 * len(counts)
         expected = iter(choice_stream(indices, batch_size, seed, total))
         sampler = BatchSampler(indices, batch_size, seed)
@@ -374,7 +383,7 @@ class TestSamplerStream:
 
     def test_samples_draw_no_surplus(self, monkeypatch):
         # A scan's 101 nodes take one batch from choice and one block of 100,
-        # not two blocks of 64 with 27 batches left over.
+        # not blocks of sample()'s size with batches left over.
         drawn = []
         real = BatchSampler._draw_block
 
@@ -402,8 +411,44 @@ class TestSamplerStream:
             tracemalloc.stop()
         assert held < 10_000
 
+    @pytest.mark.parametrize("count", [-1, -2, 1.0, True, "3"])
+    def test_samples_count_must_be_a_whole_number_of_at_least_0(self, count):
+        sampler = BatchSampler(np.arange(90), 10, 8)
+        expected = choice_stream(np.arange(90), 10, 8, 3 * block_of(np.arange(90), 10))
+        assert_same_batches(sampler, expected[:2])
+        with pytest.raises(ValueError, match="count must be"):
+            sampler.samples(count)
+        assert sampler.samples(0).shape == (0, 10)
+        assert_same_batches(sampler, expected[2:])
+
+    def test_large_partition_takes_the_block_path(self, monkeypatch):
+        # 20 000 rows are past 512 batches of mask but within 64: the blocks
+        # shrink to the mask, and the stream is choice's.
+        drawn = []
+        real = BatchSampler._draw_block
+
+        def counted(sampler, most):
+            block = real(sampler, most)
+            drawn.append(len(block))
+            return block
+
+        monkeypatch.setattr(BatchSampler, "_draw_block", counted)
+        indices = np.arange(20_000)
+        lanes = (1 << 22) // indices.size
+        assert_same_batches(BatchSampler(indices, 10, 12),
+                            choice_stream(indices, 10, 12, 1 + 2 * lanes))
+        assert drawn == [1, lanes, lanes]
+
+    @pytest.mark.parametrize("batch_size", [1, 10, 50, 64])
+    def test_a_block_holds_40_kib_or_less(self, batch_size):
+        sampler = BatchSampler(np.arange(90), batch_size, 3)
+        sampler.sample(), sampler.sample()  # choice's batch, then a block
+        assert len(sampler._ready) == block_of(np.arange(90), batch_size) >= 64
+        assert sampler._ready.nbytes <= 40 * 1024
+
     def test_mutating_a_batch_leaves_later_draws(self):
-        expected = choice_stream(np.arange(90), 10, 5, 150)
+        draws = 2 * block_of(np.arange(90), 10) + 8
+        expected = choice_stream(np.arange(90), 10, 5, draws)
         sampler = BatchSampler(np.arange(90), 10, 5)
         for k, want in enumerate(expected):
             batch = sampler.sample()
@@ -412,15 +457,17 @@ class TestSamplerStream:
 
     def test_interleaved_samplers_match_each_alone(self):
         specs = [(np.arange(90), 10, 1), (np.arange(90), 10, 2), (np.arange(30), 7, 1)]
-        expected = [choice_stream(*spec, 150) for spec in specs]
+        block = max(block_of(indices, batch_size) for indices, batch_size, _ in specs)
+        draws = 2 * block + 8
+        expected = [choice_stream(*spec, draws) for spec in specs]
         samplers = [BatchSampler(*spec) for spec in specs]
-        order = np.random.default_rng(0).integers(0, len(specs), 450)
+        order = np.random.default_rng(0).integers(0, len(specs), 3 * draws)
         got = [[] for _ in specs]
         for k in order:
-            if len(got[k]) < 150:
+            if len(got[k]) < draws:
                 got[k].append(samplers[k].sample().copy())
         for batches, want in zip(got, expected):
-            assert len(batches) > 64
+            assert len(batches) > 1 + block
             for a, b in zip(batches, want):
                 assert np.array_equal(a, b)
 

@@ -214,6 +214,20 @@ class TestValidation:
         assert counts(probe) == (0, 0)
         assert np.array_equal(sampler.sample(), untouched.sample())
 
+    @pytest.mark.parametrize("requests", [[("value", 0.5), ("slope", 1.0)],
+                                          [("grad", 1.0)], []])
+    def test_unknown_kind_or_empty_list_counts_and_draws_nothing(self, iris_objective,
+                                                                 requests):
+        net, obj = iris_objective
+        sampler = BatchSampler(np.arange(obj.num_rows), 10, seed=3)
+        probe = DirectionalProbe(obj, net.init_params(1), np.ones(net.num_params),
+                                 policy="resample", sampler=sampler)
+        with pytest.raises(ValueError, match="nonempty list of 'value' and 'deriv'"):
+            probe.ask(requests)
+        assert counts(probe) == (0, 0)
+        untouched = BatchSampler(np.arange(obj.num_rows), 10, seed=3)
+        assert np.array_equal(sampler.sample(), untouched.sample())
+
     def test_non_finite_loss_or_slope_rejected(self):
         for bad in [np.nan, np.inf, -np.inf]:
             model = SyntheticObjective(lambda x: bad, lambda x: np.array([bad]))

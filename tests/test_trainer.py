@@ -663,10 +663,16 @@ class TestMetricQueue:
 
     def test_each_point_is_measured_once_in_stacked_calls(self, iris_setup, monkeypatch):
         # No timing: four runs of ten iterations reach 44 points, and every
-        # call measures at least one point of the run that finishes last, so
-        # at most 11 calls measure them all.  No metric request takes a round.
+        # queue holds at least one point of the run that finishes last, so
+        # at most 11 queues measure them all, each in calls of at most
+        # _METRIC_CHUNK points.  No metric request takes a round.
         net, ds, split = iris_setup
-        calls = []
+        calls, queues = [], []
+        measure_queue = trainer._measure
+
+        def recording(metrics, queue):
+            queues.append(len(queue))
+            return measure_queue(metrics, queue)
 
         def counting(*args):
             metrics = dataset_metrics(*args)
@@ -683,11 +689,15 @@ class TestMetricQueue:
 
         answer = LineTable.answer
         monkeypatch.setattr(trainer, "dataset_metrics", counting)
+        monkeypatch.setattr(trainer, "_measure", recording)
         monkeypatch.setattr(LineTable, "answer", objective_only)
         configs = [TrainConfig(iterations=10, resolver=name, weight_seed=k, sampler_seed=k)
                    for k, name in enumerate(["gs", "arls", "bgols", "igols"])]
         traces = train_on_dataset(net, ds, split, configs)
-        assert 1 <= len(calls) <= 11 and min(map(len, calls)) >= 1
+        chunk = trainer._METRIC_CHUNK
+        assert 1 <= len(queues) <= 11 and min(queues) >= 1
+        assert [len(points) for points in calls] == [
+            min(chunk, size - k) for size in queues for k in range(0, size, chunk)]
         points = np.concatenate(calls)
         assert len(points) == 44
         assert len({point.tobytes() for point in points}) == 44
