@@ -27,6 +27,8 @@ import math
 
 import numpy as np
 
+from gols.data import check_count
+
 __all__ = [
     "POLICIES",
     "EvalCounter",
@@ -202,7 +204,9 @@ class KeyStream:
         return int(self._rng.integers(0, 2**63))
 
     def samples(self, count) -> list:
-        """The next ``count`` keys, as ``count`` calls of :meth:`sample`."""
+        """The next ``count`` keys, as ``count`` calls of :meth:`sample`;
+        ``count`` is a whole number of at least 0."""
+        check_count("count", count, least=0)
         return [self.sample() for _ in range(count)]
 
 

@@ -25,10 +25,9 @@ gradient or a slope, else a forward pass alone.  So a search's opening
 (three requests of Armijo's rule, two of I-GOLS, three or five of golden
 section, two or four of B-GOLS) and golden section's first inner pair each
 take one round.  The table builds the round's search points and takes its
-slopes.  No search reads the trace losses, so a run hands each point it
-reaches to the grid's metric queue and goes on in the same round; the queue
-fills the loss cells of many runs and iterations from forward passes of up
-to 16 points each.
+slopes.  No search reads the trace losses, so they take no round: a run
+keeps the points it reaches and measures them itself, up to 16 consecutive
+points in one forward pass.
 Every run keeps its own sampler, so its samples are drawn in the same order
 as when it trains alone; :func:`sgd_train` is the grid of one run.  A run
 with a callable resolver hands it a :class:`~gols.probe.DirectionalProbe`,
@@ -65,15 +64,10 @@ _TRACE_DTYPE = np.dtype([
     ("cost", np.int64), ("info_calls", np.int64),
 ])
 TRACE_COLUMNS = _TRACE_DTYPE.names
-# The three adjacent loss fields of a row as one field of three floats, so
-# that a trace's loss cells are one plain (rows, 3) ndarray view.
-_LOSSES = np.dtype({"names": ["losses"], "formats": [(float, 3)],
-                    "offsets": [_TRACE_DTYPE.fields["train_loss"][1]],
-                    "itemsize": _TRACE_DTYPE.itemsize})
-# The most queued points one metrics call measures.  A forward pass holds
-# every layer's activations of all its points over all three partitions, so
-# a queue of 34 points took four times the memory of one of 8; chunks of 16
-# keep the peak there and measured no slower.
+# The most points of one run that one metrics call measures.  A forward
+# pass holds every layer's activations of all its points over all three
+# partitions, so a call of 34 points took four times the memory of one of
+# 8; calls of up to 16 keep the peak there and measured no slower.
 _METRIC_CHUNK = 16
 
 
@@ -148,9 +142,8 @@ def sgd_train(model, x0, sampler, resolver, iterations, metrics,
     metrics:
         Callable from an ``(R, num_params)`` stack of points to the
         ``(R, 3)`` full-partition train, validation and test losses.  One
-        call gets the points of many runs and iterations at once, in no
-        promised grouping, so it must be pure: each row's losses depend on
-        that row alone.
+        call gets up to 16 consecutive points of the run, so it must be
+        pure: each row's losses depend on that row alone.
     policy:
         Probe sampling policy; ``fixed`` freezes each search on the batch
         that produced its direction gradient.
@@ -161,11 +154,11 @@ def sgd_train(model, x0, sampler, resolver, iterations, metrics,
     """
     _check_run(iterations, resolver, policy)
     lines = LineTable(1, np.size(x0))
-    run = _descend(model, x0, sampler, resolver, iterations, policy, lines, 0)
-    return _lockstep(model, metrics, lines, [run])[0]
+    run = _descend(model, x0, sampler, resolver, iterations, metrics, policy, lines, 0)
+    return _lockstep(model, lines, [run])[0]
 
 
-def _descend(model, x0, sampler, resolver, iterations, policy, lines, run):
+def _descend(model, x0, sampler, resolver, iterations, metrics, policy, lines, run):
     """One run of :func:`sgd_train` as an ask/tell generator.
 
     Yields lists of requests and is sent the list of their replies in the
@@ -178,127 +171,114 @@ def _descend(model, x0, sampler, resolver, iterations, policy, lines, run):
     draw of its policy, from which the table draws each request's sample.
     A list that cannot be answered is sent the first ``ValueError`` of its
     replies in list order, thrown in.
-    After the initial row and each step it yields ``("metrics", point,
-    (losses, n))``, which is sent no reply: the losses of ``point`` belong
-    in row ``n`` of ``losses``, a plain ndarray view of the trace's loss
-    columns.  Returns the :class:`TrainTrace`.
+    The run keeps the points of its initial row and of each step, and one
+    ``metrics`` call measures the losses of the ones it holds, at most
+    ``_METRIC_CHUNK`` consecutive points: once it holds that many, when it
+    finishes, and before an error leaves it, so a non-finite loss fails the
+    run at its iteration ahead of any error the run met after it, and an
+    error of ``metrics`` fails the run like any other.  Returns the
+    :class:`TrainTrace`.
     """
     search = make_search(resolver) if isinstance(resolver, str) else None
     x = np.array(x0, dtype=float)
 
     rows = np.recarray(iterations + 1, dtype=_TRACE_DTYPE)
-    losses = rows.view(np.ndarray).view(_LOSSES)["losses"]
     spent = EvalCounter()
     rows[0] = (0, 0.0, np.nan, np.nan, np.nan, np.nan, spent.cost, spent.info_calls)
-    yield "metrics", x, (losses, 0)
+    waiting = [x]  # the points of rows measured, measured + 1, ...
+    measured = 0
 
-    alpha_prev = ALPHA_MIN
-    for n in range(1, iterations + 1):
-        batch = sampler.sample()
-        g, = yield [("grad", x, batch)]
-        spent.gradients += 1
-        gnorm = float(np.linalg.norm(g))
-        # A NaN or infinite entry makes the norm NaN or infinite, so the
-        # entries are scanned only when the norm is not finite; a finite
-        # gradient whose norm overflows goes on to effective_alpha_max,
-        # which rejects it.
-        if not math.isfinite(gnorm) and not np.isfinite(g).all():
-            raise RuntimeError(f"non-finite gradient at iteration {n}")
+    def measure():
+        nonlocal measured
+        if not waiting:
+            return
+        points = np.array(waiting)
+        waiting.clear()
+        first, measured = measured, measured + len(points)
+        values = metrics(points)
+        for name, column in zip(("train_loss", "validation_loss", "test_loss"), values.T):
+            rows[name][first:measured] = column
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size:
+            raise RuntimeError(f"non-finite loss at iteration {first + bad[0]}")
 
-        if gnorm == 0.0:
-            alpha = 0.0  # converged on this batch: nothing to search along
-        else:
-            alpha_max = effective_alpha_max(gnorm)
-            alpha_init = min(max(alpha_prev, ALPHA_MIN), alpha_max)
-            if search is None:
-                probe = DirectionalProbe(model, x, -g, policy=policy, sampler=sampler,
-                                         fixed_sample=batch)
-                outcome = resolver(probe, alpha_init, alpha_max)
+    try:
+        alpha_prev = ALPHA_MIN
+        for n in range(1, iterations + 1):
+            batch = sampler.sample()
+            g, = yield [("grad", x, batch)]
+            spent.gradients += 1
+            gnorm = float(np.linalg.norm(g))
+            # A NaN or infinite entry makes the norm NaN or infinite, so the
+            # entries are scanned only when the norm is not finite; a finite
+            # gradient whose norm overflows goes on to effective_alpha_max,
+            # which rejects it.
+            if not math.isfinite(gnorm) and not np.isfinite(g).all():
+                raise RuntimeError(f"non-finite gradient at iteration {n}")
+
+            if gnorm == 0.0:
+                alpha = 0.0  # converged on this batch: nothing to search along
             else:
-                lines.set(run, x, -g, _draw(policy, sampler, batch))
-                outcome = yield from search(alpha_init, alpha_max)
-            alpha = alpha_prev = outcome.alpha
-            spent.functions += outcome.function_evals
-            spent.gradients += outcome.gradient_evals
-            x = x - alpha * g
+                alpha_max = effective_alpha_max(gnorm)
+                alpha_init = min(max(alpha_prev, ALPHA_MIN), alpha_max)
+                if search is None:
+                    probe = DirectionalProbe(model, x, -g, policy=policy, sampler=sampler,
+                                             fixed_sample=batch)
+                    outcome = resolver(probe, alpha_init, alpha_max)
+                else:
+                    lines.set(run, x, -g, _draw(policy, sampler, batch))
+                    outcome = yield from search(alpha_init, alpha_max)
+                alpha = alpha_prev = outcome.alpha
+                spent.functions += outcome.function_evals
+                spent.gradients += outcome.gradient_evals
+                x = x - alpha * g
 
-        if not math.isfinite(alpha) or not np.isfinite(x).all():
-            raise RuntimeError(f"non-finite step at iteration {n}")
-        rows[n] = (n, alpha, gnorm, np.nan, np.nan, np.nan, spent.cost, spent.info_calls)
-        yield "metrics", x, (losses, n)
+            if not math.isfinite(alpha) or not np.isfinite(x).all():
+                raise RuntimeError(f"non-finite step at iteration {n}")
+            rows[n] = (n, alpha, gnorm, np.nan, np.nan, np.nan, spent.cost, spent.info_calls)
+            waiting.append(x)
+            if len(waiting) == _METRIC_CHUNK:
+                measure()
+    except Exception:
+        measure()
+        raise
+    measure()
     return TrainTrace(rows)
 
 
-def _lockstep(model, metrics, lines, runs) -> list:
-    """Drive the :func:`_descend` generators ``runs``, whose lines are the
-    rows of ``lines`` in order, to their traces, one :class:`TrainTrace` per
-    run, in order.  A bare search of :func:`~gols.linesearch.make_search`
-    on a row that its caller has set runs the same way, to its outcome.
-
-    A metric request waits for no round: it joins a queue, and its run goes
-    on to its next request at once.  The whole queue is measured
-    (:func:`_measure`) at the end of a round in which a run raised, or
-    after which every unfinished run has a point in it; the last round is
-    one of those.  A run with a non-finite loss fails with
-    ``RuntimeError("non-finite loss at iteration n")``, and any error it met
-    after that iteration, while its losses waited in the queue, is dropped.
+def _lockstep(model, lines, runs) -> list:
+    """Drive the ask/tell generators ``runs``, whose lines are the rows of
+    ``lines`` in order, to their return values, in order: a :func:`_descend`
+    run to its :class:`TrainTrace`, and a bare search of
+    :func:`~gols.linesearch.make_search`, on a row that its caller has set,
+    to its outcome.  Each round answers the pending request list of every
+    unfinished run (:meth:`~gols.probe.LineTable.answer`); a reply that is
+    an exception is raised in its run.
 
     A run that fails stops, and so do the runs after it; the error of the
     first run that failed is re-raised once the runs before it have
-    finished, the one a run-by-run loop would have raised.  A reply that is
-    an exception is raised in its run.
+    finished, the one a run-by-run loop would have raised.
     """
     traces = [None] * len(runs)
     failed, error = len(runs), None
-    queue, queued = [], set()
     replies = dict.fromkeys(range(len(runs)))
     while replies:
-        pending, raised = {}, False
+        pending = {}
         for i, reply in replies.items():
             if i >= failed:
                 continue
             run = runs[i]
             try:
-                request = run.throw(reply) if isinstance(reply, ValueError) else run.send(reply)
-                # A metric request is a tuple; a list of requests starts with
-                # a request tuple, never equal to "metrics".
-                while request[0] == "metrics":
-                    queue.append((i, request[1], *request[2]))
-                    queued.add(i)
-                    request = run.send(None)
-                pending[i] = request
+                pending[i] = run.throw(reply) if isinstance(reply, ValueError) else run.send(reply)
             except StopIteration as done:
                 traces[i] = done.value
             except Exception as exc:
-                failed, error, raised = i, exc, True
-        if queue and (raised or pending.keys() <= queued):
-            errors = _measure(metrics, queue)
-            queue, queued = [], set()
-            if errors and min(errors) <= failed:
-                failed = min(errors)
-                error = errors[failed]
+                failed, error = i, exc
         asked = {i: request for i, request in pending.items() if i < failed}
         replies = lines.answer(model, asked) if asked else {}
     if error is not None:
         raise error
     return traces
-
-
-def _measure(metrics, queue) -> dict:
-    """Writes the losses of the queued ``(run, point, losses, n)`` into row
-    ``n`` of their ``losses`` views from one ``metrics`` call per
-    ``_METRIC_CHUNK`` points; returns ``{run: RuntimeError}`` for each run
-    with a non-finite loss, at the first iteration it has one."""
-    points = np.array([point for _, point, _, _ in queue])
-    values = np.concatenate([metrics(points[k:k + _METRIC_CHUNK])
-                             for k in range(0, len(points), _METRIC_CHUNK)])
-    for (_, _, losses, n), value in zip(queue, values):
-        losses[n] = value
-    errors = {}
-    for k in np.flatnonzero(~np.isfinite(values).all(axis=1)):
-        run, _, _, n = queue[k]
-        errors.setdefault(run, RuntimeError(f"non-finite loss at iteration {n}"))
-    return errors
 
 
 def dataset_metrics(net: Network, dataset: Dataset, split: Split):
@@ -323,12 +303,13 @@ def train_on_dataset(net: Network, dataset: Dataset, split: Split,
     in order."""
     model = BatchObjective(net, dataset.features[split.train],
                            dataset.one_hot()[split.train])
+    metrics = dataset_metrics(net, dataset, split)
     lines = LineTable(len(configs), net.num_params)
     runs = [
         _descend(model, net.init_params(config.weight_seed),
                  BatchSampler(np.arange(len(split.train)), config.batch_size,
                               config.sampler_seed),
-                 config.resolver, config.iterations, config.policy, lines, run)
+                 config.resolver, config.iterations, metrics, config.policy, lines, run)
         for run, config in enumerate(configs)
     ]
-    return _lockstep(model, dataset_metrics(net, dataset, split), lines, runs)
+    return _lockstep(model, lines, runs)

@@ -154,6 +154,17 @@ class TestSyntheticNoise:
         a, b = KeyStream(3), KeyStream(3)
         assert [a.sample() for _ in range(5)] == [b.sample() for _ in range(5)]
 
+    @pytest.mark.parametrize("make", [lambda: KeyStream(3),
+                                      lambda: BatchSampler(np.arange(20), 5, 3)],
+                             ids=["keys", "batches"])
+    @pytest.mark.parametrize("count", [-2, 2.0, True])
+    def test_samples_count_is_checked_by_both_samplers(self, make, count):
+        # A probe draws from either sampler, so both take the same counts.
+        sampler = make()
+        with pytest.raises(ValueError, match="^count must be"):
+            sampler.samples(count)
+        assert len(sampler.samples(0)) == 0
+
 
 class TestValueAndDeriv:
     def test_shares_one_sample_draw(self):

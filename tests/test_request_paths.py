@@ -80,7 +80,7 @@ def on_grid(model, name, seed, alpha_init, alpha_max):
     lines = LineTable(1, 1)
     lines.set(0, np.zeros(1), np.ones(1), keys.sample)
     try:
-        outcome, = _lockstep(model, None, lines, [make_search(name)(alpha_init, alpha_max)])
+        outcome, = _lockstep(model, lines, [make_search(name)(alpha_init, alpha_max)])
         result = summary(outcome)
     except ValueError as exc:
         result = str(exc)

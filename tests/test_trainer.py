@@ -428,7 +428,7 @@ class TestLockstepGrid:
                 raise
 
         with pytest.raises(ValueError) as grid:
-            _lockstep(model, None, lines, [run(0, [[0.5], [0.75], [7.0]]), run(1, [[5.0]])])
+            _lockstep(model, lines, [run(0, [[0.5], [0.75], [7.0]]), run(1, [[5.0]])])
         probe = DirectionalProbe(model, np.zeros(1), np.ones(1), policy="full")
         with pytest.raises(ValueError) as alone:
             getattr(probe, kind)(7.0)
@@ -456,7 +456,7 @@ class TestLockstepGrid:
             yield [(kind, alpha) for alpha in (0.75, 7.0, 0.25)]
 
         with pytest.raises(ValueError) as grid:
-            _lockstep(on_grid, None, lines, [run()])
+            _lockstep(on_grid, lines, [run()])
         probe = DirectionalProbe(on_probe, np.zeros(1), np.ones(1), policy="full")
         with pytest.raises(ValueError) as alone:
             _answer(probe, search())
@@ -490,7 +490,7 @@ class TestLockstepGrid:
 
         for row in range(len(names)):
             lines.set(row, origin, direction, draw_of(row))
-        outcomes = _lockstep(model, None, lines,
+        outcomes = _lockstep(model, lines,
                              [make_search(name)(0.25, 10.0) for name in names])
         for row, (name, outcome) in enumerate(zip(names, outcomes)):
             probe = DirectionalProbe(model, origin, direction, sampler=KeyStream(row))
@@ -569,7 +569,7 @@ class TestRoundsPerIteration:
         assert asked == expected
 
 
-# -- the metric queue ----------------------------------------------------------
+# -- the trace losses ----------------------------------------------------------
 
 # Steepest descent on 0.5 (x - 1)^2 from 0 with steps of 0.5 visits
 # 1 - 0.5^n: 0.5, 0.75, 0.875 (iteration 3), 0.9375, ...  From 3 it visits
@@ -598,10 +598,10 @@ def step_of(alpha, blow_up_at=None):
 
 def line_grid(metrics, *runs):
     """``_lockstep`` over ``_descend`` runs on LINE under the full policy,
-    one ``(x0, resolver, iterations)`` each."""
+    one ``(x0, resolver, iterations)`` each, all measured by ``metrics``."""
     lines = LineTable(len(runs), 1)
-    return _lockstep(LINE, metrics, lines, [
-        _descend(LINE, [x0], KeyStream(0), resolver, iterations, "full", lines, k)
+    return _lockstep(LINE, lines, [
+        _descend(LINE, [x0], KeyStream(0), resolver, iterations, metrics, "full", lines, k)
         for k, (x0, resolver, iterations) in enumerate(runs)])
 
 
@@ -643,11 +643,11 @@ class TestMetricQueue:
                       losses_nan_between(0.8, 0.9))
 
     def test_loss_error_comes_ahead_of_a_later_error_of_its_run(self):
-        # Run 1's first golden-section iteration, from 1.5, refines a
-        # minimizer inside its cap and takes many rounds, so run 0's losses
-        # wait in the queue while it steps on; it meets an infinite step at
-        # iteration 5, but its losses at iterations 3 and 4 failed first, and
-        # the earlier one wins.
+        # Run 0 holds its points unmeasured while it steps on, as a run does
+        # until it has _METRIC_CHUNK of them; it meets an infinite step at
+        # iteration 5, measures the points it holds first, and its losses at
+        # iterations 3 and 4 failed before the step, so the earlier one wins.
+        # Run 1's golden-section iterations, from 1.5, take many rounds.
         resolver = step_of(0.5, blow_up_at=5)
         with pytest.raises(RuntimeError, match="^non-finite loss at iteration 3$"):
             line_grid(losses_nan_between(0.8, 0.95), (0.0, resolver, 8), (1.5, "gs", 3))
@@ -661,18 +661,25 @@ class TestMetricQueue:
             line_grid(losses_nan_between(1.4, 1.6), (0.0, step_of(0.5, blow_up_at=5), 8),
                       (3.0, "fixed:0.5", 8))
 
-    def test_each_point_is_measured_once_in_stacked_calls(self, iris_setup, monkeypatch):
-        # No timing: four runs of ten iterations reach 44 points, and every
-        # queue holds at least one point of the run that finishes last, so
-        # at most 11 queues measure them all, each in calls of at most
-        # _METRIC_CHUNK points.  No metric request takes a round.
-        net, ds, split = iris_setup
-        calls, queues = [], []
-        measure_queue = trainer._measure
+    def test_first_failing_run_in_order_wins_over_a_metrics_error(self):
+        # The metrics callable raises on run 1's point at iteration 2; that
+        # fails run 1 as any other error would, so run 0's error, the one a
+        # run-by-run loop would have raised, still wins.
+        def metrics(points):
+            if ((1.4 < points) & (points < 1.6)).any():
+                raise KeyError("no losses here")
+            return losses_nan_between(5.0, 6.0)(points)
 
-        def recording(metrics, queue):
-            queues.append(len(queue))
-            return measure_queue(metrics, queue)
+        with pytest.raises(RuntimeError, match="^non-finite step at iteration 5$"):
+            line_grid(metrics, (0.0, step_of(0.5, blow_up_at=5), 8), (3.0, "fixed:0.5", 8))
+
+    def test_each_point_is_measured_once_in_stacked_calls(self, iris_setup, monkeypatch):
+        # No timing: four runs of ten iterations reach 11 points each, fewer
+        # than _METRIC_CHUNK, so each run measures its own points, its
+        # consecutive iterations in order, in one call: 4 calls of 11.  No
+        # metric request takes a round.
+        net, ds, split = iris_setup
+        calls = []
 
         def counting(*args):
             metrics = dataset_metrics(*args)
@@ -683,27 +690,46 @@ class TestMetricQueue:
             return measure
 
         def objective_only(lines, model, pending):
-            assert all(kind != "metrics" for requests in pending.values()
+            assert all(kind in ("grad", "value", "deriv") for requests in pending.values()
                        for kind, *_ in requests)
             return answer(lines, model, pending)
 
         answer = LineTable.answer
         monkeypatch.setattr(trainer, "dataset_metrics", counting)
-        monkeypatch.setattr(trainer, "_measure", recording)
         monkeypatch.setattr(LineTable, "answer", objective_only)
         configs = [TrainConfig(iterations=10, resolver=name, weight_seed=k, sampler_seed=k)
                    for k, name in enumerate(["gs", "arls", "bgols", "igols"])]
         traces = train_on_dataset(net, ds, split, configs)
-        chunk = trainer._METRIC_CHUNK
-        assert 1 <= len(queues) <= 11 and min(queues) >= 1
-        assert [len(points) for points in calls] == [
-            min(chunk, size - k) for size in queues for k in range(0, size, chunk)]
-        points = np.concatenate(calls)
-        assert len(points) == 44
-        assert len({point.tobytes() for point in points}) == 44
-        measured = dataset_metrics(net, ds, split)(points)
-        written = np.concatenate([[list(row) for row in t.rows[
-            ["train_loss", "validation_loss", "test_loss"]]] for t in traces])
-        assert sorted(map(tuple, measured)) == sorted(map(tuple, written))
+        assert trainer._METRIC_CHUNK >= 11
+        assert [len(points) for points in calls] == [11] * 4
+        assert len({point.tobytes() for point in np.concatenate(calls)}) == 44
+        # Each call's losses are the loss columns of one run, row by row.
+        written = [np.column_stack([t.rows.train_loss, t.rows.validation_loss,
+                                    t.rows.test_loss]) for t in traces]
+        owners = [k for points in calls
+                  for k, losses in enumerate(written)
+                  if np.array_equal(dataset_metrics(net, ds, split)(points), losses)]
+        assert sorted(owners) == [0, 1, 2, 3]
         for trace, cfg in zip(traces, configs):
             assert_same_bytes(trace, reference_on_dataset(net, ds, split, cfg))
+
+    def test_long_runs_are_measured_in_chunks_of_consecutive_points(self):
+        # Two runs of 40 iterations reach 41 points each, and each measures
+        # its own in calls of 16, 16 and 9 consecutive points.
+        calls = []
+
+        def metrics(points):
+            calls.append(points[:, 0].copy())
+            return losses_nan_between(5.0, 6.0)(points)
+
+        def path(x):
+            points = [x]
+            for _ in range(40):
+                x = x - 0.25 * (x - 1.0)
+                points.append(x)
+            return np.array(points)
+
+        line_grid(metrics, (0.0, "fixed:0.25", 40), (3.0, "fixed:0.25", 40))
+        assert trainer._METRIC_CHUNK == 16
+        chunks = [path(x0)[first:first + 16] for x0 in (0.0, 3.0) for first in (0, 16, 32)]
+        assert sorted(c.tobytes() for c in calls) == sorted(c.tobytes() for c in chunks)

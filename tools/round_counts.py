@@ -1,13 +1,16 @@
 """Count the rounds of ``LineTable.answer`` in the jobs of the three
-``bench/run.py`` workloads at seed 7, and the requests those rounds answer.
+``bench/run.py`` workloads at seed 7, the requests those rounds answer, and
+the calls and points of the trace-loss metrics.
 
 A round is one ``LineTable.answer`` call, and a request one entry of the
 lists it answers: an F, an F' or a direction gradient, one stacked row
 each.  Grid rounds are those of the lockstep training grid's table; probe
 rounds those of a ``DirectionalProbe``, a table of one line, such as the
-direction search of ``gols scan``.  Prints one line per job:
+direction search of ``gols scan``.  A metrics call is one call of the
+closure ``gols.trainer.dataset_metrics`` returns, and its points the rows of
+the stack it measures.  Prints one line per job:
 
-    <workload>  grid <rounds> rounds / <requests> requests  probe <rounds> rounds / <requests> requests
+    <workload>  grid <rounds> rounds / <requests> requests  probe <rounds> rounds / <requests> requests  metrics <calls> calls / <points> points
 
 Run it as
 
@@ -30,9 +33,10 @@ def main(argv=None) -> int:
     root = Path(args[0]).resolve() if args else Path(__file__).resolve().parents[1]
     sys.path.insert(0, str(root / "src"))
     from gols.cli import main as gols_main
+    from gols import trainer
     from gols.probe import DirectionalProbe, LineTable
 
-    answer = LineTable.answer
+    answer, dataset_metrics = LineTable.answer, trainer.dataset_metrics
     counts = {}
 
     def counting(table, model, pending):
@@ -41,19 +45,29 @@ def main(argv=None) -> int:
         tally[1] += sum(map(len, pending.values()))
         return answer(table, model, pending)
 
-    LineTable.answer = counting
+    def counting_metrics(*args):
+        metrics = dataset_metrics(*args)
+
+        def measure(points):
+            counts["metrics"][0] += 1
+            counts["metrics"][1] += len(points)
+            return metrics(points)
+        return measure
+
+    LineTable.answer, trainer.dataset_metrics = counting, counting_metrics
     failed = 0
     with tempfile.TemporaryDirectory() as scratch:
         for name, job in bench_jobs(root).items():
-            counts.update(grid=[0, 0], probe=[0, 0])
+            counts.update(grid=[0, 0], probe=[0, 0], metrics=[0, 0])
             code = gols_main(job + ["--out", str(Path(scratch) / name)])
             if code != 0:
                 print(f"{name}: exit code {code}")
                 failed += 1
                 continue
-            print(f"{name}  " + "  ".join(
-                f"{kind} {rounds} rounds / {requests} requests"
-                for kind, (rounds, requests) in counts.items()))
+            grid, probe, metrics = counts.values()
+            print(f"{name}  grid {grid[0]} rounds / {grid[1]} requests  "
+                  f"probe {probe[0]} rounds / {probe[1]} requests  "
+                  f"metrics {metrics[0]} calls / {metrics[1]} points")
     return 1 if failed else 0
 
 
