@@ -156,8 +156,11 @@ def build_spec(args) -> argparse.Namespace:
     default, through the option's parser."""
     config = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"--config {args.config!r}: {exc}") from None
         if not isinstance(config, dict):
             raise ValueError("config must be a JSON object")
         unknown = set(config) - {opt.key for opt in _OPTIONS}
@@ -176,7 +179,7 @@ def build_spec(args) -> argparse.Namespace:
             text = config.get(opt.key, opt.default)
         try:
             setattr(spec, opt.key, opt.parse(str(text)))
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise ValueError(f"{opt.flag} {text!r}: {exc}") from None
     if spec.command == "compare" and len(spec.resolvers) < 2:
         raise ValueError("compare needs at least two resolvers")

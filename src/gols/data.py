@@ -79,7 +79,8 @@ def load_csv(path, name=None) -> Dataset:
     """Load a classification dataset from a CSV file.
 
     Raises ValueError with the offending 1-based row number for malformed
-    rows, non-numeric feature cells, or files with fewer than two classes.
+    rows, non-numeric or non-finite (``nan``, ``inf``) feature cells, or
+    files with fewer than two classes.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
@@ -106,6 +107,8 @@ def load_csv(path, name=None) -> Dataset:
             features.append([float(cell) for cell in row[:-1]])
         except ValueError:
             raise ValueError(f"{path}: row {line_no}: non-numeric feature value") from None
+        if not np.isfinite(features[-1]).all():
+            raise ValueError(f"{path}: row {line_no}: non-finite feature value")
         key = row[-1].strip()
         if key not in label_index:
             label_index[key] = len(label_names)

@@ -388,11 +388,13 @@ def make_search(name: str):
     or F'(alpha) in the same order, and returns its
     :class:`LineSearchOutcome`; the requests of one list do not depend on
     each other's replies.  The exact searches run with their default
-    budget.  Accepted names: those of :data:`RESOLVER_NAMES` and
-    ``fixed:<alpha>``.  The fixed resolver is a zero-cost oracle that asks
-    nothing and returns the given constant step unconditionally, bypassing
-    the step caps; the step must be finite and non-negative, since a negative
-    one ascends.
+    budget.  A custom resolver of :func:`gols.trainer.sgd_train` and
+    :class:`gols.trainer.TrainConfig` is a factory of this type, and a run
+    drives it as it drives a named one.  Accepted names: those of
+    :data:`RESOLVER_NAMES` and ``fixed:<alpha>``.  The fixed resolver is a
+    zero-cost oracle that asks nothing and returns the given constant step
+    unconditionally, bypassing the step caps; the step must be finite and
+    non-negative, since a negative one ascends.
     """
     if name in _SEARCHES:
         return _SEARCHES[name]

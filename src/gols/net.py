@@ -209,12 +209,17 @@ class Network:
             raise ValueError("batch must contain at least one sample")
         return inputs, targets
 
-    def _check_stack(self, points, inputs, targets):
+    def _check_points(self, points):
+        """``points`` as an ``(N, num_params)`` float array of parameter
+        points, the stack that :meth:`losses` and every stacked objective
+        over this network take."""
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.num_params:
-            raise ValueError(
-                f"points have shape {points.shape}, expected (N, {self.num_params})"
-            )
+            raise ValueError(f"points have shape {points.shape}, expected (N, {self.num_params})")
+        return points
+
+    def _check_stack(self, points, inputs, targets):
+        points = self._check_points(points)
         inputs = np.asarray(inputs, dtype=float)
         targets = np.asarray(targets, dtype=float)
         if (inputs.ndim != 3 or inputs.shape[2] != self.input_dim

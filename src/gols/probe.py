@@ -104,7 +104,7 @@ class BatchObjective:
     def losses(self, points, samples):
         """Loss at each row of ``points``, evaluated on the matching entry of
         ``samples``, from the forward pass alone."""
-        points = self._check_points(points)
+        points = self.net._check_points(points)
         values = np.empty(len(points))
         for block, inputs, targets in self._stacks(samples):
             values[block] = self.net._losses(points[block], inputs, targets)
@@ -113,19 +113,12 @@ class BatchObjective:
     def losses_and_gradients(self, points, samples):
         """Loss and gradient at each row of ``points``, evaluated on the
         matching entry of ``samples``."""
-        points = self._check_points(points)
+        points = self.net._check_points(points)
         values, grads = np.empty(len(points)), np.empty(points.shape)
         for block, inputs, targets in self._stacks(samples):
             values[block], grads[block] = self.net._losses_and_gradients(
                 points[block], inputs, targets)
         return values, grads
-
-    def _check_points(self, points):
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.net.num_params:
-            raise ValueError(
-                f"points have shape {points.shape}, expected (N, {self.net.num_params})")
-        return points
 
     def _stacks(self, samples):
         """``(block, inputs, targets)`` for consecutive blocks of at most
@@ -274,24 +267,29 @@ class LineTable:
 
         A run's reply is the list of its replies in order, or the first
         ``ValueError`` among them in list order (see :meth:`replies`).  A
-        group is the runs of one sample shape, and each group takes one
-        stacked call of ``model`` for all the requests of its runs: a backprop
-        (``model.losses_and_gradients``) when any of them asks for a gradient
-        or a slope, which also gives the losses of its ``value`` requests,
-        else a forward pass alone (``model.losses``).  The points of a group's
-        search requests come from :meth:`points` in one array operation and
-        their replies, F or F', from :meth:`replies` in another.  Each row of
-        a stacked call is evaluated on its own, so a group puts its search
-        requests first, each run's in list order, and its direction gradients
-        after them.
+        search request list that is empty or holds a kind other than
+        ``value`` and ``deriv`` gets the ``ValueError`` that
+        :meth:`DirectionalProbe.ask` raises for it, and nothing of it is
+        drawn or evaluated.  A group is the runs of one sample shape, and
+        each group takes one stacked call of ``model`` for all the requests
+        of its runs: a backprop (``model.losses_and_gradients``) when any of
+        them asks for a gradient or a slope, which also gives the losses of
+        its ``value`` requests, else a forward pass alone
+        (``model.losses``).  The points of a group's search requests come
+        from :meth:`points` in one array operation and their replies, F or
+        F', from :meth:`replies` in another.  Each row of a stacked call is
+        evaluated on its own, so a group puts its search requests first, each
+        run's in list order, and its direction gradients after them.
         """
-        groups, drawn = {}, {}
+        groups, drawn, replies = {}, {}, {}
         for i, asked in pending.items():
-            grad = asked[0][0] == "grad"
-            if grad:
-                sample = asked[0][2]
+            if asked and asked[0][0] == "grad":
+                grad, sample = True, asked[0][2]
+            elif error := _request_error(asked):
+                replies[i] = error
+                continue
             else:
-                draw = self.draws[i]
+                grad, draw = False, self.draws[i]
                 drawn[i] = samples = []
                 for _ in asked:
                     samples.append(draw())
@@ -301,7 +299,6 @@ class LineTable:
             if group is None:
                 group = groups[key] = ([], [])
             group[grad].append(i)
-        replies = {}
         for searches, grads in groups.values():
             # The group's search requests as columns, in one pass.
             runs, alphas, slope, samples = [], [], [], []
@@ -371,14 +368,11 @@ class DirectionalProbe(LineTable):
         self._sampler = sampler
         if policy == "resample" and sampler is None:
             raise ValueError("resample policy needs a sampler")
-        if policy == "fixed":
-            if fixed_sample is None:
-                if sampler is None:
-                    raise ValueError("fixed policy needs a sampler or a fixed_sample")
-                fixed_sample = sampler.sample()
-            self.fixed_sample = fixed_sample
-        else:
-            self.fixed_sample = None
+        if policy == "fixed" and fixed_sample is None:
+            if sampler is None:
+                raise ValueError("fixed policy needs a sampler or a fixed_sample")
+            fixed_sample = sampler.sample()
+        self.fixed_sample = fixed_sample if policy == "fixed" else None
         self.counter = EvalCounter()
         # The table's one row, as views of the line.
         self.origins, self.directions = self.origin[None], self.direction[None]
@@ -396,9 +390,8 @@ class DirectionalProbe(LineTable):
         ``ValueError`` among the replies, in list order, is raised.
         """
         requests = [(kind, _step(alpha)) for kind, alpha in requests]
-        if not requests or not all(kind in ("value", "deriv") for kind, _ in requests):
-            raise ValueError(f"a probe answers a nonempty list of 'value' and 'deriv' "
-                             f"requests, not {requests!r}")
+        if error := _request_error(requests):
+            raise error
         _count(self.counter, requests)
         replies = self.answer(self.model, {0: requests})[0]
         if type(replies) is ValueError:
@@ -496,6 +489,21 @@ def _node_samples(probes, nodes):
     if all(type(d) is np.ndarray for d in drawn):
         return np.concatenate(drawn)
     return [sample for d in drawn for sample in d]
+
+
+def _request_error(requests):
+    """``None`` for a nonempty list of search requests, each ``("value",
+    alpha)`` or ``("deriv", alpha)``, else the ``ValueError`` that rejects
+    ``requests``.  The grid checks every list of every round, so this is a
+    plain loop with no call in it, the cheapest form measured."""
+    for kind, _ in requests:
+        if kind != "value" and kind != "deriv":
+            break
+    else:
+        if requests:
+            return None
+    return ValueError(f"a probe answers a nonempty list of 'value' and 'deriv' "
+                      f"requests, not {requests!r}")
 
 
 def _count(counter, requests) -> None:

@@ -29,10 +29,12 @@ slopes.  No search reads the trace losses, so they take no round: a run
 keeps the points it reaches and measures them itself, up to 16 consecutive
 points in one forward pass.
 Every run keeps its own sampler, so its samples are drawn in the same order
-as when it trains alone; :func:`sgd_train` is the grid of one run.  A run
-with a callable resolver hands it a :class:`~gols.probe.DirectionalProbe`,
-a table of the run's line alone, which answers its own one-line rounds
-outside the grid's, one per request list of a search it runs.
+as when it trains alone; :func:`sgd_train` is the grid of one run.  A
+custom resolver is a search factory of the type
+:func:`~gols.linesearch.make_search` returns, and a run drives it as it
+drives a named one, so every evaluation of every run is a request on its
+row of the grid's table.  A search that lists no request, or a kind other
+than ``value`` and ``deriv``, fails its run with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ import numpy as np
 from gols.data import BatchSampler, Dataset, Split, check_count
 from gols.linesearch import ALPHA_MIN, effective_alpha_max, make_search
 from gols.net import Network
-from gols.probe import (POLICIES, BatchObjective, DirectionalProbe, EvalCounter, LineTable,
-                        _draw)
+from gols.probe import POLICIES, BatchObjective, EvalCounter, LineTable, _draw
 
 __all__ = [
     "TRACE_COLUMNS",
@@ -106,8 +107,8 @@ class TrainConfig:
 
 def _check_run(iterations, resolver, policy) -> None:
     """Raise ``ValueError`` unless a run can train with these settings: a
-    whole number of iterations of at least 1, a resolver name or callable,
-    and a sampling policy of :data:`~gols.probe.POLICIES`."""
+    whole number of iterations of at least 1, a resolver name or a callable
+    search factory, and a sampling policy of :data:`~gols.probe.POLICIES`."""
     check_count("iterations", iterations)
     if isinstance(resolver, str):
         make_search(resolver)  # raises ValueError on an unknown name
@@ -133,9 +134,13 @@ def sgd_train(model, x0, sampler, resolver, iterations, metrics,
         Batch (or key) stream; consumed for the direction gradient and, under
         the resample policy, for every probe evaluation.
     resolver:
-        Resolver name (see :func:`gols.linesearch.make_search`) or a
-        callable ``(probe, alpha_init, alpha_max) -> LineSearchOutcome``,
-        which evaluates through the probe itself.
+        Resolver name, or a custom search factory ``(alpha_init,
+        alpha_max) -> search`` of the type
+        :func:`gols.linesearch.make_search` returns.  The run drives a
+        custom search as it drives a named one: each of its request lists
+        takes one round of the grid, and a list that is empty or holds a
+        kind other than ``value`` and ``deriv`` fails the run with
+        ``ValueError``.
     iterations:
         Number of descent steps; the trace gains one row per step plus the
         initial row.
@@ -163,14 +168,15 @@ def _descend(model, x0, sampler, resolver, iterations, metrics, policy, lines, r
 
     Yields lists of requests and is sent the list of their replies in the
     same order: the direction gradient ``[("grad", point, batch)]``, on a
-    batch it draws itself, and its search's request lists (see
-    :mod:`gols.linesearch`), ``("value", alpha)`` and ``("deriv", alpha)``,
-    which it hands on from the search with ``yield from``.  They are asked
+    batch it draws itself, and the request lists of its search, named by
+    ``resolver`` or made by it (see :func:`~gols.linesearch.make_search`),
+    ``("value", alpha)`` and ``("deriv", alpha)``, which it hands on from
+    the search with ``yield from``.  They are asked
     on row ``run`` of the :class:`~gols.probe.LineTable` ``lines``, which
     the run writes before each search: its origin, its direction and the
     draw of its policy, from which the table draws each request's sample.
-    A list that cannot be answered is sent the first ``ValueError`` of its
-    replies in list order, thrown in.
+    A list that cannot be answered, a malformed one included, is thrown the
+    ``ValueError`` that :meth:`~gols.probe.LineTable.answer` replies.
     The run keeps the points of its initial row and of each step, and one
     ``metrics`` call measures the losses of the ones it holds, at most
     ``_METRIC_CHUNK`` consecutive points: once it holds that many, when it
@@ -179,7 +185,7 @@ def _descend(model, x0, sampler, resolver, iterations, metrics, policy, lines, r
     error of ``metrics`` fails the run like any other.  Returns the
     :class:`TrainTrace`.
     """
-    search = make_search(resolver) if isinstance(resolver, str) else None
+    search = make_search(resolver) if isinstance(resolver, str) else resolver
     x = np.array(x0, dtype=float)
 
     rows = np.recarray(iterations + 1, dtype=_TRACE_DTYPE)
@@ -221,13 +227,8 @@ def _descend(model, x0, sampler, resolver, iterations, metrics, policy, lines, r
             else:
                 alpha_max = effective_alpha_max(gnorm)
                 alpha_init = min(max(alpha_prev, ALPHA_MIN), alpha_max)
-                if search is None:
-                    probe = DirectionalProbe(model, x, -g, policy=policy, sampler=sampler,
-                                             fixed_sample=batch)
-                    outcome = resolver(probe, alpha_init, alpha_max)
-                else:
-                    lines.set(run, x, -g, _draw(policy, sampler, batch))
-                    outcome = yield from search(alpha_init, alpha_max)
+                lines.set(run, x, -g, _draw(policy, sampler, batch))
+                outcome = yield from search(alpha_init, alpha_max)
                 alpha = alpha_prev = outcome.alpha
                 spent.functions += outcome.function_evals
                 spent.gradients += outcome.gradient_evals

@@ -260,6 +260,36 @@ class TestSpecHandling:
         assert main(["train", "--dataset", "no/such/file.csv",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_feature_is_usage_error_naming_its_row(self, tmp_path, capsys,
+                                                                   cell):
+        data, out = tmp_path / "data.csv", tmp_path / "out"
+        rows = [f"{k},{k}.5,{'ab'[k % 2]}" for k in range(10)]
+        rows[6] = f"6,{cell},a"
+        data.write_text("\n".join(rows) + "\n")
+        assert main(["train", "--dataset", str(data), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"gols: error: --dataset {str(data)!r}: {data}: row 7: non-finite feature value\n")
+
+    def test_unreadable_dataset_path_names_its_flag(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        assert main(["train", "--dataset", "adir", "--out", "out"]) == 2
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err.startswith("gols: error: --dataset 'adir': [Errno ")
+
+    @pytest.mark.parametrize("config", ["missing", "adir", "broken"])
+    def test_unreadable_config_names_its_flag(self, tmp_path, monkeypatch, capsys, config):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "broken").write_text("{")
+        assert main(["train", "--config", config, "--dataset", "iris", "--out", "out"]) == 2
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"gols: error: --config {config!r}: ")
+        assert ("Expecting" if config == "broken" else "[Errno ") in err
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["explode"]) == 2
         assert main([]) == 2

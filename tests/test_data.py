@@ -59,6 +59,16 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("header", ["", "x,y,label\n"], ids=["bare", "header"])
+    def test_non_finite_feature_reports_file_and_line(self, tmp_path, cell, header):
+        path = tmp_path / "bad.csv"
+        path.write_text(header + f"1,2,a\n3,4,b\n5,{cell},a\n7,8,b\n9,10,a\n")
+        with pytest.raises(ValueError) as raised:
+            load_csv(path)
+        assert str(raised.value) == (
+            f"{path}: row {3 + bool(header)}: non-finite feature value")
+
     def test_single_class_rejected(self, tmp_path):
         path = tmp_path / "oneclass.csv"
         path.write_text("\n".join(f"{i},1,same" for i in range(6)) + "\n")

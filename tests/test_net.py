@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gols.net import _SIG_HI, _SIG_LO, Network, sigmoid
+from gols.probe import BatchObjective
 
 
 def forward_oracle(net, params, row):
@@ -251,6 +252,22 @@ class TestGradient:
         single = net.gradient(params, x, y)
         doubled = net.gradient(params, np.vstack([x, x]), np.vstack([y, y]))
         assert_allclose(doubled, single, rtol=1e-12)
+
+
+class TestStackedPoints:
+    @pytest.mark.parametrize("method", ["losses", "losses_and_gradients"])
+    @pytest.mark.parametrize("shape", [lambda p: (p,), lambda p: (3, p - 1),
+                                       lambda p: (3, p + 1)], ids=["1-d", "narrow", "wide"])
+    def test_network_and_objective_reject_bad_points_alike(self, shape, method):
+        net = Network(2, [2], 2)
+        inputs, targets = np.zeros((4, 2)), np.eye(2)[[0, 1, 0, 1]]
+        points = np.zeros(shape(net.num_params))
+        with pytest.raises(ValueError) as direct:
+            getattr(net, method)(points, inputs[None], targets[None])
+        with pytest.raises(ValueError) as stacked:
+            getattr(BatchObjective(net, inputs, targets), method)(points, [None] * len(points))
+        assert str(direct.value) == str(stacked.value) == (
+            f"points have shape {points.shape}, expected (N, {net.num_params})")
 
 
 class TestParameterLayout:

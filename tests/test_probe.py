@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from gols.analysis import scaled_descent_direction, scan_line
 from gols.data import BatchSampler, builtin_dataset, split_3_1_1
 from gols.linesearch import (armijo, bisection_gols, golden_section, inexact_gols,
-                             make_resolver)
+                             make_search)
 from gols.net import Network
 from gols.probe import (
     POLICIES,
@@ -629,7 +629,7 @@ class TestStackedOnlyObjective:
         got = scaled_descent_direction(StackedOnly(self.model), self.origin)
         assert got.tobytes() == scaled_descent_direction(self.model, self.origin).tobytes()
 
-    @pytest.mark.parametrize("resolver", ["bgols", make_resolver("arls")])
+    @pytest.mark.parametrize("resolver", ["bgols", make_search("arls")])
     def test_sgd_train(self, resolver):
         def metrics(points):
             return np.zeros((len(points), 3))

@@ -59,16 +59,15 @@ class TestSgdTrain:
     def test_exact_search_solves_quadratic_fast(self):
         center = np.array([3.0, -2.0, 1.0, 0.5])
         model, metrics = quadratic_problem(center)
-        x0 = np.zeros(4)
-        trace_x = [np.array(x0)]
+        trace_x = []
 
-        def tracking_resolver(probe, alpha_init, alpha_max):
-            out = bisection_gols(probe, alpha_max=alpha_max)
-            trace_x.append(probe.origin + out.alpha * probe.direction)
-            return out
+        def tracking(points):
+            # Consecutive points of the run, the starting point first.
+            trace_x.extend(points)
+            return metrics(points)
 
-        sgd_train(model, x0, KeyStream(0), tracking_resolver, 50, metrics,
-                  policy="full")
+        sgd_train(model, np.zeros(4), KeyStream(0), "bgols", 50, tracking, policy="full")
+        assert len(trace_x) == 51
         dists = [np.linalg.norm(x - center) for x in trace_x]
         assert dists[-1] < 1e-6
         assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
@@ -121,24 +120,23 @@ class TestSgdTrain:
         assert trace.final.cost % 2 == 0  # gradient-only searches: even cost
 
     def test_steepest_descent_slope_identity(self, iris_setup):
-        # With the probe frozen on the direction batch, the slope at the
+        # With the search frozen on the direction batch, the slope at the
         # origin is exactly -||g||^2 = -||direction||^2.
         net, ds, split = iris_setup
-        seen = []
+        slopes = []
 
-        def checking_resolver(probe, alpha_init, alpha_max):
-            slope = probe.deriv(0.0)
-            seen.append((slope, -float(probe.direction @ probe.direction)))
-            return inexact_gols(probe, alpha_init, alpha_max=alpha_max)
+        def checking(alpha_init, alpha_max):
+            slope, = yield [("deriv", 0.0)]
+            slopes.append(slope)
+            return (yield from make_search("igols")(alpha_init, alpha_max))
 
-        cfg = TrainConfig(iterations=8, resolver="igols", policy="fixed")
         model = BatchObjective(net, ds.features[split.train], ds.one_hot()[split.train])
-        sampler = BatchSampler(np.arange(len(split.train)), cfg.batch_size, 5)
-        sgd_train(model, net.init_params(6), sampler, checking_resolver,
-                  cfg.iterations, dataset_metrics(net, ds, split), policy="fixed")
-        for slope, expected in seen:
-            assert_allclose(slope, expected, rtol=1e-12)
-            assert slope < 0
+        sampler = BatchSampler(np.arange(len(split.train)), 10, 5)
+        trace = sgd_train(model, net.init_params(6), sampler, checking, 8,
+                          dataset_metrics(net, ds, split), policy="fixed")
+        assert len(slopes) == 8
+        assert_allclose(slopes, -trace.rows.grad_norm[1:] ** 2, rtol=1e-12)
+        assert max(slopes) < 0
 
     def test_cost_identity_against_search_outcomes(self, iris_setup):
         # Trace cost == sum of per-search (f + 2g) plus 2 per iteration for
@@ -146,15 +144,15 @@ class TestSgdTrain:
         net, ds, split = iris_setup
         outcomes = []
 
-        def recording_resolver(probe, alpha_init, alpha_max):
-            out = inexact_gols(probe, alpha_init, alpha_max=alpha_max)
+        def recording(alpha_init, alpha_max):
+            out = yield from make_search("igols")(alpha_init, alpha_max)
             outcomes.append(out)
             return out
 
         model = BatchObjective(net, ds.features[split.train], ds.one_hot()[split.train])
         sampler = BatchSampler(np.arange(len(split.train)), 10, seed=21)
-        trace = sgd_train(model, net.init_params(20), sampler, recording_resolver,
-                          12, dataset_metrics(net, ds, split))
+        trace = sgd_train(model, net.init_params(20), sampler, recording, 12,
+                          dataset_metrics(net, ds, split))
         fevals = sum(o.function_evals for o in outcomes)
         gevals = sum(o.gradient_evals for o in outcomes)
         assert trace.final.cost == fevals + 2 * gevals + 2 * 12
@@ -186,7 +184,7 @@ class TestSgdTrain:
             TrainConfig(resolver=resolver)
 
     def test_config_accepts_callable_resolver(self):
-        TrainConfig(resolver=make_resolver("igols"))
+        TrainConfig(resolver=make_search("igols"))
 
     @pytest.mark.parametrize("bad", [{"policy": "bogus"}, {"iterations": -1},
                                      {"iterations": 2.5}, {"resolver": 5}])
@@ -241,8 +239,13 @@ def reference_train(model, x0, sampler, resolver, iterations, metrics, policy):
     """Steepest descent one run at a time, every evaluation one blocking call
     of a per-point probe through the public searches: the loop the lockstep
     grid replaced, with the objective's one-point ``loss`` and ``grad``.
+    A custom resolver, a search factory, is answered through the same probe.
     ``metrics`` takes one point and returns its three losses."""
-    if isinstance(resolver, str) and resolver.startswith("fixed:"):
+    if not isinstance(resolver, str):
+        factory = resolver
+        resolver = lambda probe, alpha_init, alpha_max: _answer(
+            probe, factory(alpha_init, alpha_max))
+    elif resolver.startswith("fixed:"):
         step = float(resolver.split(":", 1)[1])
         resolver = lambda probe, alpha_init, alpha_max: LineSearchOutcome(
             step, 0, 0, "tolerance")
@@ -353,23 +356,103 @@ class TestLockstepGrid:
         for trace, cfg in zip(traces, configs):
             assert_same_bytes(trace, reference_on_dataset(net, ds, split, cfg))
 
-    def test_callable_resolver_is_answered_through_its_probe(self, iris_setup):
+    def test_custom_search_is_answered_in_the_grid_rounds(self, iris_setup, monkeypatch):
+        # Two runs drive a custom search beside a named one.  Each iteration
+        # of a custom run takes a round for its direction gradient and at
+        # least one for its search, and every round holds all three runs
+        # until one finishes.  Each custom run's cost is its direction
+        # gradients plus its search outcomes.
         net, ds, split = iris_setup
-        seen = []
+        outcomes = {0: [], 2: []}
+        rounds = []
 
-        def recording(probe, alpha_init, alpha_max):
-            seen.append(probe.counter.info_calls)
-            out = inexact_gols(probe, alpha_init, alpha_max=alpha_max)
-            assert probe.counter.info_calls == out.function_evals + out.gradient_evals
-            return out
+        def recording(run):
+            def search(alpha_init, alpha_max):
+                out = yield from make_search("igols")(alpha_init, alpha_max)
+                outcomes[run].append(out)
+                return out
+            return search
 
+        def counting(lines, model, pending):
+            rounds.append(sorted(pending))
+            return answer(lines, model, pending)
+
+        answer = LineTable.answer
+        monkeypatch.setattr(LineTable, "answer", counting)
         configs = [TrainConfig(iterations=10, resolver=resolver, weight_seed=4,
                                sampler_seed=5 + k)
-                   for k, resolver in enumerate([recording, "gs", recording])]
+                   for k, resolver in enumerate([recording(0), "gs", recording(2)])]
         traces = train_on_dataset(net, ds, split, configs)
-        assert seen == [0] * 20
+        sizes = [len(runs) for runs in rounds]
+        assert sizes == sorted(sizes, reverse=True)
+        assert rounds.count([0, 1, 2]) >= 20
+        for run in (0, 2):
+            assert len(outcomes[run]) == 10
+            assert traces[run].final.info_calls == 10 + sum(
+                out.function_evals + out.gradient_evals for out in outcomes[run])
+        monkeypatch.undo()
         for trace, cfg in zip(traces, configs):
             assert_same_bytes(trace, reference_on_dataset(net, ds, split, cfg))
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_custom_searches_train_as_their_names(self, blobs_setup, policy, monkeypatch):
+        # One grid runs each resolver by name and as the factory make_search
+        # hands out, on the same seeds: the two give the same bytes, and the
+        # grid takes the rounds of the grid that names both.
+        net, ds, split = blobs_setup
+        half, rounds = len(GRID_RESOLVERS), []
+
+        def counting(lines, model, pending):
+            rounds[-1] += 1
+            return answer(lines, model, pending)
+
+        def grid(resolvers):
+            rounds.append(0)
+            return train_on_dataset(net, ds, split, [
+                TrainConfig(iterations=12, resolver=resolver, policy=policy,
+                            weight_seed=(3, 101, k % half), sampler_seed=(3, 202, k % half))
+                for k, resolver in enumerate(resolvers)])
+
+        answer = LineTable.answer
+        monkeypatch.setattr(LineTable, "answer", counting)
+        custom = grid(GRID_RESOLVERS + tuple(map(make_search, GRID_RESOLVERS)))
+        named = grid(GRID_RESOLVERS * 2)
+        for k in range(half):
+            assert custom[k].rows.tobytes() == custom[k + half].rows.tobytes()
+        assert [t.rows.tobytes() for t in custom] == [t.rows.tobytes() for t in named]
+        assert rounds[0] == rounds[1] > 12
+
+    @pytest.mark.parametrize("requests", [[], [("slope", 1.0)]], ids=["empty", "slope"])
+    def test_malformed_request_list_fails_its_run_in_order(self, iris_setup, requests):
+        # A custom search that asks ``requests`` at its call ``at`` fails its
+        # run with the ValueError DirectionalProbe.ask raises.  The first
+        # failing run in config order wins, whichever run fails first.
+        net, ds, split = iris_setup
+
+        def malformed(at):
+            calls = []
+
+            def search(alpha_init, alpha_max):
+                calls.append(None)
+                if len(calls) == at:
+                    yield requests
+                return LineSearchOutcome(1e-3, 0, 0, "tolerance")
+            return search
+
+        probe = DirectionalProbe(LINE, np.zeros(1), np.ones(1), policy="full")
+        with pytest.raises(ValueError) as asked:
+            probe.ask(requests)
+        orders = ([malformed(5), step_of(1e-3, blow_up_at=2)],
+                  [step_of(1e-3, blow_up_at=5), malformed(2)])
+        errors = []
+        for resolvers in orders:
+            configs = [TrainConfig(iterations=8, resolver=resolver, sampler_seed=k)
+                       for k, resolver in enumerate(["igols", *resolvers])]
+            with pytest.raises((ValueError, RuntimeError)) as raised:
+                train_on_dataset(net, ds, split, configs)
+            errors.append(raised.value)
+        assert type(errors[0]) is ValueError and str(errors[0]) == str(asked.value)
+        assert str(errors[1]) == "non-finite step at iteration 5"
 
     @pytest.mark.parametrize("policy", ["resample", "fixed", "full"])
     @pytest.mark.parametrize("resolver", GRID_RESOLVERS)
@@ -504,18 +587,9 @@ class TestLockstepGrid:
         # Run 2 fails in an earlier round than run 1; a run-by-run loop
         # would have raised run 1's error, and so does the grid.
         net, ds, split = iris_setup
-
-        def blow_up_at(iteration):
-            calls = []
-
-            def resolver(probe, alpha_init, alpha_max):
-                calls.append(None)
-                step = np.inf if len(calls) == iteration else 1e-3
-                return LineSearchOutcome(step, 0, 0, "tolerance")
-            return resolver
-
         configs = [TrainConfig(iterations=8, resolver=resolver, sampler_seed=k)
-                   for k, resolver in enumerate(["igols", blow_up_at(5), blow_up_at(2)])]
+                   for k, resolver in enumerate(["igols", step_of(1e-3, blow_up_at=5),
+                                                 step_of(1e-3, blow_up_at=2)])]
         with pytest.raises(RuntimeError, match="^non-finite step at iteration 5$"):
             train_on_dataset(net, ds, split, configs)
 
@@ -586,14 +660,16 @@ def losses_nan_between(low, high):
 
 
 def step_of(alpha, blow_up_at=None):
-    """A callable resolver that steps ``alpha`` and, at its call
-    ``blow_up_at``, an infinite step; ``calls`` counts its calls."""
-    def resolver(probe, alpha_init, alpha_max):
-        resolver.calls += 1
-        step = np.inf if resolver.calls == blow_up_at else alpha
+    """A search factory whose searches ask nothing and step ``alpha`` and, at
+    its search ``blow_up_at``, an infinite step; ``calls`` counts its
+    searches."""
+    def search(alpha_init, alpha_max):
+        search.calls += 1
+        step = np.inf if search.calls == blow_up_at else alpha
         return LineSearchOutcome(step, 0, 0, "tolerance")
-    resolver.calls = 0
-    return resolver
+        yield  # a search that asks nothing
+    search.calls = 0
+    return search
 
 
 def line_grid(metrics, *runs):
