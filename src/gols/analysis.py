@@ -11,7 +11,7 @@ descent direction bottoms out regardless of how noisy the loss values are.
 Each probe draws every node's sample first, in node order, exactly as a
 node-by-node walk would.  :func:`scan_lines` then evaluates all the nodes of
 several probes, say every repeat of one batch size, in one stacked call
-(:func:`gols.probe.scan_probes`), in blocks of at most 1024 batch rows, and
+(:func:`gols.probe.scan_probes`), in blocks of at most 4096 batch rows, and
 its scans share one step-size grid, whose text a CSV writes once
 (:func:`write_scan_csv`).
 """

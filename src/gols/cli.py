@@ -194,7 +194,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         spec = build_spec(args)
-        spec.out.mkdir(parents=True, exist_ok=True)
+        try:
+            spec.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"--out {str(spec.out)!r}: {exc}") from None
     except (ValueError, OSError) as exc:
         print(f"gols: error: {exc}", file=sys.stderr)
         return 2

@@ -247,15 +247,18 @@ class BatchSampler:
     bit for bit.  That call picks rows by Floyd's algorithm (Bentley and
     Floyd 1987) and shuffles them by Fisher-Yates, each step a Lemire bounded
     integer (Lemire 2019) from the next 32-bit word of PCG64, the low half of
-    each 64-bit output first.  The first batch comes from ``choice`` itself.
-    After it the sampler takes the words of a block of batches at once, runs
-    every step for the block's batches together, and hands the batches out
-    one per call.  A block holds about 5 120 row indices (40 KiB), 64 to 512
-    batches, and fewer in a partition of more than 8 192 rows, whose mask of
-    one byte per row and batch is held to 4 MiB; :meth:`samples` takes as
-    many batches as it asks for in one block, up to that mask.  A block in
-    which Lemire's method would reject a word keeps the batches before that
-    one, draws that batch word by word, and the next block starts after it.
+    each 64-bit output first.  The first batch of :meth:`sample` on a fresh
+    sampler comes from ``choice`` itself, so a sampler that draws one batch
+    pays for one.  After it the sampler takes the words of a block of
+    batches at once, runs every step for the block's batches together, and
+    hands the batches out one per call.  A block holds about 5 120 row
+    indices (40 KiB), 64 to 512 batches, and fewer in a partition of more
+    than 8 192 rows, whose mask of one byte per row and batch is held to
+    4 MiB; :meth:`samples` takes as many batches as it asks for in one
+    block, up to that mask, from the stream's first word on a fresh
+    sampler.  A block in which Lemire's method would reject a word keeps the
+    batches before that one, draws that batch word by word, and the next
+    block starts after it.
     Batches of more than 64 rows and partitions of more than 65 536 rows
     call ``choice`` for every batch; that covers the partitions of more than
     10 000 rows with a batch above rows // 50, where numpy shuffles a tail
@@ -282,7 +285,7 @@ class BatchSampler:
         tops = np.concatenate([self._floyd[self._floyd > 0], np.arange(b - 1, 0, -1)])
         self._bounds = tops.astype(np.uint64) + 1
         self._floors = (1 << 32) % self._bounds
-        self._spare = None  # words read but not used; None before the first batch
+        self._spare = None  # words read but not used; None before the first word
 
     def sample(self) -> np.ndarray:
         if self._next == len(self._ready):
@@ -297,6 +300,8 @@ class BatchSampler:
         returns is the only one that holds these.  ``count`` is a whole
         number of at least 0."""
         check_count("count", count, least=0)
+        if self._spare is None and self._blocked:
+            self._spare = np.empty(0, np.uint32)  # no choice batch: start at word 0
         parts = [self._ready[self._next:]]
         have = len(parts[0])
         while have < count:
@@ -309,7 +314,8 @@ class BatchSampler:
     def _draw_block(self, most):
         """The next batches of the stream as rows: ``most`` of them or as many
         as the mask bound allows, fewer before a rejection, or one from
-        ``choice`` (the first batch, or any batch outside the block path)."""
+        ``choice`` (the first batch of :meth:`sample` on a fresh sampler, or
+        any batch outside the block path)."""
         if not self._blocked or self._spare is None:
             # A sampler that draws one batch, as a scan under the fixed policy
             # does, would pay for a whole block if its first came from one.

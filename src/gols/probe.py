@@ -45,9 +45,14 @@ __all__ = [
 POLICIES = ("resample", "fixed", "full")
 
 # Most stacked rows one block of a BatchObjective stacked call evaluates.  It
-# bounds the working set: a 101-node iris scan peaks at 215-400 KiB of
-# allocations (tracemalloc) at batch sizes 10, 50 and full.
-_BLOCK_ROWS = 1024
+# bounds the working set: the largest scan of a `gols scan` on iris, 12
+# repeats x 101 nodes at batch 50, peaks at 1 718 KiB of allocations
+# (tracemalloc; 1 181 KiB in blocks of 1024 rows).
+_BLOCK_ROWS = 4096
+
+# The kind of a direction-gradient request ``(_GRAD, point, sample)``, which
+# only the trainer makes: no search can yield it.
+_GRAD = object()
 
 
 class EvalCounter:
@@ -261,30 +266,35 @@ class LineTable:
     def answer(self, model, pending) -> dict:
         """Replies to one round's ``{run: requests}``, every one a list of
         search requests ``(kind, alpha)`` on the line of ``run`` or a
-        direction gradient ``[("grad", point, sample)]`` alone.  Each search
+        direction gradient ``[(_GRAD, point, sample)]`` alone.  Each search
         request is evaluated on a sample from its run's draw, drawn in list
         order, and the samples of a run are of one shape.
 
         A run's reply is the list of its replies in order, or the first
         ``ValueError`` among them in list order (see :meth:`replies`).  A
-        search request list that is empty or holds a kind other than
-        ``value`` and ``deriv`` gets the ``ValueError`` that
-        :meth:`DirectionalProbe.ask` raises for it, and nothing of it is
-        drawn or evaluated.  A group is the runs of one sample shape, and
-        each group takes one stacked call of ``model`` for all the requests
-        of its runs: a backprop (``model.losses_and_gradients``) when any of
-        them asks for a gradient or a slope, which also gives the losses of
-        its ``value`` requests, else a forward pass alone
-        (``model.losses``).  The points of a group's search requests come
-        from :meth:`points` in one array operation and their replies, F or
-        F', from :meth:`replies` in another.  Each row of a stacked call is
-        evaluated on its own, so a group puts its search requests first, each
-        run's in list order, and its direction gradients after them.
+        search request list that is empty or holds an entry other than a
+        pair ``("value", alpha)`` or ``("deriv", alpha)`` gets the
+        ``ValueError`` that :meth:`DirectionalProbe.ask` raises for it, and
+        nothing of it is drawn or evaluated.  A group is the runs of one
+        sample shape, and each group takes one stacked call of ``model`` for
+        all the requests of its runs: a backprop
+        (``model.losses_and_gradients``) when any of them asks for a
+        gradient or a slope, which also gives the losses of its ``value``
+        requests, else a forward pass alone (``model.losses``).  The points
+        of a group's search requests come from :meth:`points` in one array
+        operation and their replies, F or F', from :meth:`replies` in
+        another.  Each row of a stacked call is evaluated on its own, so a
+        group puts its search requests first, each run's in list order, and
+        its direction gradients after them.
         """
         groups, drawn, replies = {}, {}, {}
         for i, asked in pending.items():
-            if asked and asked[0][0] == "grad":
-                grad, sample = True, asked[0][2]
+            try:
+                grad = asked[0][0] is _GRAD
+            except (TypeError, LookupError):  # malformed: _request_error names it
+                grad = False
+            if grad:
+                sample = asked[0][2]
             elif error := _request_error(asked):
                 replies[i] = error
                 continue
@@ -342,7 +352,7 @@ class DirectionalProbe(LineTable):
     :meth:`ask` answers a search's whole request list in one round
     (:meth:`answer`), ``value`` and ``deriv`` are lists of one request, and
     :meth:`scan` answers a whole grid of step sizes in one call, in blocks
-    of at most 1024 batch rows for a :class:`BatchObjective`.  So the
+    of at most 4096 batch rows for a :class:`BatchObjective`.  So the
     objective needs only ``losses`` and ``losses_and_gradients``.
 
     The direction is used exactly as given (unnormalized).  Counters only
@@ -384,14 +394,15 @@ class DirectionalProbe(LineTable):
         probe's one row (:meth:`answer`), as the grid answers a run's list.
 
         Every request is checked before anything is counted or drawn: an
-        empty list, a kind other than ``value`` or ``deriv`` or a non-finite
-        step size raises ``ValueError``.  Then each request counts one loss
-        or gradient eval and draws one sample, in list order, and the first
-        ``ValueError`` among the replies, in list order, is raised.
+        empty list, an entry other than a pair ``(kind, alpha)`` of a kind
+        ``value`` or ``deriv``, or a non-finite step size raises
+        ``ValueError``.  Then each request counts one loss or gradient eval
+        and draws one sample, in list order, and the first ``ValueError``
+        among the replies, in list order, is raised.
         """
-        requests = [(kind, _step(alpha)) for kind, alpha in requests]
         if error := _request_error(requests):
             raise error
+        requests = [(kind, _step(alpha)) for kind, alpha in requests]
         _count(self.counter, requests)
         replies = self.answer(self.model, {0: requests})[0]
         if type(replies) is ValueError:
@@ -434,7 +445,7 @@ def scan_probes(probes, alphas):
     gradient eval per node, as one :meth:`DirectionalProbe.scan` per probe
     does.  Then every node of every probe takes one stacked
     ``losses_and_gradients`` call of the probes' one model (in blocks of at
-    most 1024 batch rows for a :class:`BatchObjective`), and all the slopes
+    most 4096 batch rows for a :class:`BatchObjective`), and all the slopes
     one dot product per row.  So the probes must share their model, and
     their samples must be of one shape; each row is evaluated on its own,
     so every F and F' has the bits that a scan of its probe alone gives.
@@ -492,16 +503,21 @@ def _node_samples(probes, nodes):
 
 
 def _request_error(requests):
-    """``None`` for a nonempty list of search requests, each ``("value",
-    alpha)`` or ``("deriv", alpha)``, else the ``ValueError`` that rejects
-    ``requests``.  The grid checks every list of every round, so this is a
-    plain loop with no call in it, the cheapest form measured."""
-    for kind, _ in requests:
-        if kind != "value" and kind != "deriv":
-            break
-    else:
-        if requests:
-            return None
+    """``None`` for a nonempty list of search requests, each a pair
+    ``("value", alpha)`` or ``("deriv", alpha)``, else the ``ValueError``
+    that rejects ``requests``.  The grid checks every list of every round,
+    so this is a plain loop with no call in it, the cheapest form measured;
+    an entry that is not a pair fails its unpacking, and the ``try`` costs
+    nothing until it catches."""
+    try:
+        for kind, _ in requests:
+            if kind != "value" and kind != "deriv":
+                break
+        else:
+            if requests:
+                return None
+    except (TypeError, ValueError):
+        pass
     return ValueError(f"a probe answers a nonempty list of 'value' and 'deriv' "
                       f"requests, not {requests!r}")
 

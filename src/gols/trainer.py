@@ -33,8 +33,10 @@ as when it trains alone; :func:`sgd_train` is the grid of one run.  A
 custom resolver is a search factory of the type
 :func:`~gols.linesearch.make_search` returns, and a run drives it as it
 drives a named one, so every evaluation of every run is a request on its
-row of the grid's table.  A search that lists no request, or a kind other
-than ``value`` and ``deriv``, fails its run with ``ValueError``.
+row of the grid's table.  A search that lists no request, or an entry other
+than a pair ``(kind, alpha)`` of a kind ``value`` or ``deriv``, fails its
+run with ``ValueError``; the direction gradient's kind is private to
+:mod:`gols.probe`, so no search can ask for one.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 from gols.data import BatchSampler, Dataset, Split, check_count
 from gols.linesearch import ALPHA_MIN, effective_alpha_max, make_search
 from gols.net import Network
-from gols.probe import POLICIES, BatchObjective, EvalCounter, LineTable, _draw
+from gols.probe import _GRAD, POLICIES, BatchObjective, EvalCounter, LineTable, _draw
 
 __all__ = [
     "TRACE_COLUMNS",
@@ -167,7 +169,7 @@ def _descend(model, x0, sampler, resolver, iterations, metrics, policy, lines, r
     """One run of :func:`sgd_train` as an ask/tell generator.
 
     Yields lists of requests and is sent the list of their replies in the
-    same order: the direction gradient ``[("grad", point, batch)]``, on a
+    same order: the direction gradient ``[(_GRAD, point, batch)]``, on a
     batch it draws itself, and the request lists of its search, named by
     ``resolver`` or made by it (see :func:`~gols.linesearch.make_search`),
     ``("value", alpha)`` and ``("deriv", alpha)``, which it hands on from
@@ -212,7 +214,7 @@ def _descend(model, x0, sampler, resolver, iterations, metrics, policy, lines, r
         alpha_prev = ALPHA_MIN
         for n in range(1, iterations + 1):
             batch = sampler.sample()
-            g, = yield [("grad", x, batch)]
+            g, = yield [(_GRAD, x, batch)]
             spent.gradients += 1
             gnorm = float(np.linalg.norm(g))
             # A NaN or infinite entry makes the norm NaN or infinite, so the

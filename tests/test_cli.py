@@ -279,6 +279,14 @@ class TestSpecHandling:
         assert not (tmp_path / "out").exists()
         assert capsys.readouterr().err.startswith("gols: error: --dataset 'adir': [Errno ")
 
+    def test_out_naming_a_file_names_its_flag(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("kept\n")
+        assert main(["train", "--dataset", "iris", "--out", "afile"]) == 2
+        assert capsys.readouterr().err == (
+            "gols: error: --out 'afile': [Errno 17] File exists: 'afile'\n")
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
     @pytest.mark.parametrize("config", ["missing", "adir", "broken"])
     def test_unreadable_config_names_its_flag(self, tmp_path, monkeypatch, capsys, config):
         monkeypatch.chdir(tmp_path)

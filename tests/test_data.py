@@ -391,9 +391,9 @@ class TestSamplerStream:
             for _ in range(2):
                 assert np.array_equal(sampler.sample(), next(expected))
 
-    def test_samples_draw_no_surplus(self, monkeypatch):
-        # A scan's 101 nodes take one batch from choice and one block of 100,
-        # not blocks of sample()'s size with batches left over.
+    @staticmethod
+    def count_blocks(monkeypatch):
+        """The sizes of the blocks samplers draw from now on, in order."""
         drawn = []
         real = BatchSampler._draw_block
 
@@ -403,8 +403,39 @@ class TestSamplerStream:
             return block
 
         monkeypatch.setattr(BatchSampler, "_draw_block", counted)
+        return drawn
+
+    def test_samples_draw_no_surplus(self, monkeypatch):
+        # A scan's 101 nodes take one block of 101 from the stream's first
+        # word, not a batch from choice and a block of 100, nor blocks of
+        # sample()'s size with batches left over.
+        drawn = self.count_blocks(monkeypatch)
         BatchSampler(np.arange(90), 50, 6).samples(101)
-        assert drawn == [1, 100]
+        assert drawn == [101]
+
+    def test_sample_takes_its_first_batch_from_choice(self, monkeypatch):
+        # A fixed-policy probe draws one batch, so a fresh sampler's
+        # sample() takes one from choice, and only its second a block.
+        drawn = self.count_blocks(monkeypatch)
+        chosen = []
+
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def choice(self, *args, **kwargs):
+                chosen.append(1)
+                return self.rng.choice(*args, **kwargs)
+
+        sampler = BatchSampler(np.arange(90), 50, 6)
+        sampler._rng = CountingRng(sampler._rng)
+        sampler.sample()
+        assert drawn == [1] and chosen == [1]
+        sampler.sample()
+        assert drawn == [1, block_of(np.arange(90), 50)] and chosen == [1]
 
     def test_handed_out_batches_are_not_held(self):
         # The scans of one batch size keep all their samplers alive at once,
@@ -434,15 +465,7 @@ class TestSamplerStream:
     def test_large_partition_takes_the_block_path(self, monkeypatch):
         # 20 000 rows are past 512 batches of mask but within 64: the blocks
         # shrink to the mask, and the stream is choice's.
-        drawn = []
-        real = BatchSampler._draw_block
-
-        def counted(sampler, most):
-            block = real(sampler, most)
-            drawn.append(len(block))
-            return block
-
-        monkeypatch.setattr(BatchSampler, "_draw_block", counted)
+        drawn = self.count_blocks(monkeypatch)
         indices = np.arange(20_000)
         lanes = (1 << 22) // indices.size
         assert_same_batches(BatchSampler(indices, 10, 12),

@@ -9,7 +9,9 @@ from gols.data import BatchSampler, builtin_dataset, split_3_1_1
 from gols.linesearch import (armijo, bisection_gols, golden_section, inexact_gols,
                              make_search)
 from gols.net import Network
+from gols import probe as probe_module
 from gols.probe import (
+    _GRAD,
     POLICIES,
     BatchObjective,
     DirectionalProbe,
@@ -226,7 +228,9 @@ class TestValidation:
         assert np.array_equal(sampler.sample(), untouched.sample())
 
     @pytest.mark.parametrize("requests", [[("value", 0.5), ("slope", 1.0)],
-                                          [("grad", 1.0)], []])
+                                          [("grad", 1.0)], [],
+                                          [("value", 0.5), ("deriv", 1.0, "x")],
+                                          [("value", 0.5), 42]])
     def test_unknown_kind_or_empty_list_counts_and_draws_nothing(self, iris_objective,
                                                                  requests):
         net, obj = iris_objective
@@ -372,8 +376,8 @@ class TestStackedScan:
         policy=st.sampled_from(POLICIES),
         seed=st.integers(0, 2**31),
     )
-    # Each example spans several blocks of at most 1024 stacked rows: 60
-    # nodes of 150, 75 and 150 rows make 10, 5 and 10 blocks.
+    # Each example spans several blocks of at most 4096 stacked rows: 60
+    # nodes of 150, 75 and 150 rows make 3, 2 and 3 blocks.
     @example(hidden=[5, 4], rows=150, batch_share=1.0, nodes=60,
              policy="resample", seed=1)
     @example(hidden=[3], rows=150, batch_share=0.5, nodes=60,
@@ -455,7 +459,7 @@ class TestScanProbes:
 
     alphas = np.linspace(0.0, 4.0, 41)
     # On the iris partition of 90 rows, 4 probes x 41 nodes of batches of 10
-    # span two blocks of 102 points, and the full policy 15 blocks of 11.
+    # fit one block of 409 points, and the full policy spans 4 blocks of 45.
     PROBES = 4
 
     @staticmethod
@@ -582,6 +586,45 @@ class TestScanProbes:
     def test_no_probes_rejected(self):
         with pytest.raises(ValueError, match="at least one probe"):
             scan_probes([], self.alphas)
+
+    def block_bound_results(self, model):
+        """The scans of every policy, under ``resample`` at batches 1, 10 and
+        50, and the replies of one four-run ``LineTable.answer`` round of
+        ``value``, ``deriv`` and direction-gradient requests."""
+        scans = [scan_probes(self.probes(model, policy, batch)[0], self.alphas)
+                 for policy, batch in [("resample", 1), ("resample", 10),
+                                       ("resample", 50), ("fixed", 10), ("full", 10)]]
+        rng = np.random.default_rng(5)
+        dim = model.net.num_params
+        table = LineTable(4, dim)
+        sampler = BatchSampler(np.arange(model.num_rows), 10, seed=6)
+        batch = sampler.sample()
+        for run, draw in enumerate([sampler.sample, lambda: batch, lambda: None,
+                                    sampler.sample]):
+            table.set(run, rng.uniform(-1.0, 1.0, dim), 0.3 * rng.normal(size=dim), draw)
+        replies = table.answer(model, {
+            0: [("value", 0.5), ("deriv", 1.0), ("deriv", 2.0)],
+            1: [("deriv", 0.3), ("value", 3.0)],
+            2: [("value", 1.5), ("deriv", 0.1)],
+            3: [(_GRAD, rng.uniform(-1.0, 1.0, dim), sampler.sample())],
+        })
+        return scans, [replies[run] for run in range(4)]
+
+    @pytest.mark.parametrize("bound", [1, 7, 1024, 4096])
+    def test_results_do_not_depend_on_the_block_bound(self, iris_objective, monkeypatch,
+                                                      bound):
+        # Each stacked row is evaluated on its own, so blocks of any size
+        # give the bits of one block that holds every row.
+        model = iris_objective[1]
+        monkeypatch.setattr(probe_module, "_BLOCK_ROWS", 1 << 30)
+        want_scans, want_replies = self.block_bound_results(model)
+        monkeypatch.setattr(probe_module, "_BLOCK_ROWS", bound)
+        scans, replies = self.block_bound_results(model)
+        for (values, slopes), (want_values, want_slopes) in zip(scans, want_scans):
+            assert np.array_equal(values, want_values)
+            assert np.array_equal(slopes, want_slopes)
+        assert replies[:3] == want_replies[:3]
+        assert np.array_equal(replies[3][0], want_replies[3][0])
 
 
 class StackedOnly:

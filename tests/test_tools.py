@@ -62,3 +62,19 @@ def test_main_prints_every_module_and_their_total(capsys):
     assert counts == {path.stem: code_lines.code_lines(path)
                       for path in package.glob("*.py")}
     assert total == ["total", str(sum(counts.values()))]
+
+
+def test_round_counts_pin_every_count(monkeypatch, capsys):
+    # The rounds, requests, metric and net calls of the benchmark's jobs at
+    # seed 7.  A change that moves one on purpose updates it here and says
+    # why.
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))  # restores sys.path after
+    assert _load("round_counts").main([]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "train-exact  grid 1375 rounds / 18816 requests  probe 0 rounds / 0 requests  "
+        "metrics 32 calls / 416 points  net 1407 calls / 19232 points",
+        "train-inexact  grid 796 rounds / 6388 requests  probe 0 rounds / 0 requests  "
+        "metrics 64 calls / 1008 points  net 860 calls / 7396 points",
+        "scan-study  grid 0 rounds / 0 requests  probe 45 rounds / 46 requests  "
+        "metrics 0 calls / 0 points  net 74 calls / 4895 points",
+    ]

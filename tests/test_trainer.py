@@ -7,8 +7,8 @@ from gols.linesearch import (ALPHA_MIN, LineSearchOutcome, _answer, armijo,
                              bisection_gols, effective_alpha_max, golden_section,
                              inexact_gols, make_resolver, make_search)
 from gols.net import Network
-from gols.probe import (POLICIES, BatchObjective, DirectionalProbe, KeyStream, LineTable,
-                        SyntheticObjective)
+from gols.probe import (_GRAD, POLICIES, BatchObjective, DirectionalProbe, KeyStream,
+                        LineTable, SyntheticObjective)
 from gols import trainer
 from gols.trainer import (TrainConfig, _descend, _lockstep, dataset_metrics, sgd_train,
                           train_on_dataset)
@@ -422,11 +422,15 @@ class TestLockstepGrid:
         assert [t.rows.tobytes() for t in custom] == [t.rows.tobytes() for t in named]
         assert rounds[0] == rounds[1] > 12
 
-    @pytest.mark.parametrize("requests", [[], [("slope", 1.0)]], ids=["empty", "slope"])
+    @pytest.mark.parametrize("requests", [
+        [], [("slope", 1.0)], [("value", 1.0, "x")], [("grad", np.zeros(27), None)], [42],
+    ], ids=["empty", "slope", "triple", "grad", "int"])
     def test_malformed_request_list_fails_its_run_in_order(self, iris_setup, requests):
         # A custom search that asks ``requests`` at its call ``at`` fails its
-        # run with the ValueError DirectionalProbe.ask raises.  The first
-        # failing run in config order wins, whichever run fails first.
+        # run with the ValueError DirectionalProbe.ask raises: an entry that
+        # is not a (kind, alpha) pair too, and a search cannot ask for the
+        # trainer's direction gradient.  The first failing run in config
+        # order wins, whichever run fails first.
         net, ds, split = iris_setup
 
         def malformed(at):
@@ -766,7 +770,7 @@ class TestMetricQueue:
             return measure
 
         def objective_only(lines, model, pending):
-            assert all(kind in ("grad", "value", "deriv") for requests in pending.values()
+            assert all(kind in (_GRAD, "value", "deriv") for requests in pending.values()
                        for kind, *_ in requests)
             return answer(lines, model, pending)
 
