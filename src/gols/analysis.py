@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gols.data import write_csv
+from gols.data import check_count, write_csv
 from gols.linesearch import ALPHA_CAP, bisection_gols
 from gols.probe import DirectionalProbe, scan_probes
 
@@ -90,13 +90,16 @@ def scan_lines(probes, step=0.1, steps=100, batch_size=0) -> list:
     (:func:`gols.probe.scan_probes`).
 
     The scans share one ``alphas`` array, and each has the values and slopes
-    that :func:`scan_line` of its probe alone gives.
+    that :func:`scan_line` of its probe alone gives.  ``step`` must be
+    positive and ``steps`` a whole number of at least 1; a grid whose last
+    node is not finite raises the ``ValueError`` of :func:`scan_probes`
+    before anything is drawn, without a numpy warning.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    alphas = step * np.arange(steps + 1)
+    check_count("steps", steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alphas = step * np.arange(steps + 1)
     values, slopes = scan_probes(probes, alphas)
     return [ScanResult(alphas, v, s, batch_size=batch_size)
             for v, s in zip(values, slopes)]

@@ -58,7 +58,6 @@ __all__ = [
     "armijo",
     "bisection_gols",
     "inexact_gols",
-    "make_resolver",
     "make_search",
 ]
 
@@ -387,10 +386,14 @@ def make_search(name: str):
     ``("deriv", alpha)`` requests, takes the list of their replies, F(alpha)
     or F'(alpha) in the same order, and returns its
     :class:`LineSearchOutcome`; the requests of one list do not depend on
-    each other's replies.  The exact searches run with their default
-    budget.  A custom resolver of :func:`gols.trainer.sgd_train` and
-    :class:`gols.trainer.TrainConfig` is a factory of this type, and a run
-    drives it as it drives a named one.  Accepted names: those of
+    each other's replies.  Every step must be a real, finite number: a run
+    whose list holds another fails with ``ValueError`` before anything of
+    that list is drawn (:meth:`gols.probe.LineTable.answer`).  The exact
+    searches run with their default budget; on a probe, a named search is
+    its public function, such as :func:`golden_section`.  A custom resolver
+    of :func:`gols.trainer.sgd_train` and :class:`gols.trainer.TrainConfig`
+    is a factory of this type, and a run drives it as it drives a named
+    one.  Accepted names: those of
     :data:`RESOLVER_NAMES` and ``fixed:<alpha>``.  The fixed resolver is a
     zero-cost oracle that asks nothing and returns the given constant step
     unconditionally, bypassing the step caps; the step must be finite and
@@ -415,12 +418,3 @@ def _fixed_step(alpha):
     return LineSearchOutcome(alpha=alpha, function_evals=0, gradient_evals=0,
                              reason="tolerance")
     yield  # a search that asks nothing
-
-
-def make_resolver(name: str):
-    """Map a resolver name (see :func:`make_search`) to a uniform
-    ``(probe, alpha_init, alpha_max) -> LineSearchOutcome`` callable that
-    answers the search through the probe."""
-    search = make_search(name)
-    return lambda probe, alpha_init, alpha_max: _answer(
-        probe, search(alpha_init, alpha_max))

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from gols.data import check_count
+
 __all__ = ["Network", "sigmoid"]
 
 # Clamp bounds that keep activations strictly inside the open interval (0, 1)
@@ -56,16 +58,18 @@ class Network:
     inverses.
 
     The batch loss is ``100 / (K * P) * sum((prediction - target)**2)`` over
-    ``P`` rows and ``K`` output nodes.
+    ``P`` rows and ``K`` output nodes.  Every layer width is a whole number
+    of at least 1 (see :func:`gols.data.check_count`); ``hidden_dims`` is
+    one width or a sequence of one or two.
     """
 
     def __init__(self, input_dim: int, hidden_dims, output_dim: int):
-        hidden = tuple(int(m) for m in np.atleast_1d(hidden_dims))
+        hidden = tuple(hidden_dims) if np.ndim(hidden_dims) else (hidden_dims,)
         if not 1 <= len(hidden) <= 2:
             raise ValueError("hidden_dims must list one or two layer widths")
-        dims = (int(input_dim),) + hidden + (int(output_dim),)
-        if min(dims) < 1:
-            raise ValueError("all layer widths must be positive")
+        dims = (input_dim,) + hidden + (output_dim,)
+        for width in dims:
+            check_count("layer width", width)
         self.input_dim = dims[0]
         self.hidden_dims = hidden
         self.output_dim = dims[-1]

@@ -14,11 +14,13 @@ forms ``loss(x, sample)`` and ``grad(x, sample)`` for direct use.
 
 A :class:`LineTable` holds the lines of a whole grid of runs, each with the
 draw that gives the samples of its evaluations, and answers the requests of
-every run's line search in one round (:meth:`LineTable.answer`): it draws
-their samples, builds all of a round's points in one array operation and
-takes all its slopes in another.  A :class:`DirectionalProbe` is a table of
-one line, so the searches, the scans and the training grid evaluate F and
-F' along a line through one path.
+every run's line search in one round (:meth:`LineTable.answer`): it checks
+each run's request list, kinds and steps alike, before it draws anything of
+it, then draws their samples, builds all of a round's points in one array
+operation and takes all its slopes in another.  A :class:`DirectionalProbe`
+is a table of one line, so the searches and the training grid evaluate F
+and F' along a line through one path; :func:`scan_probes` evaluates whole
+step-size grids of several probes in one stacked call.
 """
 
 from __future__ import annotations
@@ -241,13 +243,12 @@ class LineTable:
                 + alphas[:, None] * self.directions.take(runs, axis=0))
 
     def replies(self, runs, alphas, slope, losses, grads=None) -> list:
-        """The reply to each request on the lines of ``runs`` at ``alphas``:
-        F from ``losses``, or, where ``slope`` is true, F' from ``grads``, as
-        floats.
+        """The reply to each request on the lines of ``runs`` at the finite
+        steps ``alphas``: F from ``losses``, or, where ``slope`` is true, F'
+        from ``grads``, as floats.
 
-        A request whose step size or reply is not finite gets, in place of
-        its reply, a ``ValueError`` that names it: ``step size must be
-        finite`` or, say, ``non-finite F'(5.0) = nan``.
+        A request whose reply is not finite gets, in place of its reply, a
+        ``ValueError`` that names it, say ``non-finite F'(5.0) = nan``.
         """
         replies = losses.tolist()
         if grads is not None:
@@ -255,10 +256,10 @@ class LineTable:
             replies = [s if d else f for d, s, f in zip(slope, slopes, replies)]
         # A sum is finite when every term is; one that overflows only sends
         # the round down the term-by-term check.
-        if not math.isfinite(sum(alphas) + sum(replies)):
+        if not math.isfinite(sum(replies)):
             for k, alpha in enumerate(alphas):
                 try:
-                    _finite("F'" if slope[k] else "F", _step(alpha), replies[k])
+                    _finite("F'" if slope[k] else "F", alpha, replies[k])
                 except ValueError as exc:
                     replies[k] = exc
         return replies
@@ -271,13 +272,15 @@ class LineTable:
         order, and the samples of a run are of one shape.
 
         A run's reply is the list of its replies in order, or the first
-        ``ValueError`` among them in list order (see :meth:`replies`).  A
-        search request list that is empty or holds an entry other than a
-        pair ``("value", alpha)`` or ``("deriv", alpha)`` gets the
-        ``ValueError`` that :meth:`DirectionalProbe.ask` raises for it, and
-        nothing of it is drawn or evaluated.  A group is the runs of one
-        sample shape, and each group takes one stacked call of ``model`` for
-        all the requests of its runs: a backprop
+        ``ValueError`` among them in list order (see :meth:`replies`).  Each
+        search request list is checked in the pass that takes the round
+        apart: one that is empty, or holds an entry other than a pair
+        ``("value", alpha)`` or ``("deriv", alpha)`` with a real, finite
+        ``alpha``, gets the ``ValueError`` that
+        :meth:`DirectionalProbe.ask` raises for it, and nothing of it is
+        drawn or evaluated; the other runs of the round go on.  A group is
+        the runs of one sample shape, and each group takes one stacked call
+        of ``model`` for all the requests of its runs: a backprop
         (``model.losses_and_gradients``) when any of them asks for a
         gradient or a slope, which also gives the losses of its ``value``
         requests, else a forward pass alone (``model.losses``).  The points
@@ -351,9 +354,9 @@ class DirectionalProbe(LineTable):
     F' it gives comes from the objective's stacked calls, as the grid's do:
     :meth:`ask` answers a search's whole request list in one round
     (:meth:`answer`), ``value`` and ``deriv`` are lists of one request, and
-    :meth:`scan` answers a whole grid of step sizes in one call, in blocks
-    of at most 4096 batch rows for a :class:`BatchObjective`.  So the
-    objective needs only ``losses`` and ``losses_and_gradients``.
+    :func:`scan_probes` answers a whole grid of step sizes, in blocks of at
+    most 4096 batch rows for a :class:`BatchObjective`.  So the objective
+    needs only ``losses`` and ``losses_and_gradients``.
 
     The direction is used exactly as given (unnormalized).  Counters only
     ever increase.  A non-finite step size raises ``ValueError`` before
@@ -395,14 +398,14 @@ class DirectionalProbe(LineTable):
 
         Every request is checked before anything is counted or drawn: an
         empty list, an entry other than a pair ``(kind, alpha)`` of a kind
-        ``value`` or ``deriv``, or a non-finite step size raises
-        ``ValueError``.  Then each request counts one loss or gradient eval
-        and draws one sample, in list order, and the first ``ValueError``
-        among the replies, in list order, is raised.
+        ``value`` or ``deriv``, or a step size that is not a real, finite
+        number raises the ``ValueError`` that :meth:`answer` gives a grid
+        run for it.  Then each request counts one loss or gradient eval and
+        draws one sample, in list order, and the first ``ValueError`` among
+        the replies, in list order, is raised.
         """
         if error := _request_error(requests):
             raise error
-        requests = [(kind, _step(alpha)) for kind, alpha in requests]
         _count(self.counter, requests)
         replies = self.answer(self.model, {0: requests})[0]
         if type(replies) is ValueError:
@@ -420,20 +423,9 @@ class DirectionalProbe(LineTable):
 
     def value_and_deriv(self, alpha):
         """F and F' at one step size sharing a single sample draw: a scan
-        of one node."""
-        values, slopes = self.scan([alpha])
-        return float(values[0]), float(slopes[0])
-
-    def scan(self, alphas):
-        """F and F' at every step size of ``alphas``, one sample draw per node:
-        :func:`scan_probes` of this probe alone.
-
-        Counts one loss and one gradient eval per node, as a
-        :meth:`value_and_deriv` loop over ``alphas`` does, and names the first
-        node, in grid order, whose F or F' is non-finite.
-        """
-        values, slopes = scan_probes([self], alphas)
-        return values[0], slopes[0]
+        of one node (:func:`scan_probes`)."""
+        values, slopes = scan_probes([self], [alpha])
+        return float(values[0, 0]), float(slopes[0, 0])
 
 
 def scan_probes(probes, alphas):
@@ -442,9 +434,9 @@ def scan_probes(probes, alphas):
 
     Each probe draws the samples of its nodes under its own policy, one per
     node in grid order, probe after probe, and counts one loss and one
-    gradient eval per node, as one :meth:`DirectionalProbe.scan` per probe
-    does.  Then every node of every probe takes one stacked
-    ``losses_and_gradients`` call of the probes' one model (in blocks of at
+    gradient eval per node, as a :meth:`DirectionalProbe.value_and_deriv`
+    loop over ``alphas`` does.  Then every node of every probe takes one
+    stacked ``losses_and_gradients`` call of the probes' one model (in blocks of at
     most 4096 batch rows for a :class:`BatchObjective`), and all the slopes
     one dot product per row.  So the probes must share their model, and
     their samples must be of one shape; each row is evaluated on its own,
@@ -504,15 +496,19 @@ def _node_samples(probes, nodes):
 
 def _request_error(requests):
     """``None`` for a nonempty list of search requests, each a pair
-    ``("value", alpha)`` or ``("deriv", alpha)``, else the ``ValueError``
-    that rejects ``requests``.  The grid checks every list of every round,
-    so this is a plain loop with no call in it, the cheapest form measured;
-    an entry that is not a pair fails its unpacking, and the ``try`` costs
-    nothing until it catches."""
+    ``("value", alpha)`` or ``("deriv", alpha)`` with ``-inf < alpha <
+    inf``, else the ``ValueError`` that rejects ``requests``: ``step size
+    must be finite`` for a NaN or infinite step, else one that shows the
+    list.  The grid checks every list of every round, so this is a plain
+    loop with no call in it, the cheapest form measured; an entry that is
+    not a pair fails its unpacking, a step that is not a real number its
+    comparison, and the ``try`` costs nothing until it catches."""
     try:
-        for kind, _ in requests:
+        for kind, alpha in requests:
             if kind != "value" and kind != "deriv":
                 break
+            if not -math.inf < alpha < math.inf:
+                return ValueError("step size must be finite")
         else:
             if requests:
                 return None
@@ -543,13 +539,6 @@ def _draw(policy, sampler, fixed, count=None):
         return sampler.sample if count is None else sampler.samples(count)
     sample = fixed if policy == "fixed" else None
     return (lambda: sample) if count is None else [sample] * count
-
-
-def _step(alpha) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError("step size must be finite")
-    return alpha
 
 
 def _finite(name, alpha, number) -> float:

@@ -1,7 +1,21 @@
 import numpy as np
 import pytest
 
+from gols.linesearch import armijo, bisection_gols, golden_section, inexact_gols
 from gols.probe import DirectionalProbe, EvalCounter, SyntheticObjective
+
+# Each resolver name's public search on a probe, given the arguments of the
+# name's search factory (``make_search(name)(alpha_init, alpha_max)``).
+PUBLIC = {
+    "gs": lambda probe, alpha_init, alpha_max: golden_section(
+        probe, alpha_max=alpha_max),
+    "arls": lambda probe, alpha_init, alpha_max: armijo(
+        probe, alpha_init, alpha_max=alpha_max),
+    "bgols": lambda probe, alpha_init, alpha_max: bisection_gols(
+        probe, alpha_max=alpha_max),
+    "igols": lambda probe, alpha_init, alpha_max: inexact_gols(
+        probe, alpha_init, alpha_max=alpha_max),
+}
 
 
 def make_1d_probe(func, grad, **probe_kwargs):

@@ -103,12 +103,18 @@ class TestScanLines:
             assert np.array_equal(scan.minima_alphas, alone.minima_alphas)
             assert np.array_equal(scan.snngpp_alphas, alone.snngpp_alphas)
 
-    @pytest.mark.parametrize("step, steps", [(0.0, 10), (0.1, 0)])
+    # steps 2.5 would scan 4 nodes ending at 3 * step, and True one
+    # interval; a last node of 3e308 overflows without a numpy warning.
+    @pytest.mark.parametrize("step, steps", [
+        (0.0, 10), (0.1, 0), (0.1, 2.5), (0.1, True), (1e308, 3),
+        (np.float64(1e308), 3), (math.inf, 3)])
     def test_bad_grid_rejected_before_any_draw(self, step, steps):
         probe = DirectionalProbe(shifted_bowl(), np.zeros(1), np.ones(1),
                                  sampler=KeyStream(0))
-        with pytest.raises(ValueError, match="step"):
-            scan_lines([probe], step=step, steps=steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="step"):
+                scan_lines([probe], step=step, steps=steps)
         assert probe.counter.info_calls == 0
 
 

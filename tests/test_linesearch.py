@@ -7,15 +7,16 @@ import pytest
 from gols.linesearch import (
     ALPHA_CAP,
     ALPHA_MIN,
+    _answer,
     armijo,
     bisection_gols,
     effective_alpha_max,
     golden_section,
     inexact_gols,
-    make_resolver,
+    make_search,
 )
 
-from conftest import make_1d_probe, make_quadratic_probe
+from conftest import PUBLIC, make_1d_probe, make_quadratic_probe
 
 
 class TestEffectiveAlphaMax:
@@ -208,7 +209,7 @@ class TestSharedContracts:
     @pytest.mark.parametrize("alpha_max", [0.3, 5.0, 1e7])
     @pytest.mark.parametrize("name", ["gs", "arls", "bgols", "igols"])
     def test_step_always_within_bounds(self, name, alpha_max):
-        resolver = make_resolver(name)
+        resolver = PUBLIC[name]
         for maker in (
             lambda: make_quadratic_probe(),
             lambda: make_1d_probe(lambda a: a, lambda a: 1.0),
@@ -223,8 +224,7 @@ class TestSharedContracts:
         # A 10000-point uniform grid over [alpha_min, cap] spans fifteen
         # orders of magnitude and resolves nothing near the minimizer; every
         # search must do at least as well as its best point.
-        resolver = make_resolver(name)
-        out = resolver(make_quadratic_probe(), 1e-8, ALPHA_CAP)
+        out = PUBLIC[name](make_quadratic_probe(), 1e-8, ALPHA_CAP)
         reference = make_quadratic_probe()
         grid_best = min(
             reference.value(a) for a in np.linspace(ALPHA_MIN, ALPHA_CAP, 10_000)
@@ -233,7 +233,7 @@ class TestSharedContracts:
 
     @pytest.mark.parametrize("name", ["gs", "arls", "bgols", "igols"])
     def test_deterministic_outcomes(self, name):
-        resolver = make_resolver(name)
+        resolver = PUBLIC[name]
         a = resolver(make_quadratic_probe(), 0.25, 1e7)
         b = resolver(make_quadratic_probe(), 0.25, 1e7)
         assert (a.alpha, a.function_evals, a.gradient_evals, a.reason) == (
@@ -246,26 +246,30 @@ class TestSharedContracts:
 
 
 class TestMakeResolver:
+    """The resolver names that :func:`make_search` maps to searches."""
+
     def test_fixed_resolver_returns_constant_at_zero_cost(self):
-        resolver = make_resolver("fixed:0.5")
-        out = resolver(make_quadratic_probe(), 1.0, 1e7)
+        probe = make_quadratic_probe()
+        out = _answer(probe, make_search("fixed:0.5")(1.0, 1e7))
+        assert probe.counter.info_calls == 0
         assert out.alpha == 0.5
         assert out.function_evals == 0
         assert out.gradient_evals == 0
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
-            make_resolver("newton")
+            make_search("newton")
 
     def test_bad_fixed_value_rejected(self):
         with pytest.raises(ValueError):
-            make_resolver("fixed:abc")
+            make_search("fixed:abc")
 
     def test_negative_fixed_step_rejected(self):
         # A negative step turns descent into ascent; a zero step stays valid.
         with pytest.raises(ValueError):
-            make_resolver("fixed:-1")
-        assert make_resolver("fixed:0")(make_quadratic_probe(), 1.0, 1e7).alpha == 0.0
+            make_search("fixed:-1")
+        out = _answer(make_quadratic_probe(), make_search("fixed:0")(1.0, 1e7))
+        assert out.alpha == 0.0
 
 
 SHAPES = {
@@ -361,19 +365,6 @@ BUDGET_EDGES = [
 ]
 
 
-# Each resolver name's public search, given make_resolver's arguments.
-PUBLIC = {
-    "gs": lambda probe, alpha_init, alpha_max: golden_section(
-        probe, alpha_max=alpha_max),
-    "arls": lambda probe, alpha_init, alpha_max: armijo(
-        probe, alpha_init, alpha_max=alpha_max),
-    "bgols": lambda probe, alpha_init, alpha_max: bisection_gols(
-        probe, alpha_max=alpha_max),
-    "igols": lambda probe, alpha_init, alpha_max: inexact_gols(
-        probe, alpha_init, alpha_max=alpha_max),
-}
-
-
 def _summary(out):
     return (out.alpha, out.function_evals, out.gradient_evals, out.reason)
 
@@ -381,13 +372,15 @@ def _summary(out):
 class TestPinnedOutcomes:
     @pytest.mark.parametrize("name,shape,alpha_max", sorted(PINNED))
     def test_resolver_outcome(self, name, shape, alpha_max):
-        out = make_resolver(name)(SHAPES[shape](), 0.25, alpha_max)
+        out = PUBLIC[name](SHAPES[shape](), 0.25, alpha_max)
         assert _summary(out) == PINNED[name, shape, alpha_max]
 
     @pytest.mark.parametrize("name,shape,alpha_max", sorted(PINNED))
     def test_name_matches_public_search(self, name, shape, alpha_max):
+        # The search that make_search maps the name to, answered through a
+        # probe, is the public search of that name.
         by_name, public = SHAPES[shape](), SHAPES[shape]()
-        out = make_resolver(name)(by_name, 0.25, alpha_max)
+        out = _answer(by_name, make_search(name)(0.25, alpha_max))
         expected = PUBLIC[name](public, 0.25, alpha_max)
         assert _summary(out) == _summary(expected)
         assert out.intervals == expected.intervals
@@ -424,7 +417,7 @@ class TestNonFiniteLines:
     def test_non_finite_value_is_rejected(self, name, line):
         probe = make_1d_probe(*NON_FINITE_LINES[line])
         with pytest.raises(ValueError, match="non-finite"):
-            make_resolver(name)(probe, 0.25, ALPHA_CAP)
+            PUBLIC[name](probe, 0.25, ALPHA_CAP)
 
 
 # The (kind, alpha) requests a probe answers for each public search started

@@ -96,6 +96,21 @@ class TestSigmoid:
         assert sigmoid([0.5, -2.0]).tolist() == [0.6224593312018546, 0.11920292202211755]
 
 
+class TestArchitecture:
+    @pytest.mark.parametrize("dims", [(4.5, 3, 3), (4, [3, 2.2], 3), (4, 3, 3.0),
+                                      (True, 3, 3), (4, [3, 0], 3), (4, -1, 3)])
+    def test_layer_widths_must_be_whole_numbers_of_at_least_one(self, dims):
+        # 4.5 would build a 4-3-3 network and [3, 2.2] a 4-3-2-3 one.
+        with pytest.raises(ValueError, match="^layer width must be"):
+            Network(*dims)
+
+    def test_numpy_widths_and_a_bare_hidden_width(self):
+        net = Network(np.int64(4), np.array([3, 2]), 3)
+        assert repr(net) == "Network(4-3-2-3)"
+        assert net.num_params == Network(4, [3, 2], 3).num_params
+        assert repr(Network(4, 3, 3)) == "Network(4-3-3)"
+
+
 class TestForward:
     def test_zero_weights_give_half_everywhere(self):
         net = Network(3, [4], 2)

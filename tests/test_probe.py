@@ -347,22 +347,36 @@ class TestLineTable:
         assert str(replies[1]) == str(direct.value)
 
     def test_non_finite_step_is_the_probes_error(self):
+        # answer refuses the list of run 1 before drawing anything of it,
+        # with the error a probe raises, and answers run 0 in the same round.
         model = quadratic_bowl([1.0, 0.0])
-        table = LineTable(1, 2)
-        table.set(0, np.zeros(2), np.ones(2), lambda: None)
+        table = LineTable(2, 2)
+        draws = []
+        for run in range(2):
+            table.set(run, np.zeros(2), np.ones(2), lambda run=run: draws.append(run))
         mirror = DirectionalProbe(model, np.zeros(2), np.ones(2), policy="full")
-        for bad in (np.nan, np.inf):
+        for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError) as direct:
                 mirror.value(bad)
-            reply = table_replies(table, model, [0, 0], ["value", "deriv"],
-                                  [1.0, bad], [None, None])
-            assert reply[0] == mirror.value(1.0)
-            assert str(reply[1]) == str(direct.value)
+            draws.clear()
+            replies = table.answer(model, {0: [("value", 1.0)],
+                                           1: [("value", 1.0), ("deriv", bad)]})
+            assert replies[0] == [mirror.value(1.0)]
+            assert type(replies[1]) is ValueError
+            assert str(replies[1]) == str(direct.value)
+            assert draws == [0]
+
+
+def scan_one(probe, alphas):
+    """F and F' of ``probe`` alone at each step of ``alphas``: one row of
+    :func:`scan_probes`."""
+    values, slopes = scan_probes([probe], alphas)
+    return values[0], slopes[0]
 
 
 def per_node(probe, alphas):
-    """Reference for ``probe.scan``: one per-point ``value_and_deriv`` call of
-    a :class:`PointProbe` per node."""
+    """Reference for :func:`scan_one`: one per-point ``value_and_deriv``
+    call of a :class:`PointProbe` per node."""
     pairs = [probe.value_and_deriv(alpha) for alpha in alphas]
     return np.array([f for f, _ in pairs]), np.array([fp for _, fp in pairs])
 
@@ -402,7 +416,7 @@ class TestStackedScan:
 
         stacked, stacked_sampler = probe(DirectionalProbe)
         looped, looped_sampler = probe(PointProbe)
-        values, slopes = stacked.scan(alphas)
+        values, slopes = scan_one(stacked, alphas)
         ref_values, ref_slopes = per_node(looped, alphas)
         for got, want in ((values, ref_values), (slopes, ref_slopes)):
             scale = max(1.0, float(np.max(np.abs(want))))
@@ -419,7 +433,7 @@ class TestStackedScan:
         stacked, looped = (kind(model, np.ones(2), np.array([-1.0, 0.5]),
                                 policy=policy, sampler=key)
                            for kind, key in zip((DirectionalProbe, PointProbe), keys))
-        values, slopes = stacked.scan(alphas)
+        values, slopes = scan_one(stacked, alphas)
         ref_values, ref_slopes = per_node(looped, alphas)
         assert np.array_equal(values, ref_values)
         assert np.array_equal(slopes, ref_slopes)
@@ -443,19 +457,19 @@ class TestStackedScan:
         assert f"F({float(alphas[first_bad])!r})" in str(want.value)
         assert (first_bad > 0) == (policy == "resample")
         with pytest.raises(ValueError) as got:
-            stacked.scan(alphas)
+            scan_one(stacked, alphas)
         assert str(got.value) == str(want.value)
 
     def test_non_finite_alpha_rejected(self):
         probe = DirectionalProbe(quadratic_bowl([1.0]), np.zeros(1), np.ones(1),
                                  policy="full")
         with pytest.raises(ValueError, match="finite"):
-            probe.scan(np.array([0.0, np.nan]))
+            scan_one(probe, np.array([0.0, np.nan]))
 
 
 class TestScanProbes:
-    """Several probes scanned in one stacked evaluation against one
-    :meth:`DirectionalProbe.scan` per probe."""
+    """Several probes scanned in one stacked evaluation against one scan
+    per probe."""
 
     alphas = np.linspace(0.0, 4.0, 41)
     # On the iris partition of 90 rows, 4 probes x 41 nodes of batches of 10
@@ -497,7 +511,7 @@ class TestScanProbes:
         values, slopes = scan_probes(stacked, self.alphas)
         assert values.shape == slopes.shape == (self.PROBES, len(self.alphas))
         for k, probe in enumerate(alone):
-            want_values, want_slopes = probe.scan(self.alphas)
+            want_values, want_slopes = scan_one(probe, self.alphas)
             assert values[k].tobytes() == want_values.tobytes()
             assert slopes[k].tobytes() == want_slopes.tobytes()
             assert counts(stacked[k]) == counts(probe) == (41, 41)
@@ -513,7 +527,7 @@ class TestScanProbes:
                            for k in range(3)] for sampler in shared)
         values, slopes = scan_probes(stacked, self.alphas)
         for k, probe in enumerate(alone):
-            want_values, want_slopes = probe.scan(self.alphas)
+            want_values, want_slopes = scan_one(probe, self.alphas)
             assert values[k].tobytes() == want_values.tobytes()
             assert slopes[k].tobytes() == want_slopes.tobytes()
         assert np.array_equal(shared[0].sample(), shared[1].sample())
@@ -538,7 +552,7 @@ class TestScanProbes:
         messages = []
         for probe in lines():
             try:
-                probe.scan(alphas)
+                scan_one(probe, alphas)
             except ValueError as exc:
                 messages.append(str(exc))
         assert len(messages) == 2
@@ -556,7 +570,7 @@ class TestScanProbes:
         messages = []
         for probe in self.probes(model, policy)[0]:
             try:
-                probe.scan(self.alphas)
+                scan_one(probe, self.alphas)
             except ValueError as exc:
                 messages.append(str(exc))
         assert messages

@@ -1,9 +1,11 @@
-"""A search answered through a probe ends as it does on a one-row grid.
+"""A public search answered through a probe ends as the search of its name
+(``make_search``) does on a one-row grid.
 
 Both paths answer each request list of a search in one round of
-``LineTable.answer``, drawing one sample per request in list order, so on
-any line, noisy, flat, monotone or turning NaN, they give the same outcome
-or the same error after the same number of draws.
+``LineTable.answer``, which checks the list before it draws anything of it
+and then draws one sample per request in list order, so on any line, noisy,
+flat, monotone or turning NaN, they give the same outcome or the same error
+after the same number of draws.
 """
 
 import math
@@ -12,9 +14,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gols.linesearch import ALPHA_MIN, RESOLVER_NAMES, make_resolver, make_search
+from gols.linesearch import ALPHA_MIN, RESOLVER_NAMES, make_search
 from gols.probe import DirectionalProbe, KeyStream, LineTable, SyntheticObjective
 from gols.trainer import _lockstep
+
+from conftest import PUBLIC
 
 
 def bowl(a):
@@ -62,12 +66,12 @@ def summary(outcome):
 
 
 def on_probe(model, name, seed, alpha_init, alpha_max):
-    """``(outcome summary or error message, draws, probe)`` of the search of
-    ``name`` through a resample probe."""
+    """``(outcome summary or error message, draws, probe)`` of the public
+    search of ``name`` through a resample probe."""
     keys = CountingKeys(seed)
     probe = DirectionalProbe(model, np.zeros(1), np.ones(1), sampler=keys)
     try:
-        result = summary(make_resolver(name)(probe, alpha_init, alpha_max))
+        result = summary(PUBLIC[name](probe, alpha_init, alpha_max))
     except ValueError as exc:
         result = str(exc)
     return result, keys.draws, probe

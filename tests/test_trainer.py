@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from gols.data import BatchSampler, builtin_dataset, split_3_1_1
 from gols.linesearch import (ALPHA_MIN, LineSearchOutcome, _answer, armijo,
                              bisection_gols, effective_alpha_max, golden_section,
-                             inexact_gols, make_resolver, make_search)
+                             inexact_gols, make_search)
 from gols.net import Network
 from gols.probe import (_GRAD, POLICIES, BatchObjective, DirectionalProbe, KeyStream,
                         LineTable, SyntheticObjective)
@@ -13,7 +13,7 @@ from gols import trainer
 from gols.trainer import (TrainConfig, _descend, _lockstep, dataset_metrics, sgd_train,
                           train_on_dataset)
 
-from conftest import PointProbe
+from conftest import PUBLIC, PointProbe
 
 
 def quadratic_problem(center, noise=0.0):
@@ -555,6 +555,47 @@ class TestLockstepGrid:
             0.5, 0.75, 7.0, 0.25]
         assert probe.counter.info_calls == 4
 
+    @pytest.mark.parametrize("bad", ["x", None, np.nan])
+    def test_bad_step_fails_its_own_run_before_its_list_draws(self, bad):
+        # Run 1's custom search asks a step that is not a real, finite
+        # number in its second list.  The table refuses that list before
+        # drawing anything of it, so run 1 fails with the error a probe
+        # raises for it, and run 0 still finishes.
+        model = SyntheticObjective(lambda x: 0.5 * float(x @ x), lambda x: x,
+                                   noise_value=0.05, noise_grad=0.05)
+        lines = LineTable(2, 1)
+        draws, outcomes = [0, 0], []
+
+        def draw_of(row):
+            keys = KeyStream(row)
+
+            def draw():
+                draws[row] += 1
+                return keys.sample()
+            return draw
+
+        def finished(search):
+            outcomes.append((yield from search))
+
+        def custom():
+            yield [("value", 0.5)]
+            yield [("value", 1.0), ("deriv", bad)]
+
+        for row in range(2):
+            lines.set(row, np.ones(1), -np.ones(1), draw_of(row))
+        with pytest.raises(ValueError) as grid:
+            _lockstep(model, lines, [finished(make_search("igols")(0.25, 10.0)),
+                                     custom()])
+        probe = DirectionalProbe(model, np.ones(1), -np.ones(1), sampler=KeyStream(1))
+        with pytest.raises(ValueError) as alone:
+            _answer(probe, custom())
+        assert str(grid.value) == str(alone.value)
+        assert ("step size must be finite" if bad is np.nan else "nonempty list") in str(
+            grid.value)
+        assert draws[1] == probe.counter.info_calls == 1
+        outcome, = outcomes
+        assert draws[0] == outcome.function_evals + outcome.gradient_evals > 0
+
     def test_bare_searches_in_lockstep_match_their_probes(self):
         # Eight rows on one noisy line, each drawing from its own key stream:
         # the grid draws each row's samples from that row's draw, in order,
@@ -581,7 +622,7 @@ class TestLockstepGrid:
                              [make_search(name)(0.25, 10.0) for name in names])
         for row, (name, outcome) in enumerate(zip(names, outcomes)):
             probe = DirectionalProbe(model, origin, direction, sampler=KeyStream(row))
-            alone = make_resolver(name)(probe, 0.25, 10.0)
+            alone = PUBLIC[name](probe, 0.25, 10.0)
             assert (outcome.alpha, outcome.function_evals, outcome.gradient_evals,
                     outcome.reason) == (alone.alpha, alone.function_evals,
                                         alone.gradient_evals, alone.reason)

@@ -1,20 +1,25 @@
-"""Print one SHA-256 per output file of a fixed set of ``gols`` CLI jobs.
+"""Print one SHA-256 per output file of a fixed set of ``gols`` CLI jobs,
+and one per demo's standard output.
 
 The jobs cover every command and every file it writes: ``train`` under each
 probe policy with all five kinds of resolver, ``scan`` under each policy,
 ``compare``, and the jobs of the three ``bench/run.py`` workloads at seed 7.
-Each line reads ``<sha256>  <job>/<file>``.  Two checkouts write the same
-bytes when the outputs of
+Each line reads ``<sha256>  <job>/<file>``.  Then each ``demos/*.py`` runs
+in-process, and its line reads ``<sha256>  demo-<name>/stdout``.  Two checkouts write the same bytes when
+the outputs of
 
     python tools/output_digest.py [checkout root]
 
 agree; the root defaults to the checkout this file lives in, and its
-``src/`` and ``bench/run.py`` are the ones used, so a tool from one checkout
-can digest another (say, the parent of a change).
+``src/``, ``bench/run.py`` and ``demos/`` are the ones used, so a tool from
+one checkout can digest another (say, the parent of a change).
 """
 
+import contextlib
 import hashlib
 import importlib.util
+import io
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -75,7 +80,24 @@ def main(argv=None) -> int:
             for path in sorted(out.iterdir()):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 print(f"{digest}  {name}/{path.name}")
+        for path in sorted((root / "demos").glob("*.py")):
+            try:
+                stdout = demo_stdout(path)
+            except Exception as exc:
+                print(f"demo-{path.stem}: {exc!r}")
+                failed += 1
+                continue
+            digest = hashlib.sha256(stdout.encode()).hexdigest()
+            print(f"{digest}  demo-{path.stem}/stdout")
     return 1 if failed else 0
+
+
+def demo_stdout(path) -> str:
+    """What the demo script ``path`` prints, run as ``__main__``."""
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        runpy.run_path(str(path), run_name="__main__")
+    return captured.getvalue()
 
 
 if __name__ == "__main__":
