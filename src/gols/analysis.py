@@ -10,10 +10,13 @@ descent direction bottoms out regardless of how noisy the loss values are.
 
 Each probe draws every node's sample first, in node order, exactly as a
 node-by-node walk would.  :func:`scan_lines` then evaluates all the nodes of
-several probes, say every repeat of one batch size, in one stacked call
+several probes, say every repeat of one batch size, in one call
 (:func:`gols.probe.scan_probes`), in blocks of at most 4096 batch rows, and
 its scans share one step-size grid, whose text a CSV writes once
-(:func:`write_scan_csv`).
+(:func:`write_scan_csv`).  Repeats of one line whose batches of at least 2
+rows hold more rows than the partition run the network once per (node,
+partition row) pair and gather each batch from that table; other scans stack
+every batch.  Each scan has the bits of its probe scanned alone either way.
 """
 
 from __future__ import annotations
@@ -86,8 +89,9 @@ def scan_line(probe: DirectionalProbe, step=0.1, steps=100,
 
 def scan_lines(probes, step=0.1, steps=100, batch_size=0) -> list:
     """One :class:`ScanResult` per probe of ``probes``, each on the nodes
-    ``0, step, ..., steps * step``, all from one stacked evaluation
-    (:func:`gols.probe.scan_probes`).
+    ``0, step, ..., steps * step``, all from one evaluation
+    (:func:`gols.probe.scan_probes`), on one table when the probes share
+    one line.
 
     The scans share one ``alphas`` array, and each has the values and slopes
     that :func:`scan_line` of its probe alone gives.  ``step`` must be

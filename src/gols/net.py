@@ -11,7 +11,11 @@ per-point :meth:`Network.loss` and :meth:`Network.gradient` run them on one
 parameter vector and the stacked :meth:`Network.losses` and
 :meth:`Network.losses_and_gradients` on a stack of them.
 ``_backprop`` writes into per-layer views of one flat gradient array, which
-is already in :meth:`Network.pack` order.
+is already in :meth:`Network.pack` order.  Given a row map, the same
+backprop evaluates ``M`` points on ``R`` batches each of one partition: it
+runs the network once on the table of (point, partition row) pairs and
+gathers each batch's sums from it, with the bits of the stacked batches
+(``gols.probe.BatchObjective.table_losses_and_gradients``).
 """
 
 from __future__ import annotations
@@ -162,12 +166,16 @@ class Network:
         return np.stack([_loss(residuals[..., start:stop, :])
                          for start, stop in zip(bounds, bounds[1:])], axis=-1)
 
-    def _losses_and_gradients(self, points, inputs, targets):
+    def _losses_and_gradients(self, points, inputs, targets, rows=None):
         """:meth:`losses_and_gradients` of arrays already checked by
-        :meth:`_check_stack`."""
-        grads = np.empty(points.shape)
+        :meth:`_check_stack`; with the row map ``rows`` of :func:`_backprop`,
+        the ``(R, N)`` losses and ``(R, N, num_params)`` gradients of ``R``
+        evaluations of each point on the partition ``inputs`` and
+        ``targets``."""
+        grads = np.empty(points.shape if rows is None
+                         else rows.shape[:-1] + points.shape[-1:])
         losses = _loss(_backprop(self._layers(points), self._layers(grads),
-                                 inputs, targets))
+                                 inputs, targets, rows))
         return losses, grads
 
     def _layers(self, params):
@@ -251,7 +259,7 @@ def _activations(mats, inputs):
     return acts
 
 
-def _backprop(mats, grads, inputs, targets):
+def _backprop(mats, grads, inputs, targets, rows=None):
     """Writes the loss gradient into ``grads`` and returns the residuals
     ``prediction - target``, from which :func:`_loss` gives the loss.
 
@@ -259,10 +267,33 @@ def _backprop(mats, grads, inputs, targets):
     the parameters behind ``mats``, so no gradient is packed afterwards.
     The loss is left to the callers that need it, so
     :meth:`Network.gradient` does not pay for one it would discard.
+
+    With the row map ``rows``, an ``(R, M, P)`` integer array, ``mats`` are
+    ``M`` points and ``inputs`` and ``targets`` the ``n`` rows of a whole
+    partition; ``rows[q, j]`` are the partition rows of evaluation ``q`` of
+    point ``j``, and ``grads`` have the leading axes ``(R, M)``.  The forward
+    pass, each layer's ``delta`` and each upstream product then run once, on
+    the table of ``M * n`` (point, partition row) pairs.  The per-evaluation
+    sums, the bias sum and the weight product, gather their rows from it, and
+    so do the returned ``(R, M, P, K)`` residuals.  Each table row has the
+    bits of the same row in a stack of ``P``-row batches, and each sum adds
+    its rows in the stack's order, so at ``P >= 2`` every loss and gradient
+    equals the stacked one bit for bit.  At ``P = 1`` a stacked batch is one
+    row, for which numpy's matmul takes its vector path and rounds
+    otherwise.
     """
     acts = _activations(mats, inputs)
     r = acts[-1] - targets
-    p, k = r.shape[-2:]
+    if rows is None:
+        p, k = r.shape[-2:]
+    else:
+        p, k = rows.shape[-1], r.shape[-1]
+        # Row i of point j is row j * n + i of a table flattened over its
+        # (point, row) pairs; the inputs, shared by every point, take rows.
+        flat = rows + r.shape[-2] * np.arange(rows.shape[1])[:, None]
+
+        def gather(a, index):
+            return a.reshape(-1, a.shape[-1]).take(index, axis=0)
     upstream = (200.0 / (k * p)) * r
     for c in range(len(mats) - 1, -1, -1):
         # (upstream * a) * (1 - a), in the temporaries; acts[c + 1] is not
@@ -271,11 +302,23 @@ def _backprop(mats, grads, inputs, targets):
         delta = upstream
         delta *= a
         delta *= np.subtract(1.0, a, out=a)
-        np.add.reduce(delta, axis=-2, out=grads[c][..., 0])
-        grads[c][..., 1:] = delta.mT @ acts[c]
+        d, x = delta, acts[c]
+        if rows is not None:
+            x = gather(x, flat if c else rows)
+            if min(d.shape[-1], x.shape[-1]) > 1:
+                # Batch-row axis first, then a transposed view: the bias sum
+                # runs one long inner loop yet adds each evaluation's rows
+                # in the stack's order.
+                d = gather(delta, flat.transpose(2, 0, 1)).transpose(1, 2, 0, 3)
+            else:
+                # A layer of width 1 takes numpy's vector paths, whose order
+                # follows the layout: the stack's, row by row.
+                d = gather(delta, flat)
+        np.add.reduce(d, axis=-2, out=grads[c][..., 0])
+        grads[c][..., 1:] = d.mT @ x
         if c:  # the gradient with respect to the inputs is never read
             upstream = delta @ mats[c][..., 1:]
-    return r
+    return r if rows is None else gather(r, flat)
 
 
 def _loss(residuals):

@@ -20,7 +20,11 @@ it, then draws their samples, builds all of a round's points in one array
 operation and takes all its slopes in another.  A :class:`DirectionalProbe`
 is a table of one line, so the searches and the training grid evaluate F
 and F' along a line through one path; :func:`scan_probes` evaluates whole
-step-size grids of several probes in one stacked call.
+step-size grids of several probes in one stacked call.  Probes that repeat
+one line of a :class:`BatchObjective`, as the repeats of one batch size in
+``gols scan`` do, take a third call when their batches outnumber its rows:
+``table_losses_and_gradients(points, index)`` evaluates each node on every
+repeat's batch from one table of (node, row) pairs.
 """
 
 from __future__ import annotations
@@ -46,10 +50,12 @@ __all__ = [
 # full:     no sub-sampling (deterministic reference view)
 POLICIES = ("resample", "fixed", "full")
 
-# Most stacked rows one block of a BatchObjective stacked call evaluates.  It
-# bounds the working set: the largest scan of a `gols scan` on iris, 12
-# repeats x 101 nodes at batch 50, peaks at 1 718 KiB of allocations
-# (tracemalloc; 1 181 KiB in blocks of 1024 rows).
+# Most stacked or gathered batch rows one block of a BatchObjective call
+# evaluates.  It bounds the working set: the largest scan of a `gols scan` on
+# iris, 12 repeats x 101 nodes at batch 50, peaks at 1 141 KiB of
+# allocations on one table (tracemalloc; 1 719 KiB stacked, 1 181 KiB
+# stacked in blocks of 1024 rows), and a whole scan-study job at 1 342 KiB
+# (1 924 KiB stacked).
 _BLOCK_ROWS = 4096
 
 # The kind of a direction-gradient request ``(_GRAD, point, sample)``, which
@@ -125,6 +131,30 @@ class BatchObjective:
         for block, inputs, targets in self._stacks(samples):
             values[block], grads[block] = self.net._losses_and_gradients(
                 points[block], inputs, targets)
+        return values, grads
+
+    def table_losses_and_gradients(self, points, index):
+        """Loss and gradient of each of the ``M`` rows of ``points`` on each
+        of ``R`` batches: ``index`` is an ``(R, M, P)`` array of row indices,
+        ``index[q, j]`` the batch of evaluation ``q`` of point ``j``, and the
+        results are ``(R, M)`` and ``(R, M, num_params)``.
+
+        Each block of consecutive points, at most ``_BLOCK_ROWS`` gathered
+        rows, takes one backprop on the table of its ``(point, matrix row)``
+        pairs, whose per-batch sums gather their rows from it (the row map of
+        :func:`gols.net._backprop`).  At ``P >= 2`` every result has the bits
+        of :meth:`losses_and_gradients` on the stack of the ``R * M``
+        batches.
+        """
+        points = self.net._check_points(points)
+        batches, _, rows = index.shape
+        values = np.empty((batches, len(points)))
+        grads = np.empty((batches,) + points.shape)
+        per_block = max(1, _BLOCK_ROWS // (batches * rows))
+        for start in range(0, len(points), per_block):
+            block = slice(start, start + per_block)
+            values[:, block], grads[:, block] = self.net._losses_and_gradients(
+                points[block], self.inputs, self.targets, index[:, block])
         return values, grads
 
     def _stacks(self, samples):
@@ -239,6 +269,8 @@ class LineTable:
         """The point at ``alphas[k]`` on the line of ``runs[k]``, one row
         each; ``runs`` is an integer array."""
         alphas = np.array(alphas, dtype=float)
+        if alphas.ndim != 1:
+            raise ValueError("step sizes must be scalars")
         return (self.origins.take(runs, axis=0)
                 + alphas[:, None] * self.directions.take(runs, axis=0))
 
@@ -278,9 +310,12 @@ class LineTable:
         ``("value", alpha)`` or ``("deriv", alpha)`` with a real, finite
         ``alpha``, gets the ``ValueError`` that
         :meth:`DirectionalProbe.ask` raises for it, and nothing of it is
-        drawn or evaluated; the other runs of the round go on.  A group is
-        the runs of one sample shape, and each group takes one stacked call
-        of ``model`` for all the requests of its runs: a backprop
+        drawn or evaluated; the other runs of the round go on.  A step that
+        compares as finite yet is no scalar, a one-element array say, is
+        found only where its group's points are built: its run gets the same
+        error, after its samples are drawn, and nothing of it is evaluated.
+        A group is the runs of one sample shape, and each group takes one
+        stacked call of ``model`` for all the requests of its runs: a backprop
         (``model.losses_and_gradients``) when any of them asks for a
         gradient or a slope, which also gives the losses of its ``value``
         requests, else a forward pass alone (``model.losses``).  The points
@@ -313,17 +348,32 @@ class LineTable:
                 group = groups[key] = ([], [])
             group[grad].append(i)
         for searches, grads in groups.values():
-            # The group's search requests as columns, in one pass.
-            runs, alphas, slope, samples = [], [], [], []
-            for i in searches:
-                samples += drawn[i]
-                for kind, alpha in pending[i]:
-                    runs.append(i)
-                    alphas.append(alpha)
-                    slope.append(kind == "deriv")
+            while True:
+                # The group's search requests as columns, in one pass.
+                runs, alphas, slope, samples = [], [], [], []
+                for i in searches:
+                    samples += drawn[i]
+                    for kind, alpha in pending[i]:
+                        runs.append(i)
+                        alphas.append(alpha)
+                        slope.append(kind == "deriv")
+                rows = np.array(runs, dtype=np.intp)
+                try:
+                    points = self.points(rows, alphas)
+                    break
+                except (TypeError, ValueError):
+                    # A step that passes the request check but is no scalar,
+                    # a one-element array say: its run gets its list's
+                    # error, and the rest of the group goes on.
+                    bad = {i for i, alpha in zip(runs, alphas) if not _scalar(alpha)}
+                    if not bad:
+                        raise
+                    for i in bad:
+                        replies[i] = _list_error(pending[i])
+                    searches = [i for i in searches if i not in bad]
+            if not (searches or grads):
+                continue
             found = len(runs)
-            rows = np.array(runs, dtype=np.intp)
-            points = self.points(rows, alphas)
             if grads:
                 points = np.concatenate([points, [pending[i][0][1] for i in grads]])
                 samples += [pending[i][0][2] for i in grads]
@@ -356,7 +406,9 @@ class DirectionalProbe(LineTable):
     (:meth:`answer`), ``value`` and ``deriv`` are lists of one request, and
     :func:`scan_probes` answers a whole grid of step sizes, in blocks of at
     most 4096 batch rows for a :class:`BatchObjective`.  So the objective
-    needs only ``losses`` and ``losses_and_gradients``.
+    needs only ``losses`` and ``losses_and_gradients``; a
+    :class:`BatchObjective` adds ``table_losses_and_gradients``, which
+    scans the repeats of one line from one table.
 
     The direction is used exactly as given (unnormalized).  Counters only
     ever increase.  A non-finite step size raises ``ValueError`` before
@@ -400,9 +452,10 @@ class DirectionalProbe(LineTable):
         empty list, an entry other than a pair ``(kind, alpha)`` of a kind
         ``value`` or ``deriv``, or a step size that is not a real, finite
         number raises the ``ValueError`` that :meth:`answer` gives a grid
-        run for it.  Then each request counts one loss or gradient eval and
-        draws one sample, in list order, and the first ``ValueError`` among
-        the replies, in list order, is raised.
+        run for it (a step that is no scalar only after it is counted and
+        drawn, see :meth:`answer`).  Then each request counts one loss or
+        gradient eval and draws one sample, in list order, and the first
+        ``ValueError`` among the replies, in list order, is raised.
         """
         if error := _request_error(requests):
             raise error
@@ -442,6 +495,16 @@ def scan_probes(probes, alphas):
     their samples must be of one shape; each row is evaluated on its own,
     so every F and F' has the bits that a scan of its probe alone gives.
 
+    The ``R`` probes take one ``table_losses_and_gradients`` call in place
+    of the stacked one when all of these hold: the model is a
+    :class:`BatchObjective`; every probe has the same origin and direction;
+    the samples are row-index arrays of ``P >= 2`` rows; and ``R * P``
+    exceeds the model's rows, so the table of (node, row) pairs is smaller
+    than the stack.  Its F and F' have the same bits.  At ``P = 1`` they
+    would not: on 400 random networks of the builtin datasets, with weights
+    up to saturation, all 200 cases at ``P = 1`` differed in some bit and
+    none of the 200 at ``P >= 2`` did.
+
     A non-finite step size raises ``ValueError`` before anything is counted
     or drawn.  A non-finite F or F' raises one that names the first bad
     node, in probe order and then grid order, after every probe has drawn
@@ -461,18 +524,38 @@ def scan_probes(probes, alphas):
     samples = _node_samples(probes, nodes)
     origins = np.array([probe.origin for probe in probes])
     directions = np.array([probe.direction for probe in probes])
-    points = alphas[:, None] * directions[:, None]
-    points += origins[:, None]
-    values, grads = model.losses_and_gradients(
-        points.reshape(-1, origins.shape[1]), samples)
-    values = values.reshape(len(probes), nodes)
-    slopes = np.vecdot(grads.reshape(points.shape), directions[:, None])
+    if _one_table(model, origins, directions, samples):
+        points = alphas[:, None] * directions[0]
+        points += origins[0]
+        values, grads = model.table_losses_and_gradients(
+            points, samples.reshape(len(probes), nodes, -1))
+    else:
+        points = alphas[:, None] * directions[:, None]
+        points += origins[:, None]
+        values, grads = model.losses_and_gradients(
+            points.reshape(-1, origins.shape[1]), samples)
+        values = values.reshape(len(probes), nodes)
+    slopes = np.vecdot(grads.reshape(len(probes), nodes, -1), directions[:, None])
     bad = ~(np.isfinite(values) & np.isfinite(slopes))
     if bad.any():
         p, i = divmod(int(np.argmax(bad)), nodes)
         _finite("F", alphas[i], values[p, i])
         _finite("F'", alphas[i], slopes[p, i])
     return values, slopes
+
+
+def _one_table(model, origins, directions, samples):
+    """Whether :func:`scan_probes` evaluates its nodes on one table
+    (:meth:`BatchObjective.table_losses_and_gradients`): the ``R`` probes
+    share one line, ``origins[0]`` and ``directions[0]`` bit for bit, of a
+    :class:`BatchObjective`, their samples are row-index arrays of ``P >=
+    2`` rows, and the ``R * P`` rows of a node's batches outnumber the
+    matrix rows, so the table is smaller than the stack."""
+    return (isinstance(model, BatchObjective) and type(samples) is np.ndarray
+            and samples.ndim == 2 and samples.shape[1] >= 2
+            and len(origins) * samples.shape[1] > model.num_rows
+            and all(line.tobytes() == (line[0].tobytes() * len(line))
+                    for line in (origins, directions)))
 
 
 def _node_samples(probes, nodes):
@@ -514,8 +597,20 @@ def _request_error(requests):
                 return None
     except (TypeError, ValueError):
         pass
+    return _list_error(requests)
+
+
+def _list_error(requests):
     return ValueError(f"a probe answers a nonempty list of 'value' and 'deriv' "
                       f"requests, not {requests!r}")
+
+
+def _scalar(alpha) -> bool:
+    """Whether the step ``alpha`` converts to one float."""
+    try:
+        return np.array(alpha, dtype=float).ndim == 0
+    except (TypeError, ValueError):
+        return False
 
 
 def _count(counter, requests) -> None:

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gols.analysis import scaled_descent_direction, scan_line
-from gols.data import BatchSampler, builtin_dataset, split_3_1_1
+from gols.data import BUILTIN_DATASETS, BatchSampler, builtin_dataset, split_3_1_1
 from gols.linesearch import (armijo, bisection_gols, golden_section, inexact_gols,
                              make_search)
 from gols.net import Network
@@ -366,6 +368,29 @@ class TestLineTable:
             assert str(replies[1]) == str(direct.value)
             assert draws == [0]
 
+    @pytest.mark.parametrize("other", [[("value", 1.0), ("deriv", 0.5)],
+                                       [("value", np.array([1.0]))]])
+    def test_step_that_is_no_scalar_fails_its_own_run(self, other):
+        # A one-element array compares as finite, so only building the
+        # round's points finds it.  Its run gets the error a probe raises for
+        # its list, and a run of scalar steps in the same group is answered.
+        model = quadratic_bowl([1.0, 0.0])
+        table = LineTable(2, 2)
+        for run in range(2):
+            table.set(run, np.zeros(2), np.ones(2), lambda: None)
+        mirror = DirectionalProbe(model, np.zeros(2), np.ones(2), policy="full")
+        asked = [("value", 0.5), ("deriv", np.array([2.0]))]
+        replies = table.answer(model, {0: other, 1: asked})
+        for run, requests in enumerate([other, asked]):
+            try:
+                want = mirror.ask(requests)
+            except ValueError as direct:
+                assert type(replies[run]) is ValueError
+                assert str(replies[run]) == str(direct)
+                assert "nonempty list" in str(direct)
+            else:
+                assert replies[run] == want
+
 
 def scan_one(probe, alphas):
     """F and F' of ``probe`` alone at each step of ``alphas``: one row of
@@ -601,13 +626,82 @@ class TestScanProbes:
         with pytest.raises(ValueError, match="at least one probe"):
             scan_probes([], self.alphas)
 
+    def one_line(self, model, batch, repeats, seed=0):
+        """``repeats`` probes of ``model`` on one line, each with its own
+        sampler of ``batch`` rows, as ``gols scan`` makes them."""
+        rng = np.random.default_rng(seed)
+        dim = model.net.num_params
+        origin, direction = rng.uniform(-1.0, 1.0, dim), 0.3 * rng.normal(size=dim)
+        return [DirectionalProbe(model, origin, direction,
+                                 sampler=BatchSampler(np.arange(model.num_rows), batch,
+                                                      seed=(seed, k)))
+                for k in range(repeats)]
+
+    @pytest.mark.parametrize("batch, repeats", [(10, 10), (50, 12), (89, 2)])
+    def test_one_table_matches_one_scan_per_probe(self, iris_objective, batch, repeats):
+        # Probes of one line whose batches outnumber the 90 partition rows
+        # share one table, and each scan has the bits of its probe alone.
+        model = iris_objective[1]
+        values, slopes = scan_probes(self.one_line(model, batch, repeats), self.alphas)
+        for k, probe in enumerate(self.one_line(model, batch, repeats)):
+            want_values, want_slopes = scan_one(probe, self.alphas)
+            assert values[k].tobytes() == want_values.tobytes()
+            assert slopes[k].tobytes() == want_slopes.tobytes()
+
+    @pytest.mark.parametrize("case, path", [
+        ("one line", "table"),
+        ("batch of 1", "stack"),        # P = 1
+        ("as many rows", "stack"),      # R * P = 9 * 10, the partition's rows
+        ("two lines", "stack"),
+        ("two directions", "stack"),
+        ("synthetic", "stack"),
+        ("fixed", "stack"),
+        ("full", "stack"),
+    ])
+    def test_table_only_where_it_is_smaller(self, iris_objective, monkeypatch, case, path):
+        model = iris_objective[1]
+        calls = []
+
+        def counted(owner, name, label):
+            method = getattr(owner, name)
+
+            def call(self, *args):
+                calls.append(label)
+                return method(self, *args)
+            monkeypatch.setattr(owner, name, call)
+
+        counted(BatchObjective, "table_losses_and_gradients", "table")
+        counted(BatchObjective, "losses_and_gradients", "stack")
+        counted(SyntheticObjective, "losses_and_gradients", "stack")
+        batch, repeats = {"batch of 1": (1, 100), "as many rows": (10, 9)}.get(case, (10, 12))
+        probes = self.one_line(model, batch, repeats)
+        if case in ("two lines", "two directions"):
+            other = self.one_line(model, batch, 1, seed=1)[0]
+            line = (other.origin, probes[0].direction) if case == "two lines" else (
+                probes[0].origin, other.direction)
+            probes.append(DirectionalProbe(model, *line, sampler=other._sampler))
+        elif case == "synthetic":
+            synthetic = self.synthetic()
+            probes = [DirectionalProbe(synthetic, np.ones(2), np.ones(2), sampler=KeyStream(k))
+                      for k in range(repeats)]
+        elif case in ("fixed", "full"):
+            probes = [DirectionalProbe(model, probes[0].origin, probes[0].direction,
+                                       policy=case, sampler=probe._sampler)
+                      for probe in probes]
+        scan_probes(probes, self.alphas)
+        assert calls == [path]
+
     def block_bound_results(self, model):
         """The scans of every policy, under ``resample`` at batches 1, 10 and
-        50, and the replies of one four-run ``LineTable.answer`` round of
-        ``value``, ``deriv`` and direction-gradient requests."""
+        50, the scans of 12 probes of one line at batches 10 and 50, each
+        batch size on one table, and the replies of one four-run
+        ``LineTable.answer`` round of ``value``, ``deriv`` and
+        direction-gradient requests."""
         scans = [scan_probes(self.probes(model, policy, batch)[0], self.alphas)
                  for policy, batch in [("resample", 1), ("resample", 10),
                                        ("resample", 50), ("fixed", 10), ("full", 10)]]
+        scans += [scan_probes(self.one_line(model, batch, 12), self.alphas)
+                  for batch in (10, 50)]
         rng = np.random.default_rng(5)
         dim = model.net.num_params
         table = LineTable(4, dim)
@@ -639,6 +733,71 @@ class TestScanProbes:
             assert np.array_equal(slopes, want_slopes)
         assert replies[:3] == want_replies[:3]
         assert np.array_equal(replies[3][0], want_replies[3][0])
+
+
+@functools.cache
+def partition(name):
+    """The training partition of the builtin dataset ``name``."""
+    ds = builtin_dataset(name)
+    split = split_3_1_1(ds, seed=0)
+    return ds.features[split.train], ds.one_hot()[split.train]
+
+
+class TestTableEvaluation:
+    @given(
+        dataset=st.sampled_from(BUILTIN_DATASETS),
+        hidden=st.lists(st.integers(1, 7), min_size=1, max_size=2),
+        batch_share=st.floats(0.0, 1.0),
+        repeats=st.integers(1, 16),
+        nodes=st.integers(1, 30),
+        scale=st.floats(-1.0, 3.0),
+        bound=st.sampled_from([1, 7, 4096]),
+        seed=st.integers(0, 2**31),
+    )
+    # Weights of about 1e3 saturate every sigmoid.
+    @example(dataset="iris", hidden=[7, 7], batch_share=1.0, repeats=16, nodes=30,
+             scale=3.0, bound=1, seed=1)
+    @example(dataset="noisy-quadratic", hidden=[2], batch_share=0.0, repeats=1,
+             nodes=1, scale=0.0, bound=7, seed=2)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_stacked_call(self, dataset, hidden, batch_share, repeats, nodes,
+                                     scale, bound, seed):
+        # Each of M points on each of R batches of P >= 2 rows, in blocks of
+        # any bound, has the bits of the stack of the R * M batches.
+        inputs, targets = partition(dataset)
+        net = Network(inputs.shape[1], hidden, targets.shape[1])
+        model = BatchObjective(net, inputs, targets)
+        rng = np.random.default_rng(seed)
+        rows = 2 + int(batch_share * (model.num_rows - 2))
+        index = rng.random((repeats, nodes, model.num_rows)).argsort(axis=-1)[..., :rows]
+        origin, direction = 10.0 ** scale * rng.normal(size=(2, net.num_params))
+        points = np.linspace(0.0, 2.0, nodes)[:, None] * direction + origin
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(probe_module, "_BLOCK_ROWS", bound)
+            values, grads = model.table_losses_and_gradients(points, index)
+        want_values, want_grads = model.losses_and_gradients(
+            np.tile(points, (repeats, 1)), index.reshape(-1, rows))
+        assert values.shape == (repeats, nodes)
+        assert grads.shape == (repeats, nodes, net.num_params)
+        assert values.tobytes() == want_values.tobytes()
+        assert grads.tobytes() == want_grads.tobytes()
+
+    @pytest.mark.parametrize("dims", [(1, [1], 1), (1, [3, 1], 2), (2, [1, 2], 1)])
+    @pytest.mark.parametrize("rows", [2, 9, 40])
+    def test_layers_of_width_one(self, dims, rows):
+        # A width of 1 sends numpy's matmul and sums down their vector paths,
+        # in the table as in the stack.
+        net = Network(*dims)
+        rng = np.random.default_rng(rows)
+        model = BatchObjective(net, rng.normal(size=(50, net.input_dim)),
+                               rng.uniform(size=(50, net.output_dim)))
+        index = rng.random((4, 6, 50)).argsort(axis=-1)[..., :rows]
+        points = rng.normal(size=(6, net.num_params))
+        values, grads = model.table_losses_and_gradients(points, index)
+        want_values, want_grads = model.losses_and_gradients(
+            np.tile(points, (4, 1)), index.reshape(-1, rows))
+        assert values.tobytes() == want_values.tobytes()
+        assert grads.tobytes() == want_grads.tobytes()
 
 
 class StackedOnly:

@@ -72,9 +72,14 @@ def test_round_counts_pin_every_count(monkeypatch, capsys):
     assert _load("round_counts").main([]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "train-exact  grid 1375 rounds / 18816 requests  probe 0 rounds / 0 requests  "
-        "metrics 32 calls / 416 points  net 1407 calls / 19232 points",
+        "metrics 32 calls / 416 points  net 1407 calls / 19232 points  "
+        "table 0 calls / 0 points / 0 table rows / 0 gathered rows",
         "train-inexact  grid 796 rounds / 6388 requests  probe 0 rounds / 0 requests  "
-        "metrics 64 calls / 1008 points  net 860 calls / 7396 points",
+        "metrics 64 calls / 1008 points  net 860 calls / 7396 points  "
+        "table 0 calls / 0 points / 0 table rows / 0 gathered rows",
+        # Batches 10, 30 and 50 of 12 repeats take the table path (3 x 1212
+        # evaluations), batch 1 and the direction search the stacked one.
         "scan-study  grid 0 rounds / 0 requests  probe 45 rounds / 46 requests  "
-        "metrics 0 calls / 0 points  net 74 calls / 4895 points",
+        "metrics 0 calls / 0 points  net 47 calls / 1259 points  "
+        "table 30 calls / 3636 points / 27270 table rows / 109080 gathered rows",
     ]

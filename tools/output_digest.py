@@ -3,10 +3,12 @@ and one per demo's standard output.
 
 The jobs cover every command and every file it writes: ``train`` under each
 probe policy with all five kinds of resolver, ``scan`` under each policy,
-``compare``, and the jobs of the three ``bench/run.py`` workloads at seed 7.
-Each line reads ``<sha256>  <job>/<file>``.  Then each ``demos/*.py`` runs
-in-process, and its line reads ``<sha256>  demo-<name>/stdout``.  Two checkouts write the same bytes when
-the outputs of
+a ``scan`` whose every batch size is evaluated on one table (at 2 rows a
+batch and on two hidden layers), ``compare``, and the jobs of the three
+``bench/run.py`` workloads at seed 7.  Each line reads
+``<sha256>  <job>/<file>``.  Then each ``demos/*.py`` runs in-process, and
+its line reads ``<sha256>  demo-<name>/stdout``: 88 lines in all.  Two
+checkouts write the same bytes when the outputs of
 
     python tools/output_digest.py [checkout root]
 
@@ -30,6 +32,11 @@ TRAIN = ["train", "--dataset", "blobs", "--arch", "3,3",
          "--repeats", "2", "--iterations", "20", "--seed", "7"]
 SCAN = ["scan", "--dataset", "iris", "--batch-sizes", "1,10,50,full",
         "--repeats", "3", "--scan-steps", "40", "--seed", "7"]
+# Batches of 2, 10 and 50 rows, 50 repeats each, on blobs' 90 partition
+# rows and two hidden layers: every batch size's scan is evaluated on one
+# table (gols.probe.scan_probes), the smallest at the least P it allows.
+SCAN_TABLE = ["scan", "--dataset", "blobs", "--arch", "3,3", "--batch-sizes", "2,10,50",
+              "--repeats", "50", "--scan-steps", "20", "--seed", "7"]
 COMPARE = ["compare", "--dataset", "blobs", "--resolver", "gs,igols,fixed:0.1",
            "--repeats", "2", "--iterations", "20", "--seed", "7"]
 BENCH_SEED = 7
@@ -41,6 +48,7 @@ def jobs(root) -> dict:
     for policy in POLICIES:
         listed[f"train-{policy}"] = TRAIN + ["--policy", policy]
         listed[f"scan-{policy}"] = SCAN + ["--policy", policy]
+    listed["scan-table"] = SCAN_TABLE
     listed["compare"] = COMPARE
     for name, argv in bench_jobs(root).items():
         listed[f"bench-{name}"] = argv

@@ -12,9 +12,15 @@ closure ``gols.trainer.dataset_metrics`` returns, and its points the rows of
 the stack it measures.  A net call is one call of ``Network._losses`` or
 ``Network._losses_and_gradients``, a forward pass or a backprop of a stack
 of parameter points, its points; every evaluation of a job, a metric's
-included, goes through one of them.  Prints one line per job:
+included, goes through one of them.  A table call is one such backprop with
+a row map, a block of ``gols.probe.BatchObjective.table_losses_and_gradients``
+that evaluates ``M`` points on ``R`` batches of ``P`` rows each: its points
+are its ``R * M`` evaluations, its table rows the ``M * n`` (point, partition
+row) pairs it runs the network on, and its gathered rows the ``R * M * P``
+rows its sums take from the table.  The net counts leave table calls out.
+Prints one line per job:
 
-    <workload>  grid <rounds> rounds / <requests> requests  probe <rounds> rounds / <requests> requests  metrics <calls> calls / <points> points  net <calls> calls / <points> points
+    <workload>  grid <rounds> rounds / <requests> requests  probe <rounds> rounds / <requests> requests  metrics <calls> calls / <points> points  net <calls> calls / <points> points  table <calls> calls / <points> points / <rows> table rows / <rows> gathered rows
 
 Run it as
 
@@ -67,23 +73,38 @@ def main(argv=None) -> int:
         return measure
 
     net_calls = Network._losses, Network._losses_and_gradients
+    counting_losses, counting_stack = map(counting_net, net_calls)
+
+    def counting_backprop(net, points, inputs, targets, rows=None):
+        if rows is None:
+            return counting_stack(net, points, inputs, targets)
+        table = counts["table"]
+        table[0] += 1
+        table[1] += rows.size // rows.shape[-1]
+        table[2] += len(points) * len(inputs)
+        table[3] += rows.size
+        return net_calls[1](net, points, inputs, targets, rows)
+
     LineTable.answer, trainer.dataset_metrics = counting, counting_metrics
-    Network._losses, Network._losses_and_gradients = map(counting_net, net_calls)
+    Network._losses, Network._losses_and_gradients = counting_losses, counting_backprop
     failed = 0
     try:
         with tempfile.TemporaryDirectory() as scratch:
             for name, job in bench_jobs(root).items():
-                counts.update(grid=[0, 0], probe=[0, 0], metrics=[0, 0], net=[0, 0])
+                counts.update(grid=[0, 0], probe=[0, 0], metrics=[0, 0], net=[0, 0],
+                              table=[0, 0, 0, 0])
                 code = gols_main(job + ["--out", str(Path(scratch) / name)])
                 if code != 0:
                     print(f"{name}: exit code {code}")
                     failed += 1
                     continue
-                grid, probe, metrics, net = counts.values()
+                grid, probe, metrics, net, table = counts.values()
                 print(f"{name}  grid {grid[0]} rounds / {grid[1]} requests  "
                       f"probe {probe[0]} rounds / {probe[1]} requests  "
                       f"metrics {metrics[0]} calls / {metrics[1]} points  "
-                      f"net {net[0]} calls / {net[1]} points")
+                      f"net {net[0]} calls / {net[1]} points  "
+                      f"table {table[0]} calls / {table[1]} points / "
+                      f"{table[2]} table rows / {table[3]} gathered rows")
     finally:  # a caller in the same process, a test say, gets the originals back
         LineTable.answer, trainer.dataset_metrics = answer, dataset_metrics
         Network._losses, Network._losses_and_gradients = net_calls
