@@ -9,7 +9,8 @@ doubling/halving gradient-only search) accept the first step that satisfies
 their condition, growing or shrinking by a factor of 2.  These are the
 source paper's settings and are fixed; the only setting a caller passes is
 the information-call budget ``max_info_calls`` of golden section, B-GOLS and
-I-GOLS.
+I-GOLS.  No search asks a step beyond ``alpha_max``, and the budget is a
+hard maximum.
 
 Each search is an ask/tell generator.  It yields a list of requests,
 each ``("value", alpha)`` or ``("deriv", alpha)``, is sent the list of
@@ -18,17 +19,20 @@ their replies, F(alpha) or F'(alpha), in the same order, and returns
 of each other; a search lists more than one only where it asks several
 steps before reading any answer:
 
-- its opening: golden section asks F(0) and the bracket steps of
-  :func:`_open_bracket` (2 or 4), B-GOLS the same steps as F', Armijo's
-  rule F(0), F'(0) and F(alpha_init), and I-GOLS F'(0) and F'(alpha_init);
+- its opening: golden section asks F(0) and the two bracket steps of
+  :func:`_open_bracket`, B-GOLS the same steps as F', Armijo's rule F(0),
+  F'(0) and F(alpha_init), and I-GOLS F'(0) and F'(alpha_init);
 - golden section's first inner pair, once its bracket is found.
 
-Every other request is a list of one.  A search reads only the numbers it
-is sent and the running count of its requests, which grows by a whole list
-at a time, so it checks its budget between lists only.  One wrapper
-generator, :func:`_drive`, passes the lists on and counts their requests,
-then clamps the returned step into ``[ALPHA_MIN, alpha_max]`` and returns
-the :class:`LineSearchOutcome`.  The public searches answer a driven
+Every other request is a list of one.  Golden section and B-GOLS grow
+their bracket in one shared loop, :func:`_grow`.  A search reads only the
+numbers it is sent and holds no count: it yields each list with a
+fallback, the result it would return if the list were never answered.
+One wrapper generator, :func:`_drive`, owns the budget: it passes a list
+on and counts its requests only if the list fits in what is left, and
+otherwise returns the fallback with reason ``budget``.  It then clamps the
+returned step into ``[ALPHA_MIN, alpha_max]`` and returns the
+:class:`LineSearchOutcome`.  The public searches answer a driven
 search through a probe, each list in one round
 (:meth:`~gols.probe.DirectionalProbe.ask`), and the probe draws each
 request's sample in list order.  :func:`make_search` hands a driven search
@@ -46,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from gols.data import check_count
 from gols.probe import EvalCounter, _count
 
 __all__ = [
@@ -109,22 +114,27 @@ def effective_alpha_max(gradient_norm: float) -> float:
     return min(1.0 / gradient_norm, ALPHA_CAP)
 
 
-def _drive(search, alpha_max, *args):
-    """``search(spent, alpha_max, *args)`` as a counted, clamped ask/tell
+def _drive(search, alpha_max, max_info_calls, *args):
+    """``search(alpha_max, *args)`` as a counted, budgeted, clamped ask/tell
     generator.
 
-    Yields the search's request lists, sends it each list of replies and
-    returns the :class:`LineSearchOutcome`.  ``spent`` is the
-    :class:`~gols.probe.EvalCounter` of the requests passed on so far;
-    searches check their budget against it.
+    The search yields ``(asks, fallback)`` pairs.  The driver yields a
+    request list on, and sends the search its replies, only if the list
+    fits in what is left of ``max_info_calls``; otherwise it ends the
+    search with reason ``budget`` at ``fallback``, the ``(alpha,
+    intervals)`` the search would return with the replies it has.  A list
+    that always fits (an opening, which the public searches' budget check
+    admits, or any list of the unbudgeted Armijo rule) carries ``None``.
+    Returns the :class:`LineSearchOutcome`.
     """
     spent = EvalCounter()
-    requests = search(spent, alpha_max, *args)
+    requests = search(alpha_max, *args)
     try:
-        asks = next(requests)
-        while True:
+        asks, fallback = next(requests)
+        while spent.info_calls + len(asks) <= max_info_calls:
             _count(spent, asks)
-            asks = requests.send((yield asks))
+            asks, fallback = requests.send((yield asks))
+        (alpha, intervals), reason = fallback, "budget"
     except StopIteration as done:
         alpha, reason, intervals = done.value
     if alpha > alpha_max:
@@ -153,23 +163,39 @@ def _answer(probe, requests):
 
 
 def _open_bracket(alpha_max):
-    """The opening bracket steps of golden section and B-GOLS: ``_DELTA``
-    and ``_DELTA + _GOLDEN * _DELTA``, then, when the latter overshoots
-    ``alpha_max``, the midpoint of ``[0, alpha_max]`` and ``alpha_max``.
-
-    The first two steps are asked even when they lie beyond the cap, so
-    they can spend evaluations at steps the search never accepts (ROADMAP
-    item 5).  A search asks them all in one list: the last two steps give
-    its bracket, and the first is a point it has seen.
+    """The opening bracket steps ``mid, high`` of golden section and
+    B-GOLS: ``_DELTA`` and ``_DELTA + _GOLDEN * _DELTA``, or, when the
+    latter overshoots ``alpha_max``, the midpoint of ``[0, alpha_max]`` and
+    ``alpha_max``, so that neither lies beyond the cap.
     """
     high = _DELTA + _GOLDEN * _DELTA
     if high > alpha_max:
-        return [_DELTA, high, 0.5 * alpha_max, alpha_max]
-    return [_DELTA, high]
+        return 0.5 * alpha_max, alpha_max
+    return _DELTA, high
 
 
-def _value(point):
-    return point[1]
+def _grow(kind, alpha_max, mid, high, at_mid, at_high, descends):
+    """The bracket growth that golden section and B-GOLS share, run with
+    ``yield from`` on the replies ``at_mid`` and ``at_high`` to their
+    opening steps.
+
+    While ``descends(at_mid, at_high)``, the bracket moves up one step:
+    ``low`` and ``mid`` take the old ``mid`` and ``high``, and the new
+    ``high`` is ``mid + _GOLDEN**j * _DELTA`` for ``j = 1, 2, ...``, asked
+    as ``kind``.  Each request's fallback is ``mid``, the newest step that
+    descended; for golden section it is the lowest value seen.  Returns
+    ``(low, mid, high, at_mid, at_high)``, or ``None`` in place of asking a
+    step beyond ``alpha_max``.
+    """
+    low, j = 0.0, 1
+    while descends(at_mid, at_high):
+        low, mid, at_mid = mid, high, at_high
+        high = mid + _GOLDEN**j * _DELTA
+        j += 1
+        if high > alpha_max:
+            return None
+        at_high, = yield [(kind, high)], (mid, [])
+    return low, mid, high, at_mid, at_high
 
 
 def golden_section(probe, *, alpha_max: float = ALPHA_CAP,
@@ -182,57 +208,53 @@ def golden_section(probe, *, alpha_max: float = ALPHA_CAP,
     until its length falls below 1e-12.  The accepted step is the final
     interval midpoint.  Uses only loss evaluations, never the slope.
 
-    ``max_info_calls`` is checked before each growth or refinement step, not
-    before the opening evaluations, so the search can spend a few calls more.
+    It never asks a step beyond ``alpha_max``: a growth step past the cap
+    ends the search at ``alpha_max`` with reason ``cap_max``.
+    ``max_info_calls``, a whole number of at least 3 (the opening F(0) and
+    two bracket steps), is a hard maximum: a request list that would pass
+    it is not asked, and the search returns reason ``budget`` at its best
+    step so far, the lowest value seen while the bracket grows and the
+    bracket midpoint once it refines.
     """
+    check_count("max_info_calls", max_info_calls, least=3)
     return _answer(probe, _drive(_golden_section, alpha_max, max_info_calls))
 
 
-def _golden_section(spent, alpha_max, max_info_calls):
-    steps = _open_bracket(alpha_max)
-    f0, *values = yield [("value", 0.0)] + [("value", step) for step in steps]
-    mid, high = steps[-2:]
-    f_mid, f_high = values[-2:]
-    # Lowest value seen, earliest first: the step returned when the budget
-    # runs out while the bracket grows.
-    best = min((0.0, f0), (_DELTA, values[0]), (high, f_high), (mid, f_mid),
-               key=_value)
-
+def _golden_section(alpha_max):
+    mid, high = _open_bracket(alpha_max)
+    f0, f_mid, f_high = yield [("value", 0.0), ("value", mid), ("value", high)], None
     if f_mid >= f0:
         # First probe already increased: a minimizer sits below mid.
         a, b = 0.0, mid
     else:
-        low, j = 0.0, 1
-        while f_high < f_mid:
-            if spent.info_calls >= max_info_calls:
-                return best[0], "budget", []
-            low, mid, f_mid = mid, high, f_high
-            high = mid + _GOLDEN**j * _DELTA
-            j += 1
-            if high > alpha_max:
-                return high, "cap_max", []
-            f_high, = yield [("value", high)]
-            best = min(best, (high, f_high), key=_value)
-        a, b = low, high
+        bracket = yield from _grow("value", alpha_max, mid, high, f_mid, f_high,
+                                   lambda f_mid, f_high: f_high < f_mid)
+        if bracket is None:
+            return alpha_max, "cap_max", []
+        a, _, b, _, _ = bracket
 
     intervals = []
     inner_low = b - (b - a) / _GOLDEN
     inner_high = a + (b - a) / _GOLDEN
-    f_il, f_ih = yield [("value", inner_low), ("value", inner_high)]
-    while b - a > _TOL and spent.info_calls < max_info_calls:
+    f_il, f_ih = yield ([("value", inner_low), ("value", inner_high)],
+                        (0.5 * (a + b), intervals))
+    while b - a > _TOL:
+        # Each interval length is recorded when the bracket shrinks, before
+        # the new inner point is asked, so a search ended by its budget
+        # returns the midpoint of the bracket its replies give.
         if f_il < f_ih:
             b = inner_high
             inner_high, f_ih = inner_low, f_il
             inner_low = b - (b - a) / _GOLDEN
-            f_il, = yield [("value", inner_low)]
+            intervals.append(b - a)
+            f_il, = yield [("value", inner_low)], (0.5 * (a + b), intervals)
         else:
             a = inner_low
             inner_low, f_il = inner_high, f_ih
             inner_high = a + (b - a) / _GOLDEN
-            f_ih, = yield [("value", inner_high)]
-        intervals.append(b - a)
-    reason = "tolerance" if b - a <= _TOL else "budget"
-    return 0.5 * (a + b), reason, intervals
+            intervals.append(b - a)
+            f_ih, = yield [("value", inner_high)], (0.5 * (a + b), intervals)
+    return 0.5 * (a + b), "tolerance", intervals
 
 
 def armijo(probe, alpha_init: float, *,
@@ -243,14 +265,16 @@ def armijo(probe, alpha_init: float, *,
     the initial step passes, the step is doubled until the first failure and
     the last passing step returned (largest feasible step); otherwise it is
     halved until the first pass.  Spends exactly one gradient evaluation, at
-    the origin.
+    the origin.  Doubling stops at ``alpha_max``, which it asks in place of
+    a larger step, so it never asks a step beyond the cap; the search has no
+    budget.
     """
-    return _answer(probe, _drive(_armijo, alpha_max, alpha_init))
+    return _answer(probe, _drive(_armijo, alpha_max, math.inf, alpha_init))
 
 
-def _armijo(spent, alpha_max, alpha_init):
+def _armijo(alpha_max, alpha_init):
     alpha = min(max(alpha_init, ALPHA_MIN), alpha_max)
-    f0, slope0, f_alpha = yield [("value", 0.0), ("deriv", 0.0), ("value", alpha)]
+    f0, slope0, f_alpha = yield [("value", 0.0), ("deriv", 0.0), ("value", alpha)], None
 
     def acceptable(alpha, value):
         return value < f0 + alpha * _DECREASE_FRACTION * slope0
@@ -258,7 +282,7 @@ def _armijo(spent, alpha_max, alpha_init):
     if acceptable(alpha, f_alpha):
         while alpha < alpha_max:
             bigger = min(alpha * _ARMIJO_FACTOR, alpha_max)
-            f_bigger, = yield [("value", bigger)]
+            f_bigger, = yield [("value", bigger)], None
             if not acceptable(bigger, f_bigger):
                 return alpha, "tolerance", []
             alpha = bigger
@@ -270,7 +294,7 @@ def _armijo(spent, alpha_max, alpha_init):
         # clamps it and reports cap_min.
         if alpha < ALPHA_MIN:
             return alpha, "tolerance", []
-        f_alpha, = yield [("value", alpha)]
+        f_alpha, = yield [("value", alpha)], None
         if acceptable(alpha, f_alpha):
             return alpha, "tolerance", []
 
@@ -284,45 +308,38 @@ def bisection_gols(probe, *, alpha_max: float = ALPHA_CAP,
     watches only the sign of the directional derivative; a zero slope counts
     as non-negative, so the sign change is considered found.  Refinement
     keeps a three-point pattern and halves the interval per iteration until
-    its length falls below 1e-12.  Uses only gradient evaluations.
-    ``max_info_calls`` is checked as in :func:`golden_section`.
+    its length falls below 1e-12.  Uses only gradient evaluations.  The cap
+    is kept as in :func:`golden_section`; ``max_info_calls``, a whole
+    number of at least 2 (the two opening bracket steps), is a hard maximum,
+    and a search it ends returns the newest step of negative slope while
+    the bracket grows and the bracket midpoint once it refines.
     """
+    check_count("max_info_calls", max_info_calls, least=2)
     return _answer(probe, _drive(_bisection_gols, alpha_max, max_info_calls))
 
 
-def _bisection_gols(spent, alpha_max, max_info_calls):
-    steps = _open_bracket(alpha_max)
-    *_, mid_slope, high_slope = yield [("deriv", step) for step in steps]
-    mid, high = steps[-2:]
-    j = 1
-    while high_slope < 0 and spent.info_calls < max_info_calls:
-        mid, mid_slope = high, high_slope
-        high = mid + _GOLDEN**j * _DELTA
-        j += 1
-        high_slope, = yield [("deriv", high)]
-        if high > alpha_max:
-            return high, "cap_max", []
+def _bisection_gols(alpha_max):
+    mid, high = _open_bracket(alpha_max)
+    mid_slope, high_slope = yield [("deriv", mid), ("deriv", high)], None
+    bracket = yield from _grow("deriv", alpha_max, mid, high, mid_slope, high_slope,
+                               lambda mid_slope, high_slope: high_slope < 0)
+    if bracket is None:
+        return alpha_max, "cap_max", []
+    _, mid, high, mid_slope, high_slope = bracket
 
     intervals = []
     low = 0.0
     length = high - low
-    while (length > _TOL and high > ALPHA_MIN
-           and spent.info_calls < max_info_calls):
+    while length > _TOL and high > ALPHA_MIN:
         if mid_slope < 0 and high_slope >= 0:
             low = mid
         elif mid_slope >= 0:
             high, high_slope = mid, mid_slope
         length = high - low
         mid = low + 0.5 * length
-        mid_slope, = yield [("deriv", mid)]
         intervals.append(length)
-
-    if length <= _TOL:
-        reason = "tolerance"
-    elif high <= ALPHA_MIN:
-        reason = "cap_min"
-    else:
-        reason = "budget"
+        mid_slope, = yield [("deriv", mid)], (0.5 * (high + low), intervals)
+    reason = "tolerance" if length <= _TOL else "cap_min"
     return 0.5 * (high + low), reason, intervals
 
 
@@ -335,45 +352,47 @@ def inexact_gols(probe, alpha_init: float, *, alpha_max: float = ALPHA_CAP,
     until the slope first exceeds the band, after which the step is halved
     once.  A slope exactly on the band keeps the current behaviour (and
     accepts the initial step immediately).  Uses only gradient evaluations.
-    ``max_info_calls`` is checked before each doubling or halving.
+    A doubled step beyond ``alpha_max`` is not asked: the search returns
+    ``alpha_max`` with reason ``cap_max``.  ``max_info_calls``, a whole
+    number of at least 2 (F'(0) and F'(alpha_init)), is a hard maximum, and
+    a search it ends returns its last step.
     """
-    return _answer(probe, _drive(_inexact_gols, alpha_max, alpha_init, max_info_calls))
+    check_count("max_info_calls", max_info_calls, least=2)
+    return _answer(probe, _drive(_inexact_gols, alpha_max, max_info_calls, alpha_init))
 
 
-def _inexact_gols(spent, alpha_max, alpha_init, max_info_calls):
+def _inexact_gols(alpha_max, alpha_init):
     alpha = min(max(alpha_init, ALPHA_MIN), alpha_max)
-    slope0, slope = yield [("deriv", 0.0), ("deriv", alpha)]
+    slope0, slope = yield [("deriv", 0.0), ("deriv", alpha)], None
     band = abs(slope0)
     if slope == band:
         return alpha, "tolerance", []
 
-    halve = slope > band
-    while spent.info_calls < max_info_calls:
-        if halve:
+    if slope > band:
+        while True:
+            slope, = yield [("deriv", alpha / _ETA)], (alpha, [])
             alpha = alpha / _ETA
-            slope, = yield [("deriv", alpha)]
-            done = slope < band
-        else:
-            alpha = alpha * _ETA
-            slope, = yield [("deriv", alpha)]
-            done = slope > band
-            if done:
-                alpha = alpha / _ETA
-        # A step outside the bounds ends the search; the driver clamps it
-        # and reports cap_min or cap_max.
-        if done or not ALPHA_MIN <= alpha <= alpha_max:
+            # A step below ALPHA_MIN ends the search; the driver clamps it
+            # and reports cap_min.
+            if slope < band or alpha < ALPHA_MIN:
+                return alpha, "tolerance", []
+    while alpha * _ETA <= alpha_max:
+        slope, = yield [("deriv", alpha * _ETA)], (alpha, [])
+        if slope > band:
             return alpha, "tolerance", []
-    return alpha, "budget", []
+        alpha = alpha * _ETA
+    return alpha_max, "cap_max", []
 
 
 _SEARCHES = {
     "gs": lambda alpha_init, alpha_max: _drive(
         _golden_section, alpha_max, _MAX_INFO_CALLS),
-    "arls": lambda alpha_init, alpha_max: _drive(_armijo, alpha_max, alpha_init),
+    "arls": lambda alpha_init, alpha_max: _drive(
+        _armijo, alpha_max, math.inf, alpha_init),
     "bgols": lambda alpha_init, alpha_max: _drive(
         _bisection_gols, alpha_max, _MAX_INFO_CALLS),
     "igols": lambda alpha_init, alpha_max: _drive(
-        _inexact_gols, alpha_max, alpha_init, _MAX_INFO_CALLS),
+        _inexact_gols, alpha_max, _MAX_INFO_CALLS, alpha_init),
 }
 RESOLVER_NAMES = tuple(_SEARCHES)
 
@@ -388,8 +407,8 @@ def make_search(name: str):
     :class:`LineSearchOutcome`; the requests of one list do not depend on
     each other's replies.  Every step must be a real, finite number: a run
     whose list holds another fails with ``ValueError`` before anything of
-    that list is drawn (:meth:`gols.probe.LineTable.answer`).  The exact
-    searches run with their default budget; on a probe, a named search is
+    that list is drawn (:meth:`gols.probe.LineTable.answer`).  GS, B-GOLS
+    and I-GOLS run with their default budget; on a probe, a named search is
     its public function, such as :func:`golden_section`.  A custom resolver
     of :func:`gols.trainer.sgd_train` and :class:`gols.trainer.TrainConfig`
     is a factory of this type, and a run drives it as it drives a named

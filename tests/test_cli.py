@@ -73,21 +73,19 @@ class TestTrainCommand:
                 "--out", str(out)])
         assert (out / "train_summary.csv").exists()
 
-    # sha256 of train_summary.csv and of the eight trace CSVs in name order.
-    # The resample pins were recorded before the per-point and stacked
-    # network evaluations shared one forward pass and backprop, and before
-    # the trainer wrote its trace into one record array; the fixed and full
-    # pins before the probe took the slopes of lockstep rounds.
+    # sha256 of train_summary.csv and of the eight trace CSVs in name order,
+    # recorded since GS, B-GOLS and I-GOLS ask no step beyond their cap (the
+    # ARLS traces did not change then).
     PINS = {
         "resample": (
-            "b9b959f2a9dbf47dd9b97c86b4709446539e853dc6868013ef70634354280ee2",
-            "8276d934ee76ff4fb9056e037c1e3ddc1454a636f51e81280fd8bef45dc4b2a8"),
+            "2463a99577b1be4707193751ce2e18f5fd7c9d0d4a0181dc3588ca1bda0607b1",
+            "4b4723b936d3537dc729feaa400ab3fd332f1a768c4825f8b557b30cf2332549"),
         "fixed": (
-            "81d2911e85ae287565af86134ac06542361b36c7239a78c4daabf992b4eaa909",
-            "89439f40e34b832609ecf55959b75dae51a90ab0c5b2e7d903df1de4374e7dcb"),
+            "11c2f75d52d72b6191caf94b19106d7f0b5cec4b316d5a4ea912ad66707de3cb",
+            "c0dec78c83732fde2711b83d83d369ad183645bc0b487f9fb40315984679d466"),
         "full": (
-            "f397f7ad4704b02d1487cbe90eee6cb2e9172e4b014c3e891195971555116308",
-            "c12772c252721f131ce30abc571ccc4743d98e8cf641789ffa92c5fe1276db06"),
+            "21e4960367825caa7dcb6d402801c508674f7e1ae52022f1d67d5a66161a59e9",
+            "272566244de30ecc8d99d4ebb7451e72dc5538263015445669a16ee5e3de12b8"),
     }
 
     @pytest.mark.parametrize("policy", list(PINS))

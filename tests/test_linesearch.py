@@ -283,19 +283,19 @@ SHAPES = {
 # (alpha, function_evals, gradient_evals, reason) of each resolver started
 # at alpha_init = 0.25, keyed by (resolver, shape, alpha_max).
 PINNED = {
-    ("gs", "quadratic", 0.3): (0.3, 5, 0, "cap_max"),
+    ("gs", "quadratic", 0.3): (0.3, 3, 0, "cap_max"),
     ("gs", "quadratic", 50.0): (1.0000000000001577, 66, 0, "tolerance"),
     ("gs", "quadratic", 1e7): (1.0000000000001577, 66, 0, "tolerance"),
-    ("gs", "ascent", 0.3): (1e-08, 61, 0, "cap_min"),
+    ("gs", "ascent", 0.3): (1e-08, 59, 0, "cap_min"),
     ("gs", "ascent", 50.0): (1e-08, 66, 0, "cap_min"),
     ("gs", "ascent", 1e7): (1e-08, 66, 0, "cap_min"),
-    ("gs", "descent", 0.3): (0.3, 5, 0, "cap_max"),
+    ("gs", "descent", 0.3): (0.3, 3, 0, "cap_max"),
     ("gs", "descent", 50.0): (50.0, 5, 0, "cap_max"),
     ("gs", "descent", 1e7): (1e7, 31, 0, "cap_max"),
-    ("gs", "flat", 0.3): (0.1499999999996112, 61, 0, "tolerance"),
+    ("gs", "flat", 0.3): (0.1499999999996112, 59, 0, "tolerance"),
     ("gs", "flat", 50.0): (4.999999999999554, 66, 0, "tolerance"),
     ("gs", "flat", 1e7): (4.999999999999554, 66, 0, "tolerance"),
-    ("gs", "root", 0.3): (0.3, 5, 0, "cap_max"),
+    ("gs", "root", 0.3): (0.3, 3, 0, "cap_max"),
     ("gs", "root", 50.0): (2.499999999999724, 66, 0, "tolerance"),
     ("gs", "root", 1e7): (2.499999999999724, 66, 0, "tolerance"),
     ("arls", "quadratic", 0.3): (0.3, 3, 1, "cap_max"),
@@ -313,55 +313,57 @@ PINNED = {
     ("arls", "root", 0.3): (0.3, 3, 1, "cap_max"),
     ("arls", "root", 50.0): (2.0, 6, 1, "tolerance"),
     ("arls", "root", 1e7): (2.0, 6, 1, "tolerance"),
-    ("bgols", "quadratic", 0.3): (0.3, 0, 5, "cap_max"),
+    ("bgols", "quadratic", 0.3): (0.3, 0, 2, "cap_max"),
     ("bgols", "quadratic", 50.0): (0.9999999999999432, 0, 46, "tolerance"),
     ("bgols", "quadratic", 1e7): (0.9999999999999432, 0, 46, "tolerance"),
-    ("bgols", "ascent", 0.3): (1e-08, 0, 29, "cap_min"),
+    ("bgols", "ascent", 0.3): (1e-08, 0, 27, "cap_min"),
     ("bgols", "ascent", 50.0): (1e-08, 0, 32, "cap_min"),
     ("bgols", "ascent", 1e7): (1e-08, 0, 32, "cap_min"),
-    ("bgols", "descent", 0.3): (0.3, 0, 5, "cap_max"),
-    ("bgols", "descent", 50.0): (50.0, 0, 5, "cap_max"),
-    ("bgols", "descent", 1e7): (1e7, 0, 31, "cap_max"),
-    ("bgols", "flat", 0.3): (1e-08, 0, 29, "cap_min"),
+    ("bgols", "descent", 0.3): (0.3, 0, 2, "cap_max"),
+    ("bgols", "descent", 50.0): (50.0, 0, 4, "cap_max"),
+    ("bgols", "descent", 1e7): (1e7, 0, 30, "cap_max"),
+    ("bgols", "flat", 0.3): (1e-08, 0, 27, "cap_min"),
     ("bgols", "flat", 50.0): (1e-08, 0, 32, "cap_min"),
     ("bgols", "flat", 1e7): (1e-08, 0, 32, "cap_min"),
-    ("bgols", "root", 0.3): (0.3, 0, 5, "cap_max"),
+    ("bgols", "root", 0.3): (0.3, 0, 2, "cap_max"),
     ("bgols", "root", 50.0): (2.499999999999716, 0, 46, "tolerance"),
     ("bgols", "root", 1e7): (2.499999999999716, 0, 46, "tolerance"),
-    ("igols", "quadratic", 0.3): (0.3, 0, 3, "cap_max"),
+    ("igols", "quadratic", 0.3): (0.3, 0, 2, "cap_max"),
     ("igols", "quadratic", 50.0): (2.0, 0, 6, "tolerance"),
     ("igols", "quadratic", 1e7): (2.0, 0, 6, "tolerance"),
     ("igols", "ascent", 0.3): (0.25, 0, 2, "tolerance"),
     ("igols", "ascent", 50.0): (0.25, 0, 2, "tolerance"),
     ("igols", "ascent", 1e7): (0.25, 0, 2, "tolerance"),
-    ("igols", "descent", 0.3): (0.3, 0, 3, "cap_max"),
-    ("igols", "descent", 50.0): (50.0, 0, 10, "cap_max"),
-    ("igols", "descent", 1e7): (1e7, 0, 28, "cap_max"),
+    ("igols", "descent", 0.3): (0.3, 0, 2, "cap_max"),
+    ("igols", "descent", 50.0): (50.0, 0, 9, "cap_max"),
+    ("igols", "descent", 1e7): (1e7, 0, 27, "cap_max"),
     ("igols", "flat", 0.3): (0.25, 0, 2, "tolerance"),
     ("igols", "flat", 50.0): (0.25, 0, 2, "tolerance"),
     ("igols", "flat", 1e7): (0.25, 0, 2, "tolerance"),
-    ("igols", "root", 0.3): (0.3, 0, 3, "cap_max"),
+    ("igols", "root", 0.3): (0.3, 0, 2, "cap_max"),
     ("igols", "root", 50.0): (4.0, 0, 7, "tolerance"),
     ("igols", "root", 1e7): (4.0, 0, 7, "tolerance"),
 }
 
-# max_info_calls is checked before each growth or refinement step, not
-# before the opening evaluations, so it is not a hard maximum: golden
-# section with a budget of 3 or 4 spends 5 calls.  Under a cap the opening
-# bracket is re-midpointed; golden section still counts its first point at
-# delta = 5 as the best step so far, which the clamp turns into cap_max.
+# max_info_calls is a hard maximum: a request list that would pass it is not
+# asked, and the search returns its best step so far with reason budget.
+# Golden section with a budget of 4 cannot ask its first inner pair after
+# its 3 opening calls, so it returns the midpoint of its bracket [0, 5]; with
+# 7 or 8 it returns the midpoint of the bracket its last reply gives.  On the
+# descent line under a cap of 0.3 or 5, both exact searches meet the cap
+# before the budget.
 BUDGET_EDGES = [
-    (golden_section, "quadratic", 3, ALPHA_CAP, (2.5, 5, 0, "budget")),
-    (golden_section, "quadratic", 4, ALPHA_CAP, (2.5, 5, 0, "budget")),
-    (golden_section, "quadratic", 7, ALPHA_CAP, (0.954915028125263, 7, 0, "budget")),
-    (golden_section, "quadratic", 8, ALPHA_CAP, (1.3196601125010516, 8, 0, "budget")),
-    (golden_section, "descent", 3, 0.3, (0.3, 5, 0, "cap_max")),
-    (golden_section, "descent", 3, 5.0, (5.0, 5, 0, "budget")),
-    (bisection_gols, "root", 3, ALPHA_CAP, (2.5, 0, 3, "budget")),
-    (bisection_gols, "root", 4, ALPHA_CAP, (1.25, 0, 4, "budget")),
-    (bisection_gols, "root", 7, ALPHA_CAP, (2.34375, 0, 7, "budget")),
-    (bisection_gols, "root", 8, ALPHA_CAP, (2.421875, 0, 8, "budget")),
-    (bisection_gols, "descent", 3, 0.3, (0.15, 0, 4, "budget")),
+    (golden_section, "quadratic", 3, ALPHA_CAP, (2.5, 3, 0, "budget")),
+    (golden_section, "quadratic", 4, ALPHA_CAP, (2.5, 3, 0, "budget")),
+    (golden_section, "quadratic", 7, ALPHA_CAP, (1.3196601125010516, 7, 0, "budget")),
+    (golden_section, "quadratic", 8, ALPHA_CAP, (1.094235253127366, 8, 0, "budget")),
+    (golden_section, "descent", 3, 0.3, (0.3, 3, 0, "cap_max")),
+    (golden_section, "descent", 3, 5.0, (5.0, 3, 0, "cap_max")),
+    (bisection_gols, "root", 3, ALPHA_CAP, (1.25, 0, 3, "budget")),
+    (bisection_gols, "root", 4, ALPHA_CAP, (1.875, 0, 4, "budget")),
+    (bisection_gols, "root", 7, ALPHA_CAP, (2.421875, 0, 7, "budget")),
+    (bisection_gols, "root", 8, ALPHA_CAP, (2.4609375, 0, 8, "budget")),
+    (bisection_gols, "descent", 3, 0.3, (0.3, 0, 2, "cap_max")),
 ]
 
 
@@ -402,6 +404,32 @@ class TestPinnedOutcomes:
         assert _summary(out) == expected
 
 
+BUDGETED = {
+    "gs": lambda probe, budget: golden_section(probe, max_info_calls=budget),
+    "bgols": lambda probe, budget: bisection_gols(probe, max_info_calls=budget),
+    "igols": lambda probe, budget: inexact_gols(probe, 0.25, max_info_calls=budget),
+}
+
+
+class TestBudgetCheck:
+    """``max_info_calls`` is a whole number of at least the search's
+    opening list: 3 requests for golden section, 2 for B-GOLS and I-GOLS."""
+
+    @pytest.mark.parametrize("budget", [0, -1, math.nan, True, 2.5, "x", None])
+    @pytest.mark.parametrize("name", sorted(BUDGETED))
+    def test_bad_budget_rejected_before_any_call(self, name, budget):
+        probe = make_quadratic_probe()
+        with pytest.raises(ValueError, match="max_info_calls"):
+            BUDGETED[name](probe, budget)
+        assert probe.counter.info_calls == 0
+
+    @pytest.mark.parametrize("name,least", [("gs", 3), ("bgols", 2), ("igols", 2)])
+    def test_budget_below_the_opening_list_rejected(self, name, least):
+        with pytest.raises(ValueError, match=f"at least {least}"):
+            BUDGETED[name](make_quadratic_probe(), least - 1)
+        assert BUDGETED[name](make_quadratic_probe(), least).reason == "budget"
+
+
 NON_FINITE_LINES = {
     "nan_everywhere": (lambda a: math.nan, lambda a: math.nan),
     # Descent up to alpha = 3 and NaN beyond: every search from 0.25 steps
@@ -428,10 +456,10 @@ class TestNonFiniteLines:
 # A probe draws one sample per request in this order, so these pins also fix
 # which sample answers which request.
 REQUEST_ORDER = {
-    ("gs", 10.0): (70, "877998d3461dcff2", [
-        ("value", 0.0), ("value", 5.0), ("value", 13.090169943749475),
-        ("value", 5.0), ("value", 10.0), ("value", 3.819660112501052),
-        ("value", 6.180339887498948)]),
+    ("gs", 10.0): (68, "1f04e562c3962af4", [
+        ("value", 0.0), ("value", 5.0), ("value", 10.0),
+        ("value", 3.819660112501052), ("value", 6.180339887498948),
+        ("value", 7.639320225002103), ("value", 8.541019662496845)]),
     ("gs", 1e7): (68, "e36548d98fbccb03", [
         ("value", 0.0), ("value", 5.0), ("value", 13.090169943749475),
         ("value", 5.0), ("value", 8.090169943749475), ("value", 10.0),
@@ -442,14 +470,14 @@ REQUEST_ORDER = {
     ("arls", 1e7): (9, "2d70d32fd38473da", [
         ("value", 0.0), ("deriv", 0.0), ("value", 0.25), ("value", 0.5),
         ("value", 1.0), ("value", 2.0), ("value", 4.0)]),
-    ("bgols", 10.0): (48, "e5520f9c1723bd57", [
-        ("deriv", 5.0), ("deriv", 13.090169943749475), ("deriv", 5.0),
-        ("deriv", 10.0), ("deriv", 7.5), ("deriv", 6.25), ("deriv", 6.875)]),
+    ("bgols", 10.0): (46, "74fcf97f9213937d", [
+        ("deriv", 5.0), ("deriv", 10.0), ("deriv", 7.5), ("deriv", 6.25),
+        ("deriv", 6.875), ("deriv", 7.1875), ("deriv", 7.34375)]),
     ("bgols", 1e7): (46, "e8a5dd6c9b9f248d", [
         ("deriv", 5.0), ("deriv", 13.090169943749475), ("deriv", 9.045084971874736),
         ("deriv", 7.022542485937368), ("deriv", 8.033813728906052),
         ("deriv", 7.52817810742171), ("deriv", 7.275360296679539)]),
-    ("igols", 10.0): (8, "3e65e2aaf2f7d654", [
+    ("igols", 10.0): (7, "adfedc02873fe171", [
         ("deriv", 0.0), ("deriv", 0.25), ("deriv", 0.5), ("deriv", 1.0),
         ("deriv", 2.0), ("deriv", 4.0), ("deriv", 8.0)]),
     ("igols", 1e7): (8, "3e65e2aaf2f7d654", [
@@ -458,23 +486,50 @@ REQUEST_ORDER = {
 }
 
 
-# The rounds the probe answers them in, one per request list, at either
-# alpha_max: a search's opening list and golden section's first inner pair
-# each take one round.
-ROUNDS = {"gs": 65, "arls": 7, "bgols": 45, "igols": 7}
+# The rounds the probe answers them in, one per request list: a search's
+# opening list and golden section's first inner pair each take one round.
+# At alpha_max = 10, I-GOLS stops at the cap in place of asking 16.
+ROUNDS = {("gs", 10.0): 65, ("gs", 1e7): 65, ("arls", 10.0): 7, ("arls", 1e7): 7,
+          ("bgols", 10.0): 45, ("bgols", 1e7): 45,
+          ("igols", 10.0): 6, ("igols", 1e7): 7}
+
+
+# Hand-traced on the descent line F = -alpha from alpha_init = 0.4 with
+# alpha_max = 0.5: each search asks its opening list and stops at the cap,
+# without asking 5 or 13.09 (golden section), the growth step 0.5 + 5 phi =
+# 8.59 (B-GOLS) or the doubled step 0.8 (I-GOLS).
+AT_THE_CAP = {
+    "gs": [("value", 0.0), ("value", 0.25), ("value", 0.5)],
+    "bgols": [("deriv", 0.25), ("deriv", 0.5)],
+    "igols": [("deriv", 0.0), ("deriv", 0.4)],
+}
+
+
+def _recorded_lists(probe):
+    """The request lists ``probe`` is asked from now on."""
+    lists = []
+    ask = probe.ask
+    probe.ask = lambda requests: lists.append(list(requests)) or ask(requests)
+    return lists
 
 
 class TestRequestOrder:
     @pytest.mark.parametrize("name,alpha_max", sorted(REQUEST_ORDER))
     def test_probe_sees_the_pinned_requests(self, name, alpha_max):
         probe = make_1d_probe(lambda a: 0.5 * (a - 7.5) ** 2, lambda a: a - 7.5)
-        lists = []
-        ask = probe.ask
-        probe.ask = lambda requests: lists.append(list(requests)) or ask(requests)
+        lists = _recorded_lists(probe)
         PUBLIC[name](probe, 0.25, alpha_max)
         seen = [request for asked in lists for request in asked]
         count, digest, opening = REQUEST_ORDER[name, alpha_max]
         assert seen[:7] == opening
         assert len(seen) == count
         assert hashlib.sha256(repr(seen).encode()).hexdigest()[:16] == digest
-        assert len(lists) == ROUNDS[name]
+        assert len(lists) == ROUNDS[name, alpha_max]
+
+    @pytest.mark.parametrize("name", sorted(AT_THE_CAP))
+    def test_descent_stops_at_the_cap_unasked(self, name):
+        probe = make_1d_probe(lambda a: -a, lambda a: -1.0)
+        lists = _recorded_lists(probe)
+        out = PUBLIC[name](probe, 0.4, 0.5)
+        assert lists == [AT_THE_CAP[name]]
+        assert (out.alpha, out.reason) == (0.5, "cap_max")

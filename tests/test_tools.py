@@ -71,11 +71,12 @@ def test_round_counts_pin_every_count(monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(ROOT / "tools"))  # restores sys.path after
     assert _load("round_counts").main([]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "train-exact  grid 1375 rounds / 18816 requests  probe 0 rounds / 0 requests  "
-        "metrics 32 calls / 416 points  net 1407 calls / 19232 points  "
+        # GS and B-GOLS ask no step beyond the cap, and I-GOLS stops at it.
+        "train-exact  grid 1381 rounds / 16844 requests  probe 0 rounds / 0 requests  "
+        "metrics 32 calls / 416 points  net 1413 calls / 17260 points  "
         "table 0 calls / 0 points / 0 table rows / 0 gathered rows",
-        "train-inexact  grid 796 rounds / 6388 requests  probe 0 rounds / 0 requests  "
-        "metrics 64 calls / 1008 points  net 860 calls / 7396 points  "
+        "train-inexact  grid 796 rounds / 6100 requests  probe 0 rounds / 0 requests  "
+        "metrics 64 calls / 1008 points  net 860 calls / 7108 points  "
         "table 0 calls / 0 points / 0 table rows / 0 gathered rows",
         # Batches 10, 30 and 50 of 12 repeats take the table path (3 x 1212
         # evaluations), batch 1 and the direction search the stacked one.
