@@ -76,13 +76,14 @@ class Split:
 
 
 def load_csv(path, name=None) -> Dataset:
-    """Load a classification dataset from a CSV file.
+    """Load a classification dataset from a UTF-8 CSV file; a leading
+    byte-order mark is not part of the first cell.
 
     Raises ValueError with the offending 1-based row number for malformed
     rows, non-numeric or non-finite (``nan``, ``inf``) feature cells, or
     files with fewer than two classes.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
     if not rows:
         raise ValueError(f"{path}: empty file")

@@ -405,7 +405,7 @@ def make_search(name: str):
     ``("deriv", alpha)`` requests, takes the list of their replies, F(alpha)
     or F'(alpha) in the same order, and returns its
     :class:`LineSearchOutcome`; the requests of one list do not depend on
-    each other's replies.  Every step must be a real, finite number: a run
+    each other's replies.  Every step must be one real, finite scalar: a run
     whose list holds another fails with ``ValueError`` before anything of
     that list is drawn (:meth:`gols.probe.LineTable.answer`).  GS, B-GOLS
     and I-GOLS run with their default budget; on a probe, a named search is

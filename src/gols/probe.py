@@ -308,14 +308,13 @@ class LineTable:
         search request list is checked in the pass that takes the round
         apart: one that is empty, or holds an entry other than a pair
         ``("value", alpha)`` or ``("deriv", alpha)`` with a real, finite
-        ``alpha``, gets the ``ValueError`` that
+        scalar ``alpha``, gets the ``ValueError`` that
         :meth:`DirectionalProbe.ask` raises for it, and nothing of it is
-        drawn or evaluated; the other runs of the round go on.  A step that
-        compares as finite yet is no scalar, a one-element array say, is
-        found only where its group's points are built: its run gets the same
-        error, after its samples are drawn, and nothing of it is evaluated.
-        A group is the runs of one sample shape, and each group takes one
-        stacked call of ``model`` for all the requests of its runs: a backprop
+        drawn or evaluated; the other runs of the round go on.  The same
+        pass draws the samples of every other list and appends its
+        requests to the columns of its group.  A group is the runs of one
+        sample shape, and each group takes one stacked call of ``model``
+        for all the requests of its runs: a backprop
         (``model.losses_and_gradients``) when any of them asks for a
         gradient or a slope, which also gives the losses of its ``value``
         requests, else a forward pass alone (``model.losses``).  The points
@@ -325,7 +324,7 @@ class LineTable:
         group puts its search requests first, each run's in list order, and
         its direction gradients after them.
         """
-        groups, drawn, replies = {}, {}, {}
+        groups, replies = {}, {}
         for i, asked in pending.items():
             try:
                 grad = asked[0][0] is _GRAD
@@ -337,42 +336,28 @@ class LineTable:
                 replies[i] = error
                 continue
             else:
-                grad, draw = False, self.draws[i]
-                drawn[i] = samples = []
+                draw, drawn = self.draws[i], []
                 for _ in asked:
-                    samples.append(draw())
-                sample = samples[0]
+                    drawn.append(draw())
+                sample = drawn[0]
             key = None if sample is None else getattr(sample, "shape", ())
             group = groups.get(key)
             if group is None:
-                group = groups[key] = ([], [])
-            group[grad].append(i)
-        for searches, grads in groups.values():
-            while True:
-                # The group's search requests as columns, in one pass.
-                runs, alphas, slope, samples = [], [], [], []
-                for i in searches:
-                    samples += drawn[i]
-                    for kind, alpha in pending[i]:
-                        runs.append(i)
-                        alphas.append(alpha)
-                        slope.append(kind == "deriv")
-                rows = np.array(runs, dtype=np.intp)
-                try:
-                    points = self.points(rows, alphas)
-                    break
-                except (TypeError, ValueError):
-                    # A step that passes the request check but is no scalar,
-                    # a one-element array say: its run gets its list's
-                    # error, and the rest of the group goes on.
-                    bad = {i for i, alpha in zip(runs, alphas) if not _scalar(alpha)}
-                    if not bad:
-                        raise
-                    for i in bad:
-                        replies[i] = _list_error(pending[i])
-                    searches = [i for i in searches if i not in bad]
-            if not (searches or grads):
+                # Its searches, their requests as columns, and its gradients.
+                group = groups[key] = ([], [], [], [], [], [])
+            searches, runs, alphas, slope, samples, grads = group
+            if grad:
+                grads.append(i)
                 continue
+            searches.append(i)
+            samples += drawn
+            for kind, alpha in asked:
+                runs.append(i)
+                alphas.append(alpha)
+                slope.append(kind == "deriv")
+        for searches, runs, alphas, slope, samples, grads in groups.values():
+            rows = np.array(runs, dtype=np.intp)
+            points = self.points(rows, alphas)
             found = len(runs)
             if grads:
                 points = np.concatenate([points, [pending[i][0][1] for i in grads]])
@@ -411,10 +396,11 @@ class DirectionalProbe(LineTable):
     scans the repeats of one line from one table.
 
     The direction is used exactly as given (unnormalized).  Counters only
-    ever increase.  A non-finite step size raises ``ValueError`` before
-    anything is counted or drawn, and a non-finite F or F' raises one rather
-    than reach a search, whose comparisons a NaN would silently steer; the
-    rest of its list has then been counted and drawn, as in the grid.
+    ever increase.  A step size that is not one finite scalar raises
+    ``ValueError`` before anything is counted or drawn, and a non-finite F
+    or F' raises one rather than reach a search, whose comparisons a NaN
+    would silently steer; the rest of its list has then been counted and
+    drawn, as in the grid.
     """
 
     def __init__(self, model, origin, direction, policy="resample",
@@ -450,12 +436,11 @@ class DirectionalProbe(LineTable):
 
         Every request is checked before anything is counted or drawn: an
         empty list, an entry other than a pair ``(kind, alpha)`` of a kind
-        ``value`` or ``deriv``, or a step size that is not a real, finite
-        number raises the ``ValueError`` that :meth:`answer` gives a grid
-        run for it (a step that is no scalar only after it is counted and
-        drawn, see :meth:`answer`).  Then each request counts one loss or
-        gradient eval and draws one sample, in list order, and the first
-        ``ValueError`` among the replies, in list order, is raised.
+        ``value`` or ``deriv``, or a step size that is not one real, finite
+        scalar raises the ``ValueError`` that :meth:`answer` gives a grid
+        run for it.  Then each request counts one loss or gradient eval and
+        draws one sample, in list order, and the first ``ValueError`` among
+        the replies, in list order, is raised.
         """
         if error := _request_error(requests):
             raise error
@@ -579,36 +564,37 @@ def _node_samples(probes, nodes):
 
 def _request_error(requests):
     """``None`` for a nonempty list of search requests, each a pair
-    ``("value", alpha)`` or ``("deriv", alpha)`` with ``-inf < alpha <
-    inf``, else the ``ValueError`` that rejects ``requests``: ``step size
-    must be finite`` for a NaN or infinite step, else one that shows the
-    list.  The grid checks every list of every round, so this is a plain
-    loop with no call in it, the cheapest form measured; an entry that is
-    not a pair fails its unpacking, a step that is not a real number its
-    comparison, and the ``try`` costs nothing until it catches."""
+    ``("value", alpha)`` or ``("deriv", alpha)`` with ``alpha`` one scalar
+    and ``-inf < alpha < inf``, else the ``ValueError`` that rejects
+    ``requests``: ``step size must be finite`` for a NaN or infinite step,
+    else one that shows the list.  The grid checks every list of every
+    round, so this is a plain loop that calls nothing for the Python floats
+    the searches ask; an entry that is not a pair fails its unpacking, a
+    step that is not a real number its comparison, a step of another type
+    (a one-element array say) :func:`_scalar`, and the ``try`` costs
+    nothing until it catches."""
     try:
         for kind, alpha in requests:
             if kind != "value" and kind != "deriv":
                 break
             if not -math.inf < alpha < math.inf:
                 return ValueError("step size must be finite")
+            if type(alpha) is not float and not _scalar(alpha):
+                break
         else:
             if requests:
                 return None
     except (TypeError, ValueError):
         pass
-    return _list_error(requests)
-
-
-def _list_error(requests):
     return ValueError(f"a probe answers a nonempty list of 'value' and 'deriv' "
                       f"requests, not {requests!r}")
 
 
 def _scalar(alpha) -> bool:
-    """Whether the step ``alpha`` converts to one float."""
+    """Whether the step ``alpha`` converts to one float, and is not complex
+    (numpy orders its complex scalars, and would drop the imaginary part)."""
     try:
-        return np.array(alpha, dtype=float).ndim == 0
+        return not np.iscomplexobj(alpha) and np.array(alpha, dtype=float).ndim == 0
     except (TypeError, ValueError):
         return False
 

@@ -43,6 +43,21 @@ class TestLoadCsv:
         assert ds.num_rows == 6
         assert ds.class_count == 2
 
+    @pytest.mark.parametrize("header", ["", "x,y,label\n"], ids=["bare", "header"])
+    def test_byte_order_mark_reads_as_the_file_without_it(self, tmp_path, header):
+        # A mark read as part of the first cell would make it non-numeric, so
+        # a headerless file would lose its first row to a header.
+        text = header + "".join(f"{i}.0,{i}.5,c{i % 2}\n" for i in range(6))
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        want, got = load_csv(plain), load_csv(marked)
+        assert got.num_rows == 6
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tolist() == want.labels.tolist()
+        assert got.class_count == want.class_count
+
     def test_bundled_iris_shape(self):
         ds = builtin_dataset("iris")
         assert (ds.num_rows, ds.num_features, ds.class_count) == (150, 4, 3)

@@ -1,4 +1,6 @@
 import functools
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -368,28 +370,60 @@ class TestLineTable:
             assert str(replies[1]) == str(direct.value)
             assert draws == [0]
 
+    @pytest.mark.parametrize("step", [np.float32(0.1), np.int64(2), 2, np.array(0.3),
+                                      Fraction(1, 3)],
+                             ids=["float32", "int64", "int", "0-d array", "Fraction"])
+    def test_scalar_step_gets_the_bits_of_its_float(self, step):
+        # A step of another scalar type is checked apart from the Python
+        # floats, and is answered as the float equal to it, on the grid and
+        # through ask alike.
+        model = quadratic_bowl([1.0, 0.0])
+        direction = np.array([1.0, 0.3])
+        table = LineTable(2, 2)
+        for run in range(2):
+            table.set(run, np.zeros(2), direction, lambda: None)
+        lists = [[("value", alpha), ("deriv", alpha)] for alpha in (step, float(step))]
+        probe = DirectionalProbe(model, np.zeros(2), direction, policy="full")
+        answered = table.answer(model, dict(enumerate(lists)))
+        replies = [answered[0], answered[1], *map(probe.ask, lists)]
+        assert all(type(reply) is float for pair in replies for reply in pair)
+        assert len({tuple(map(float.hex, pair)) for pair in replies}) == 1
+
     @pytest.mark.parametrize("other", [[("value", 1.0), ("deriv", 0.5)],
                                        [("value", np.array([1.0]))]])
     def test_step_that_is_no_scalar_fails_its_own_run(self, other):
-        # A one-element array compares as finite, so only building the
-        # round's points finds it.  Its run gets the error a probe raises for
-        # its list, and a run of scalar steps in the same group is answered.
+        # A one-element array and a numpy complex scalar compare as finite,
+        # so the request check also asks whether a step that is not a Python
+        # float is one real scalar.  A run with a step that is not gets the
+        # error a probe raises for its list before anything of it is drawn,
+        # and a run of scalar steps in the same group is answered.
         model = quadratic_bowl([1.0, 0.0])
         table = LineTable(2, 2)
+        draws = []
         for run in range(2):
-            table.set(run, np.zeros(2), np.ones(2), lambda: None)
+            table.set(run, np.zeros(2), np.ones(2), lambda run=run: draws.append(run))
         mirror = DirectionalProbe(model, np.zeros(2), np.ones(2), policy="full")
-        asked = [("value", 0.5), ("deriv", np.array([2.0]))]
-        replies = table.answer(model, {0: other, 1: asked})
-        for run, requests in enumerate([other, asked]):
-            try:
-                want = mirror.ask(requests)
-            except ValueError as direct:
-                assert type(replies[run]) is ValueError
-                assert str(replies[run]) == str(direct)
-                assert "nonempty list" in str(direct)
-            else:
-                assert replies[run] == want
+        for step in ([2.0], np.array([2.0]), np.ones((1, 1)), np.complex128(2.0)):
+            asked = [("value", 0.5), ("deriv", step)]
+            draws.clear()
+            replies = table.answer(model, {0: other, 1: asked})
+            for run, requests in enumerate([other, asked]):
+                try:
+                    want = mirror.ask(requests)
+                except ValueError as direct:
+                    assert type(replies[run]) is ValueError
+                    assert str(replies[run]) == str(direct)
+                    assert "nonempty list" in str(direct)
+                else:
+                    assert replies[run] == want
+            assert draws == [0] * len(other) * (type(replies[0]) is list)
+            # Through ask the probe neither counts nor draws anything.
+            keys = []
+            probe = DirectionalProbe(model, np.zeros(2), np.ones(2),
+                                     sampler=SimpleNamespace(sample=lambda: keys.append(0)))
+            with pytest.raises(ValueError, match="nonempty list"):
+                probe.ask(asked)
+            assert (probe.counter.functions, probe.counter.gradients, keys) == (0, 0, [])
 
 
 def scan_one(probe, alphas):

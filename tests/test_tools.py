@@ -64,6 +64,18 @@ def test_main_prints_every_module_and_their_total(capsys):
     assert total == ["total", str(sum(counts.values()))]
 
 
+# The most code lines `src/gols/` may hold (ROADMAP item 2).  A change
+# that adds lines raises it and says in CHANGES.md which output or fix they
+# buy.
+CODE_CEILING = 1489
+
+
+def test_code_lines_stay_under_the_ceiling(capsys):
+    assert code_lines.main([]) == 0
+    total = capsys.readouterr().out.splitlines()[-1].split()
+    assert total[0] == "total" and int(total[1]) <= CODE_CEILING
+
+
 def test_round_counts_pin_every_count(monkeypatch, capsys):
     # The rounds, requests, metric and net calls of the benchmark's jobs at
     # seed 7.  A change that moves one on purpose updates it here and says
