@@ -9,13 +9,23 @@ One forward pass (``_activations``) and one backprop (``_backprop``) serve
 every evaluation.  Both work on weights with any leading axes, so the
 per-point :meth:`Network.loss` and :meth:`Network.gradient` run them on one
 parameter vector and the stacked :meth:`Network.losses` and
-:meth:`Network.losses_and_gradients` on a stack of them.
+:meth:`Network.losses_and_gradients` on a stack of them.  Each layer is one
+matrix product with its ``(fan_out, fan_in + 1)`` weights, bias included:
+the inputs and hidden activations carry a leading column of ones
+(``_pad``).  The public methods take unpadded inputs and pad them;
+``gols.probe.BatchObjective`` and ``gols.trainer.dataset_metrics`` pad their
+matrices once and call the private stacked forms.
 ``_backprop`` writes into per-layer views of one flat gradient array, which
-is already in :meth:`Network.pack` order.  Given a row map, the same
-backprop evaluates ``M`` points on ``R`` batches each of one partition: it
-runs the network once on the table of (point, partition row) pairs and
-gathers each batch's sums from it, with the bits of the stacked batches
+is already in :meth:`Network.pack` order; a layer's bias and weight
+gradients come out of one product.  Given a row map, the same backprop
+evaluates ``M`` points on ``R`` batches each of one partition: it runs the
+network once on the table of (point, partition row) pairs and gathers each
+batch's products from it, with the bits of the stacked batches
 (``gols.probe.BatchObjective.table_losses_and_gradients``).
+
+The logistic function is 1 / (1 + exp(-z)) of z clipped to [-708, 40] and
+clamped below 1: it keeps full relative precision down to its floor
+σ(-708) ≈ 3.3e-308 and raises no floating-point flag.
 """
 
 from __future__ import annotations
@@ -26,37 +36,46 @@ from gols.data import check_count
 
 __all__ = ["Network", "sigmoid"]
 
-# Clamp bounds that keep activations strictly inside the open interval (0, 1)
-# even when a pre-activation saturates in float64.
-_SIG_LO = np.nextafter(0.0, 1.0)
+# The largest float64 below 1: the sigmoid's clamp keeps activations
+# strictly inside (0, 1), where 1 / (1 + exp(-z)) rounds to 1 from about
+# z = 36.7 on.
 _SIG_HI = np.nextafter(1.0, 0.0)
 
 
 def sigmoid(z):
-    """Numerically stable logistic function; never returns exactly 0 or 1."""
-    z = np.array(z, dtype=float)
-    # A 0-d array would come back from the first ufunc as a scalar, so the
-    # helper works on a 1-d view.
-    return _sigmoid(z.reshape(-1)).reshape(z.shape)[()]
+    """Logistic function 1 / (1 + exp(-z)) of ``z`` clipped to [-708, 40];
+    never returns exactly 0 or 1 and raises no floating-point flag."""
+    return _sigmoid(np.array(z, dtype=float))[()]
 
 
 def _sigmoid(z):
-    """:func:`sigmoid` of the float array ``z`` of at least one dimension,
-    written over ``z``."""
-    t = np.copysign(z, -1.0)  # -|z|
-    np.exp(t, out=t)  # exponent <= 0, cannot overflow
-    numerator = np.where(z >= 0.0, 1.0, t)
-    t += 1.0
-    np.divide(numerator, t, out=z)
-    np.maximum(z, _SIG_LO, out=z)
+    """:func:`sigmoid` of the float array ``z``, written over ``z``."""
+    # On [-708, 40] no step raises a floating-point flag: exp(708) is finite
+    # and 1 / (1 + exp(708)) = 3.3e-308, the floor, a normal number.
+    z.clip(-708.0, 40.0, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.reciprocal(z, out=z)
     return np.minimum(z, _SIG_HI, out=z)
+
+
+def _pad(inputs):
+    """``(..., D)`` inputs with a leading column of ones, ``(..., D + 1)``:
+    the constant input of every bias weight."""
+    padded = np.empty(inputs.shape[:-1] + (inputs.shape[-1] + 1,))
+    padded[..., 0] = 1.0
+    padded[..., 1:] = inputs
+    return padded
 
 
 class Network:
     """Fully connected sigmoid MLP with mean squared classification loss.
 
     The weight matrix of layer ``c`` has shape ``(fan_out, fan_in + 1)``;
-    column 0 is the bias weight, fed by a constant 1 input.  Flat parameter
+    column 0 is the bias weight, fed by a constant 1 input, so each layer
+    is one matrix product.  Every public method takes unpadded ``(..., P,
+    input_dim)`` inputs and adds that input itself.  Flat parameter
     vectors are laid out layer-major, row-major within each layer (C order).
     This ordering is frozen: :meth:`pack` and :meth:`unpack` are exact
     inverses.
@@ -111,18 +130,17 @@ class Network:
 
     def forward(self, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Predictions for a batch, one row per sample, entries in (0, 1)."""
-        inputs = self._check_inputs(inputs)
-        return _activations(self.unpack(params), inputs)[-1]
+        return _activations(self.unpack(params), _pad(self._check_inputs(inputs)))[1][-1]
 
     def loss(self, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray) -> float:
         inputs, targets = self._check_batch(inputs, targets)
-        return float(_loss(_activations(self.unpack(params), inputs)[-1] - targets))
+        return float(_loss(_activations(self.unpack(params), _pad(inputs))[1][-1] - targets))
 
     def gradient(self, params: np.ndarray, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Analytic gradient of :meth:`loss`, flattened in pack order."""
         inputs, targets = self._check_batch(inputs, targets)
         grad = np.empty(self.num_params)
-        _backprop(self.unpack(params), self._layers(grad), inputs, targets)
+        _backprop(self.unpack(params), self._layers(grad), _pad(inputs), targets)
         return grad
 
     def losses(self, points, inputs, targets, sections=None):
@@ -141,7 +159,7 @@ class Network:
         loss is the mean over its own rows, as :meth:`loss` of those rows.
         """
         points, inputs, targets = self._check_stack(points, inputs, targets)
-        return self._losses(points, inputs, targets, sections)
+        return self._losses(points, _pad(inputs), targets, sections)
 
     def losses_and_gradients(self, points, inputs, targets):
         """Loss and gradient at ``N`` parameter points at once, ``(N,)`` and
@@ -154,11 +172,11 @@ class Network:
         direction`` rounds differently on about half the rows.
         """
         points, inputs, targets = self._check_stack(points, inputs, targets)
-        return self._losses_and_gradients(points, inputs, targets)
+        return self._losses_and_gradients(points, _pad(inputs), targets)
 
     def _losses(self, points, inputs, targets, sections=None):
         """:meth:`losses` of arrays already checked by :meth:`_check_stack`."""
-        residuals = _activations(self._layers(points), inputs)[-1]
+        residuals = _activations(self._layers(points), inputs)[1][-1]
         residuals -= targets
         if sections is None:
             return _loss(residuals)
@@ -246,78 +264,82 @@ class Network:
 
 
 def _activations(mats, inputs):
-    """The forward pass: ``inputs`` and every layer's activations.
+    """The forward pass: ``(xs, outs)``, the input ``xs[c]`` of each layer
+    with its leading column of ones (see :func:`_pad`), ``inputs`` first,
+    and the layer's activations ``outs[c]``.
 
-    ``mats`` are per-layer weights with any leading axes; ``inputs`` is
-    ``(..., P, input_dim)`` and broadcasts against them.
+    ``mats`` are per-layer ``(..., fan_out, fan_in + 1)`` weights with any
+    leading axes; ``inputs`` is ``(..., P, input_dim + 1)`` and broadcasts
+    against them.  Each layer is one matrix product, bias included.
     """
-    acts = [inputs]
+    xs, outs = [inputs], []
     for w in mats:
-        z = acts[-1] @ w[..., 1:].mT
-        z += w[..., None, :, 0]
-        acts.append(_sigmoid(z))
-    return acts
+        outs.append(_sigmoid(_product(xs[-1], w.mT)))
+        if len(xs) < len(mats):
+            xs.append(_pad(outs[-1]))
+    return xs, outs
+
+
+def _product(a, b):
+    """``a @ b``, where a ``b`` of one column takes one dot product per row
+    of ``a``.  numpy's matrix-vector path (BLAS gemv; OpenBLAS, say) can
+    round a row of 8 or more terms by its position among the rows, so a
+    table of rows would not have the bits of a stack of batches (see
+    :func:`_backprop`)."""
+    if b.shape[-1] > 1:
+        return a @ b
+    return np.vecdot(a, b.mT)[..., None]
 
 
 def _backprop(mats, grads, inputs, targets, rows=None):
     """Writes the loss gradient into ``grads`` and returns the residuals
     ``prediction - target``, from which :func:`_loss` gives the loss.
 
+    ``inputs`` carry the leading column of ones of :func:`_activations`.
     ``grads`` are the per-layer views of one flat gradient array shaped like
-    the parameters behind ``mats``, so no gradient is packed afterwards.
-    The loss is left to the callers that need it, so
-    :meth:`Network.gradient` does not pay for one it would discard.
+    the parameters behind ``mats``, so no gradient is packed afterwards; a
+    layer's bias and weight gradients come out of one matrix product.  The
+    loss is left to the callers that need it, so :meth:`Network.gradient`
+    does not pay for one it would discard.
 
     With the row map ``rows``, an ``(R, M, P)`` integer array, ``mats`` are
     ``M`` points and ``inputs`` and ``targets`` the ``n`` rows of a whole
     partition; ``rows[q, j]`` are the partition rows of evaluation ``q`` of
     point ``j``, and ``grads`` have the leading axes ``(R, M)``.  The forward
     pass, each layer's ``delta`` and each upstream product then run once, on
-    the table of ``M * n`` (point, partition row) pairs.  The per-evaluation
-    sums, the bias sum and the weight product, gather their rows from it, and
-    so do the returned ``(R, M, P, K)`` residuals.  Each table row has the
-    bits of the same row in a stack of ``P``-row batches, and each sum adds
-    its rows in the stack's order, so at ``P >= 2`` every loss and gradient
+    the table of ``M * n`` (point, partition row) pairs.  Each
+    per-evaluation product gathers its rows from it, and so do the returned
+    ``(R, M, P, K)`` residuals.  Each table row has the bits of the same row
+    in a stack of ``P``-row batches, and each gathered product has the
+    layout of the stacked one, so at ``P >= 2`` every loss and gradient
     equals the stacked one bit for bit.  At ``P = 1`` a stacked batch is one
     row, for which numpy's matmul takes its vector path and rounds
     otherwise.
     """
-    acts = _activations(mats, inputs)
-    r = acts[-1] - targets
-    if rows is None:
-        p, k = r.shape[-2:]
-    else:
-        p, k = rows.shape[-1], r.shape[-1]
+    xs, outs = _activations(mats, inputs)
+    r = outs[-1] - targets
+    p = r.shape[-2] if rows is None else rows.shape[-1]
+    if rows is not None:
         # Row i of point j is row j * n + i of a table flattened over its
         # (point, row) pairs; the inputs, shared by every point, take rows.
         flat = rows + r.shape[-2] * np.arange(rows.shape[1])[:, None]
 
         def gather(a, index):
             return a.reshape(-1, a.shape[-1]).take(index, axis=0)
-    upstream = (200.0 / (k * p)) * r
+    upstream = (200.0 / (r.shape[-1] * p)) * r
     for c in range(len(mats) - 1, -1, -1):
-        # (upstream * a) * (1 - a), in the temporaries; acts[c + 1] is not
-        # read again.
-        a = acts[c + 1]
+        # (upstream * a) * (1 - a), in the temporaries; outs[c] is not read
+        # again.
+        a = outs[c]
         delta = upstream
         delta *= a
         delta *= np.subtract(1.0, a, out=a)
-        d, x = delta, acts[c]
+        d, x = delta, xs[c]
         if rows is not None:
-            x = gather(x, flat if c else rows)
-            if min(d.shape[-1], x.shape[-1]) > 1:
-                # Batch-row axis first, then a transposed view: the bias sum
-                # runs one long inner loop yet adds each evaluation's rows
-                # in the stack's order.
-                d = gather(delta, flat.transpose(2, 0, 1)).transpose(1, 2, 0, 3)
-            else:
-                # A layer of width 1 takes numpy's vector paths, whose order
-                # follows the layout: the stack's, row by row.
-                d = gather(delta, flat)
-        np.add.reduce(d, axis=-2, out=grads[c][..., 0])
-        grads[c][..., 1:] = d.mT @ x
+            d, x = gather(delta, flat), gather(x, flat if c else rows)
+        np.matmul(d.mT, x, out=grads[c])
         if c:  # the gradient with respect to the inputs is never read
-            upstream = delta @ mats[c][..., 1:]
+            upstream = _product(delta, mats[c][..., 1:])
     return r if rows is None else gather(r, flat)
 
 

@@ -34,6 +34,7 @@ import math
 import numpy as np
 
 from gols.data import check_count
+from gols.net import _pad
 
 __all__ = [
     "POLICIES",
@@ -91,14 +92,17 @@ class BatchObjective:
 
     ``sample`` is an array of row indices (for example from a
     ``BatchSampler``); ``None`` evaluates the whole matrix.  The matrices are
-    checked against the network once, here; the stacked calls then gather
-    each block's rows with ``ndarray.take`` and run the network's forward
-    pass and backprop without checking them again.
+    checked against the network once, here, and the inputs get the leading
+    column of ones of the network's forward pass; the stacked calls then
+    gather each block's rows with ``ndarray.take`` and run the network's
+    forward pass and backprop without checking or padding them again.
+    ``inputs`` stays the caller's ``(M, D)`` matrix.
     """
 
     def __init__(self, net, inputs, targets):
         self.net = net
         self.inputs, self.targets = net._check_batch(inputs, targets)
+        self._padded = _pad(self.inputs)
 
     @property
     def num_rows(self) -> int:
@@ -154,7 +158,7 @@ class BatchObjective:
         for start in range(0, len(points), per_block):
             block = slice(start, start + per_block)
             values[:, block], grads[:, block] = self.net._losses_and_gradients(
-                points[block], self.inputs, self.targets, index[:, block])
+                points[block], self._padded, self.targets, index[:, block])
         return values, grads
 
     def _stacks(self, samples):
@@ -166,7 +170,7 @@ class BatchObjective:
         """
         if all(sample is None for sample in samples):
             index, rows = None, self.num_rows
-            inputs, targets = self.inputs[None], self.targets[None]
+            inputs, targets = self._padded[None], self.targets[None]
         else:
             index = np.asarray(samples)
             rows = index.shape[1]
@@ -174,7 +178,7 @@ class BatchObjective:
         for start in range(0, len(samples), per_block):
             block = slice(start, start + per_block)
             if index is not None:
-                inputs = self.inputs.take(index[block], axis=0)
+                inputs = self._padded.take(index[block], axis=0)
                 targets = self.targets.take(index[block], axis=0)
             yield block, inputs, targets
 

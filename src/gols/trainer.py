@@ -48,7 +48,7 @@ import numpy as np
 
 from gols.data import BatchSampler, Dataset, Split, check_count
 from gols.linesearch import ALPHA_MIN, effective_alpha_max, make_search
-from gols.net import Network
+from gols.net import Network, _pad
 from gols.probe import _GRAD, POLICIES, BatchObjective, EvalCounter, LineTable, _draw
 
 __all__ = [
@@ -287,14 +287,14 @@ def _lockstep(model, lines, runs) -> list:
 def dataset_metrics(net: Network, dataset: Dataset, split: Split):
     """Full-partition train/validation/test losses as a function of a stack
     of parameter points: ``(R, num_params) -> (R, 3)``, from one forward
-    pass over the rows of all three partitions."""
+    pass over the rows of all three partitions, padded once, here."""
     parts = (split.train, split.validation, split.test)
     rows = np.concatenate(parts)
-    inputs, targets = dataset.features[rows][None], dataset.one_hot()[rows][None]
+    inputs, targets = _pad(dataset.features[rows])[None], dataset.one_hot()[rows][None]
     sections = np.cumsum([len(part) for part in parts[:-1]])
 
     def metrics(points):
-        return net.losses(points, inputs, targets, sections)
+        return net._losses(net._check_points(points), inputs, targets, sections)
 
     return metrics
 

@@ -74,18 +74,18 @@ class TestTrainCommand:
         assert (out / "train_summary.csv").exists()
 
     # sha256 of train_summary.csv and of the eight trace CSVs in name order,
-    # recorded since GS, B-GOLS and I-GOLS ask no step beyond their cap (the
-    # ARLS traces did not change then).
+    # recorded since each layer's bias is folded into its matrix product and
+    # the sigmoid is one clipped reciprocal.
     PINS = {
         "resample": (
-            "2463a99577b1be4707193751ce2e18f5fd7c9d0d4a0181dc3588ca1bda0607b1",
-            "4b4723b936d3537dc729feaa400ab3fd332f1a768c4825f8b557b30cf2332549"),
+            "1739ca2ce64ff59589564163ed68a06eeb2d9739552c5d2b528241d79209bbca",
+            "f0c407cc0e4d7e0f2b55be6e478a8f4e2605907e2d18f7b76450c5979e084291"),
         "fixed": (
-            "11c2f75d52d72b6191caf94b19106d7f0b5cec4b316d5a4ea912ad66707de3cb",
-            "c0dec78c83732fde2711b83d83d369ad183645bc0b487f9fb40315984679d466"),
+            "ccad4044f61ba68824d7d0d8de69a9f992fa91621fd371ac4733e8ba5268567e",
+            "73fb6bfd06475cccb7574bdc5f1e763b5207fc544ee3dc081380b1c7e083f65d"),
         "full": (
-            "21e4960367825caa7dcb6d402801c508674f7e1ae52022f1d67d5a66161a59e9",
-            "272566244de30ecc8d99d4ebb7451e72dc5538263015445669a16ee5e3de12b8"),
+            "7a61a649e8aec199fd0f5329e4e47d49e3ff66de1413bf20a89b47a018cfe1a5",
+            "0d05eb9ecaf66ffbf8080f354f32996331748113bc6c5cd7e09c016d92279eed"),
     }
 
     @pytest.mark.parametrize("policy", list(PINS))
@@ -142,25 +142,25 @@ class TestScanCommand:
         assert float(row[4]) >= 0.0
 
     # sha256 of each CSV of a seeded scan.  The summaries were recorded when
-    # every scan node was still evaluated on its own, the scan files when
-    # each scan still took a stacked call of its own and csv.writer wrote
-    # them; the stacked evaluation must reproduce the same bytes.
+    # every scan node was still evaluated on its own, the scan files since
+    # each layer's bias is folded into its matrix product and the sigmoid is
+    # one clipped reciprocal.
     SCAN_PINS = {
         "resample": {
             "scan_summary.csv":
                 "f25e872086524981d01c099d5b2c3e6a3b4a906a0c17254bdfdab0a0e89693c9",
-            "scan_1.csv": "ae826a42f8e89f6fb38014b44deb9608c5b79f2c6eeb532229f07ffcef2a90a6",
-            "scan_10.csv": "5fb2270bd7e5ddaed7a260992149417ea495bcf3953d05187e571111a0d1a61a",
+            "scan_1.csv": "fb843d0e5d3dc5b63a7a884d808b1349b78a88b7cf1a2603c43e5041e4a08996",
+            "scan_10.csv": "7c49f8f23af655ae6616b1790754f86bebccdc381e319c1d7826ffa175b98b7d",
             "scan_full.csv":
-                "86511dbf41f63c0dbfaff286cb155137064996759b058482f99c477a84dd9ccb",
+                "df2df2a1c0f95436a81da2c15d04d7acd9e413c14f20682530119f4362accc7a",
         },
         "fixed": {
             "scan_summary.csv":
                 "143305609f3a574493c54be23fe45a1f7287b8958360c692919e3bb50e273ee7",
-            "scan_1.csv": "e121ff2488d74caf8d061a0ed9abcd522c839022c6d8dc0815cb7bb951febc55",
-            "scan_10.csv": "4077c96166f497ff00f64f2d6c0da2eaf254d62a8496fe1a42e38b0219080557",
+            "scan_1.csv": "564f13f914468a4a391d8c362276eba184a0e6a91adf24764737cfde2c44eecd",
+            "scan_10.csv": "fca50af40a16d77cd380b924abebe70db3d7b1f3ce191a48b92c02cf2d919497",
             "scan_full.csv":
-                "86511dbf41f63c0dbfaff286cb155137064996759b058482f99c477a84dd9ccb",
+                "df2df2a1c0f95436a81da2c15d04d7acd9e413c14f20682530119f4362accc7a",
         },
     }
 

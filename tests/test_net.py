@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gols.net import _SIG_HI, _SIG_LO, Network, sigmoid
+from gols.net import _SIG_HI, Network, sigmoid
 from gols.probe import BatchObjective
 
 
@@ -60,23 +60,20 @@ class TestSigmoid:
         assert_allclose(sigmoid(z), 1.0 / (1.0 + np.exp(-z)), rtol=1e-15)
 
     def test_scalar_in_scalar_out(self):
-        # Values of the formula written out of place, without temporaries
-        # reused, bit for bit.
-        for z, want in [(0.5, 0.6224593312018546), (-0.5, 0.37754066879814546),
-                        (-0.0, 0.5), (40.0, 0.9999999999999999), (-800.0, 5e-324),
-                        (3, 0.9525741268224334)]:
+        # Values of the clipped formula written out of place, bit for bit;
+        # -800 is clipped to -708, whose value is the floor.
+        for z, want in [(0.5, 0.6224593312018546), (-0.5, 0.3775406687981454),
+                        (-0.0, 0.5), (40.0, 0.9999999999999999),
+                        (-800.0, 3.307553003638408e-308), (3, 0.9525741268224334)]:
             got = sigmoid(z)
             assert np.ndim(got) == 0 and isinstance(got, float)
             assert got == want
 
-    def test_bits_match_abs_then_negate_formula(self):
-        # -|z| is taken by one copysign; the bits equal those of the formula
-        # that takes abs and negates it, signed zeros, infinities, NaN and
-        # saturated outputs included.
+    def test_bits_match_clipped_reciprocal_formula(self):
+        # The bits equal those of the formula written out of place, signed
+        # zeros, infinities, NaN and both saturated ends included.
         def formula(z):
-            t = np.exp(np.negative(np.abs(z)))
-            out = np.where(z >= 0.0, 1.0, t) / (t + 1.0)
-            return np.minimum(np.maximum(out, _SIG_LO), _SIG_HI)
+            return np.minimum(1.0 / (1.0 + np.exp(-np.clip(z, -708.0, 40.0))), _SIG_HI)
 
         rng = np.random.default_rng(5)
         z = np.concatenate([
@@ -84,8 +81,37 @@ class TestSigmoid:
             rng.uniform(-800.0, 800.0, 20000), rng.normal(0.0, 3.0, 20000),
             rng.uniform(-40.0, 40.0, 20000)])
         got, want = sigmoid(z), formula(z)
-        assert np.sum(got == _SIG_HI) > 0 and np.sum(got == _SIG_LO) > 0
+        assert np.sum(got == _SIG_HI) > 0 and np.sum(got == sigmoid(-708.0)) > 0
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_bits_equal_the_plain_formula_inside_the_clip(self):
+        # On [-708, 36] neither the clip nor the upper clamp acts.
+        rng = np.random.default_rng(6)
+        z = np.concatenate([[-708.0, -707.9, -0.0, 0.0, 36.0],
+                            np.linspace(-708.0, 36.0, 10001),
+                            rng.uniform(-708.0, 36.0, 20000), rng.normal(0.0, 5.0, 20000)])
+        want = 1 / (1 + np.exp(-z))
+        assert sigmoid(z).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_strictly_inside_the_unit_interval_and_non_decreasing(self):
+        tail = np.geomspace(1e-300, 1e308, 4001)
+        z = np.sort(np.concatenate([-tail, [-0.0, 0.0], tail,
+                                    np.linspace(-800.0, 800.0, 160001)]))
+        s = sigmoid(z)
+        assert np.all(s > 0.0) and np.all(s < 1.0)
+        assert np.all(np.diff(s) >= 0.0)
+        assert s[0] == sigmoid(-708.0) == 3.307553003638408e-308 and s[-1] == _SIG_HI
+
+    def test_raises_no_floating_point_flag(self):
+        # Extremes where exp(-z) of the unclipped z overflows or underflows.
+        z = [np.inf, -np.inf, 1e308, -1e308, 800.0, -800.0, 745.5, -709.5, 0.0, -0.0]
+        with np.errstate(all="raise"):
+            s = sigmoid(z)
+            nan = sigmoid(np.nan)
+        floor = sigmoid(-708.0)
+        assert s.tolist() == [_SIG_HI, floor, _SIG_HI, floor, _SIG_HI, floor, _SIG_HI,
+                              floor, 0.5, 0.5]
+        assert math.isnan(nan)
 
     def test_input_array_left_unchanged(self):
         z = np.array([[0.5, -2.0], [0.0, 40.0]])
@@ -283,6 +309,33 @@ class TestStackedPoints:
             getattr(BatchObjective(net, inputs, targets), method)(points, [None] * len(points))
         assert str(direct.value) == str(stacked.value) == (
             f"points have shape {points.shape}, expected (N, {net.num_params})")
+
+
+    @pytest.mark.parametrize("hidden", [[3], [3, 3], [7, 1]])
+    @pytest.mark.parametrize("rows", [2, 10])
+    def test_public_entry_points_take_unpadded_inputs(self, hidden, rows):
+        # Network pads what it is given on every call, BatchObjective its
+        # matrix once; on the same rows both give the same bits.
+        net = Network(4, hidden, 3)
+        rng = np.random.default_rng(rows)
+        inputs, targets = rng.normal(size=(30, 4)), rng.uniform(size=(30, 3))
+        model = BatchObjective(net, inputs, targets)
+        assert model.inputs.shape == (30, 4) and np.array_equal(model.inputs, inputs)
+        points = rng.uniform(-2.0, 2.0, (5, net.num_params))
+        samples = rng.random((5, 30)).argsort(axis=1)[:, :rows]
+        values, grads = model.losses_and_gradients(points, list(samples))
+        assert model.losses(points, list(samples)).tobytes() == values.tobytes()
+        xs, ys = inputs[samples], targets[samples]
+        assert net.losses(points, xs, ys).tobytes() == values.tobytes()
+        stacked = net.losses_and_gradients(points, xs, ys)
+        assert stacked[0].tobytes() == values.tobytes()
+        assert stacked[1].tobytes() == grads.tobytes()
+        for point, sample, x, y, value, grad in zip(points, samples, xs, ys, values, grads):
+            assert net.loss(point, x, y) == model.loss(point, sample) == value
+            assert net.gradient(point, x, y).tobytes() == grad.tobytes()
+            assert model.grad(point, sample).tobytes() == grad.tobytes()
+            residuals = net.forward(point, x) - y
+            assert 100.0 / (3 * rows) * np.add.reduce(residuals * residuals, axis=(0, 1)) == value
 
 
 class TestParameterLayout:

@@ -816,11 +816,13 @@ class TestTableEvaluation:
         assert values.tobytes() == want_values.tobytes()
         assert grads.tobytes() == want_grads.tobytes()
 
-    @pytest.mark.parametrize("dims", [(1, [1], 1), (1, [3, 1], 2), (2, [1, 2], 1)])
+    @pytest.mark.parametrize("dims", [(1, [1], 1), (1, [3, 1], 2), (2, [1, 2], 1),
+                                      (4, [8, 1], 3), (2, [1, 9], 1)])
     @pytest.mark.parametrize("rows", [2, 9, 40])
     def test_layers_of_width_one(self, dims, rows):
-        # A width of 1 sends numpy's matmul and sums down their vector paths,
-        # in the table as in the stack.
+        # A width of 1 sends numpy's matmul down its vector paths, in the
+        # table as in the stack; next to a layer of 8 or more nodes, a
+        # matrix-vector product rounds each row by its position.
         net = Network(*dims)
         rng = np.random.default_rng(rows)
         model = BatchObjective(net, rng.normal(size=(50, net.input_dim)),

@@ -1,6 +1,7 @@
 """Smoke tests of the measurement scripts under ``tools/``."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -96,3 +97,14 @@ def test_round_counts_pin_every_count(monkeypatch, capsys):
         "metrics 0 calls / 0 points  net 47 calls / 1259 points  "
         "table 30 calls / 3636 points / 27270 table rows / 109080 gathered rows",
     ]
+
+
+def test_kernel_us_times_both_kernels_at_each_point_count(monkeypatch, capsys):
+    # A smoke test: two calls a repeat, and no bound on the times.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # restored after
+    assert _load("kernel_us").main([str(ROOT), "2"]) == 0
+    title, header, *rows = capsys.readouterr().out.splitlines()
+    assert title.startswith("Network(4-3-3-3) at batch 10, best of 5 x 2 calls")
+    assert header.split() == ["points", "backprop_us", "forward_us"]
+    assert [int(row.split()[0]) for row in rows] == [1, 12, 20, 64]
+    assert all(float(us) > 0.0 for row in rows for us in row.split()[1:])
