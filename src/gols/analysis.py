@@ -11,12 +11,20 @@ descent direction bottoms out regardless of how noisy the loss values are.
 Each probe draws every node's sample first, in node order, exactly as a
 node-by-node walk would.  :func:`scan_lines` then evaluates all the nodes of
 several probes, say every repeat of one batch size, in one call
-(:func:`gols.probe.scan_probes`), in blocks of at most 4096 batch rows, and
-its scans share one step-size grid, whose text a CSV writes once
-(:func:`write_scan_csv`).  Repeats of one line whose batches of at least 2
-rows hold more rows than the partition run the network once per (node,
-partition row) pair and gather each batch from that table; other scans stack
-every batch.  Each scan has the bits of its probe scanned alone either way.
+(:func:`gols.probe.scan_probes`), and its scans share one step-size grid,
+whose text a CSV writes once (:func:`write_scan_csv`).  Probes on lines of
+their own stack every batch, in blocks of at most 4096 batch rows, and each
+scan has the bits of its probe scanned alone.  The scans of one line, as
+``gols scan`` makes them for every batch size and repeat, take their F and
+F' from the line's per-row curves (:func:`line_curves`, one
+:class:`~gols.probe.LineCurves`): each partition row's residuals and slope
+at every node, from one forward pass with the tangent of the direction.  A
+batch's F is the loss of its rows' residuals, with the bits of its stacked
+batch at 2 rows or more; its F' is 200 / (K·P) times the sum of its ``P``
+rows' slopes r·ȧ, which differs from the stacked backprop's only by the
+rounding of their terms.  The curves are what the expected
+counts and the noise band of a scan study need, per row and without Monte
+Carlo.
 """
 
 from __future__ import annotations
@@ -29,13 +37,14 @@ import numpy as np
 
 from gols.data import check_count, write_csv
 from gols.linesearch import ALPHA_CAP, bisection_gols
-from gols.probe import DirectionalProbe, scan_probes
+from gols.probe import DirectionalProbe, LineCurves, scan_probes
 
 __all__ = [
     "ScanResult",
     "BallEstimate",
     "scan_line",
     "scan_lines",
+    "line_curves",
     "count_local_minima",
     "count_snngpp",
     "estimate_ball",
@@ -87,26 +96,41 @@ def scan_line(probe: DirectionalProbe, step=0.1, steps=100,
     return scan_lines([probe], step, steps, batch_size)[0]
 
 
-def scan_lines(probes, step=0.1, steps=100, batch_size=0) -> list:
+def scan_lines(probes, step=0.1, steps=100, batch_size=0, curves=None) -> list:
     """One :class:`ScanResult` per probe of ``probes``, each on the nodes
     ``0, step, ..., steps * step``, all from one evaluation
-    (:func:`gols.probe.scan_probes`), on one table when the probes share
-    one line.
+    (:func:`gols.probe.scan_probes`): from ``curves``, the
+    :class:`~gols.probe.LineCurves` of :func:`line_curves` on this grid,
+    when given, else from the curves of the probes' one line when those are
+    cheaper than stacking every batch.
 
-    The scans share one ``alphas`` array, and each has the values and slopes
-    that :func:`scan_line` of its probe alone gives.  ``step`` must be
-    positive and ``steps`` a whole number of at least 1; a grid whose last
-    node is not finite raises the ``ValueError`` of :func:`scan_probes`
-    before anything is drawn, without a numpy warning.
+    The scans share one ``alphas`` array.  ``step`` must be positive and
+    ``steps`` a whole number of at least 1; a grid whose last node is not
+    finite raises the ``ValueError`` of :func:`scan_probes` before anything
+    is drawn, without a numpy warning.
     """
+    alphas = _grid(step, steps)
+    values, slopes = scan_probes(probes, alphas, curves)
+    return [ScanResult(alphas, v, s, batch_size=batch_size)
+            for v, s in zip(values, slopes)]
+
+
+def line_curves(model, origin, direction, step=0.1, steps=100) -> LineCurves:
+    """The per-row curves of the :class:`~gols.probe.BatchObjective`
+    ``model`` along the line from ``origin`` along ``direction``, at the
+    nodes of :func:`scan_lines`: every partition row's residuals and slope
+    at each node, from which the scans of every batch size and repeat on
+    that line take their F and F'."""
+    return LineCurves(model, origin, direction, _grid(step, steps))
+
+
+def _grid(step, steps):
+    """The scan nodes ``0, step, ..., steps * step``."""
     if step <= 0:
         raise ValueError("step must be positive")
     check_count("steps", steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        alphas = step * np.arange(steps + 1)
-    values, slopes = scan_probes(probes, alphas)
-    return [ScanResult(alphas, v, s, batch_size=batch_size)
-            for v, s in zip(values, slopes)]
+        return step * np.arange(steps + 1)
 
 
 def count_local_minima(scan: ScanResult):

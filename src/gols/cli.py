@@ -4,9 +4,11 @@ All randomness flows from ``--seed``; identical invocations produce
 byte-identical outputs.  The training runs of ``train`` and ``compare``, one
 per resolver and repeat, go through one call of
 :func:`gols.trainer.train_on_dataset`, which trains them in lockstep; the
-scans of ``scan``, one per batch size and repeat, take one stacked
-evaluation per batch size (:func:`gols.analysis.scan_lines`) for all its
-repeats, and the repeats of ``full`` share its one deterministic scan.
+scans of ``scan``, one per batch size and repeat, all lie on one line and
+gather their F and F' from its per-row curves, one pass for the job
+(:func:`gols.analysis.line_curves`), when those are fewer rows than the
+sub-sampled batches, and the repeats of ``full`` share its one
+deterministic scan.
 Everything runs in one thread.  Exit codes: 0 on success, 2 on a bad
 invocation, 1 on a runtime failure.
 """
@@ -23,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from gols.analysis import estimate_ball, scaled_descent_direction, scan_lines, write_scan_csv
+from gols.analysis import (estimate_ball, line_curves, scaled_descent_direction, scan_lines,
+                           write_scan_csv)
 # cmd_scan no longer calls scan_line, but bench/tracer.py patches it under
 # this name (tests/test_tracer_bindings.py checks that it can).
 from gols.analysis import scan_line  # noqa: F401
@@ -244,19 +247,27 @@ def cmd_scan(spec) -> None:
     origin = net.init_params((spec.seed, 101, 0))
     direction = scaled_descent_direction(model, origin, spec.target_alpha)
     rows = len(split.train)
+    # One pass over the line's (node, row) pairs serves every scan when they
+    # are fewer than the batch rows of the job's sub-sampled stacked scans; a
+    # full scan stacks as many rows as the pass, in bounded blocks.
+    stacked = sum(spec.repeats * min(size, rows) for size in spec.batch_sizes
+                  if size != "full")
+    curves = (line_curves(model, origin, direction, spec.scan_step, spec.scan_steps)
+              if rows < stacked else None)
 
     def scans(size_index, size):
-        """Every repeat's scan of one batch size, from one stacked
-        evaluation; the repeats of ``full`` share its one deterministic
-        scan."""
+        """Every repeat's scan of one batch size, gathered from the line's
+        curves when the job has them; the repeats of ``full`` share its one
+        deterministic scan."""
         if size == "full":
             probe = DirectionalProbe(model, origin, direction, policy="full")
-            return scan_lines([probe], spec.scan_step, spec.scan_steps, rows) * spec.repeats
+            return scan_lines([probe], spec.scan_step, spec.scan_steps, rows,
+                              curves) * spec.repeats
         probes = [DirectionalProbe(model, origin, direction, policy=spec.policy,
                                    sampler=BatchSampler(np.arange(rows), size,
                                                         seed=(spec.seed, 303, size_index, rep)))
                   for rep in range(spec.repeats)]
-        return scan_lines(probes, spec.scan_step, spec.scan_steps, min(size, rows))
+        return scan_lines(probes, spec.scan_step, spec.scan_steps, min(size, rows), curves)
 
     groups = [scans(si, size) for si, size in enumerate(spec.batch_sizes)]
     for size, group in zip(spec.batch_sizes, groups):

@@ -51,7 +51,6 @@ import math
 from dataclasses import dataclass, field
 
 from gols.data import check_count
-from gols.probe import EvalCounter, _count
 
 __all__ = [
     "ALPHA_MIN",
@@ -127,12 +126,16 @@ def _drive(search, alpha_max, max_info_calls, *args):
     admits, or any list of the unbudgeted Armijo rule) carries ``None``.
     Returns the :class:`LineSearchOutcome`.
     """
-    spent = EvalCounter()
+    functions = gradients = 0
     requests = search(alpha_max, *args)
     try:
         asks, fallback = next(requests)
-        while spent.info_calls + len(asks) <= max_info_calls:
-            _count(spent, asks)
+        while functions + gradients + len(asks) <= max_info_calls:
+            for kind, _ in asks:
+                if kind == "value":
+                    functions += 1
+                else:
+                    gradients += 1
             asks, fallback = requests.send((yield asks))
         (alpha, intervals), reason = fallback, "budget"
     except StopIteration as done:
@@ -141,8 +144,7 @@ def _drive(search, alpha_max, max_info_calls, *args):
         alpha, reason = alpha_max, "cap_max"
     if alpha < ALPHA_MIN:
         alpha, reason = ALPHA_MIN, "cap_min"
-    return LineSearchOutcome(alpha, spent.functions, spent.gradients, reason,
-                             intervals)
+    return LineSearchOutcome(alpha, functions, gradients, reason, intervals)
 
 
 def _answer(probe, requests):

@@ -6,22 +6,25 @@ functions of a flat parameter vector: a ``Network`` instance carries only the
 architecture, never weights, so one instance serves every run and scan.
 
 One forward pass (``_activations``) and one backprop (``_backprop``) serve
-every evaluation.  Both work on weights with any leading axes, so the
-per-point :meth:`Network.loss` and :meth:`Network.gradient` run them on one
-parameter vector and the stacked :meth:`Network.losses` and
-:meth:`Network.losses_and_gradients` on a stack of them.  Each layer is one
-matrix product with its ``(fan_out, fan_in + 1)`` weights, bias included:
-the inputs and hidden activations carry a leading column of ones
-(``_pad``).  The public methods take unpadded inputs and pad them;
-``gols.probe.BatchObjective`` and ``gols.trainer.dataset_metrics`` pad their
-matrices once and call the private stacked forms.
+every evaluation of a stack of points.  Both work on weights with any
+leading axes, so the per-point :meth:`Network.loss` and
+:meth:`Network.gradient` run them on one parameter vector and the stacked
+:meth:`Network.losses` and :meth:`Network.losses_and_gradients` on a stack of
+them.  Each layer is one matrix product with its ``(fan_out, fan_in + 1)``
+weights, bias included: the inputs and hidden activations carry a leading
+column of ones (``_pad``).  The public methods take unpadded inputs and pad
+them; ``gols.probe.BatchObjective`` and ``gols.trainer.dataset_metrics`` pad
+their matrices once and call the private stacked forms.
 ``_backprop`` writes into per-layer views of one flat gradient array, which
 is already in :meth:`Network.pack` order; a layer's bias and weight
-gradients come out of one product.  Given a row map, the same backprop
-evaluates ``M`` points on ``R`` batches each of one partition: it runs the
-network once on the table of (point, partition row) pairs and gathers each
-batch's products from it, with the bits of the stacked batches
-(``gols.probe.BatchObjective.table_losses_and_gradients``).
+gradients come out of one product.
+
+Points on one line share their tangent, the line's direction, so the slope
+of every row along the line comes from one forward pass with that tangent
+(``_tangents``): per layer ż = ẋ·Wᵀ + x·Ẇᵀ and ȧ = a(1 − a)ż.  It gives
+each (point, row) pair's residuals, with the bits of the forward pass, and
+its slope r·ȧ, from which ``gols.probe.LineCurves`` takes the F and F' of
+any batch on the line.
 
 The logistic function is 1 / (1 + exp(-z)) of z clipped to [-708, 40] and
 clamped below 1: it keeps full relative precision down to its floor
@@ -184,16 +187,11 @@ class Network:
         return np.stack([_loss(residuals[..., start:stop, :])
                          for start, stop in zip(bounds, bounds[1:])], axis=-1)
 
-    def _losses_and_gradients(self, points, inputs, targets, rows=None):
+    def _losses_and_gradients(self, points, inputs, targets):
         """:meth:`losses_and_gradients` of arrays already checked by
-        :meth:`_check_stack`; with the row map ``rows`` of :func:`_backprop`,
-        the ``(R, N)`` losses and ``(R, N, num_params)`` gradients of ``R``
-        evaluations of each point on the partition ``inputs`` and
-        ``targets``."""
-        grads = np.empty(points.shape if rows is None
-                         else rows.shape[:-1] + points.shape[-1:])
-        losses = _loss(_backprop(self._layers(points), self._layers(grads),
-                                 inputs, targets, rows))
+        :meth:`_check_stack`."""
+        grads = np.empty(points.shape)
+        losses = _loss(_backprop(self._layers(points), self._layers(grads), inputs, targets))
         return losses, grads
 
     def _layers(self, params):
@@ -283,15 +281,15 @@ def _activations(mats, inputs):
 def _product(a, b):
     """``a @ b``, where a ``b`` of one column takes one dot product per row
     of ``a``.  numpy's matrix-vector path (BLAS gemv; OpenBLAS, say) can
-    round a row of 8 or more terms by its position among the rows, so a
-    table of rows would not have the bits of a stack of batches (see
-    :func:`_backprop`)."""
+    round a row of 8 or more terms by its position among the rows, so the
+    rows of a line's curves would not have the bits of a stack of batches
+    (see :func:`_tangents`)."""
     if b.shape[-1] > 1:
         return a @ b
     return np.vecdot(a, b.mT)[..., None]
 
 
-def _backprop(mats, grads, inputs, targets, rows=None):
+def _backprop(mats, grads, inputs, targets):
     """Writes the loss gradient into ``grads`` and returns the residuals
     ``prediction - target``, from which :func:`_loss` gives the loss.
 
@@ -301,32 +299,10 @@ def _backprop(mats, grads, inputs, targets, rows=None):
     layer's bias and weight gradients come out of one matrix product.  The
     loss is left to the callers that need it, so :meth:`Network.gradient`
     does not pay for one it would discard.
-
-    With the row map ``rows``, an ``(R, M, P)`` integer array, ``mats`` are
-    ``M`` points and ``inputs`` and ``targets`` the ``n`` rows of a whole
-    partition; ``rows[q, j]`` are the partition rows of evaluation ``q`` of
-    point ``j``, and ``grads`` have the leading axes ``(R, M)``.  The forward
-    pass, each layer's ``delta`` and each upstream product then run once, on
-    the table of ``M * n`` (point, partition row) pairs.  Each
-    per-evaluation product gathers its rows from it, and so do the returned
-    ``(R, M, P, K)`` residuals.  Each table row has the bits of the same row
-    in a stack of ``P``-row batches, and each gathered product has the
-    layout of the stacked one, so at ``P >= 2`` every loss and gradient
-    equals the stacked one bit for bit.  At ``P = 1`` a stacked batch is one
-    row, for which numpy's matmul takes its vector path and rounds
-    otherwise.
     """
     xs, outs = _activations(mats, inputs)
     r = outs[-1] - targets
-    p = r.shape[-2] if rows is None else rows.shape[-1]
-    if rows is not None:
-        # Row i of point j is row j * n + i of a table flattened over its
-        # (point, row) pairs; the inputs, shared by every point, take rows.
-        flat = rows + r.shape[-2] * np.arange(rows.shape[1])[:, None]
-
-        def gather(a, index):
-            return a.reshape(-1, a.shape[-1]).take(index, axis=0)
-    upstream = (200.0 / (r.shape[-1] * p)) * r
+    upstream = (200.0 / (r.shape[-1] * r.shape[-2])) * r
     for c in range(len(mats) - 1, -1, -1):
         # (upstream * a) * (1 - a), in the temporaries; outs[c] is not read
         # again.
@@ -334,13 +310,40 @@ def _backprop(mats, grads, inputs, targets, rows=None):
         delta = upstream
         delta *= a
         delta *= np.subtract(1.0, a, out=a)
-        d, x = delta, xs[c]
-        if rows is not None:
-            d, x = gather(delta, flat), gather(x, flat if c else rows)
-        np.matmul(d.mT, x, out=grads[c])
+        np.matmul(delta.mT, xs[c], out=grads[c])
         if c:  # the gradient with respect to the inputs is never read
             upstream = _product(delta, mats[c][..., 1:])
-    return r if rows is None else gather(r, flat)
+    return r
+
+
+def _tangents(mats, dots, inputs, targets):
+    """The forward pass of :func:`_activations` with its tangent along a
+    line: ``(r, slopes)``, the residuals ``prediction - target`` and each
+    row's slope, the sum over the outputs of r·ȧ.
+
+    ``mats`` are the ``(M, fan_out, fan_in + 1)`` weights of ``M`` points on
+    one line and ``dots`` its direction Ẇ, ``(fan_out, fan_in + 1)`` per
+    layer; ``inputs``, ``(n, input_dim + 1)`` with their column of ones, are
+    shared by every point.  Each layer takes ż = ẋ·Wᵀ + x·Ẇᵀ, where ẋ is
+    the tangent ȧ of the layer below (0 for the inputs and for each column
+    of ones), and ȧ = a(1 − a)ż.  Each residual has the bits of
+    :func:`_activations`, so :func:`_loss` of any rows of ``r`` equals the
+    loss of a stacked batch of those rows; the slope of F along the line on
+    a batch of ``P`` rows is 200 / (K·P) times the sum of its rows' slopes.
+    """
+    x, dx = inputs, None
+    for c, (w, dw) in enumerate(zip(mats, dots)):
+        a = _sigmoid(_product(x, w.mT))
+        dz = x @ dw.mT
+        if dx is not None:
+            dz += dx @ w[..., 1:].mT
+        dx = np.subtract(1.0, a)
+        dx *= a
+        dx *= dz
+        if c < len(mats) - 1:
+            x = _pad(a)
+    a -= targets
+    return a, np.vecdot(a, dx)
 
 
 def _loss(residuals):

@@ -20,11 +20,16 @@ it, then draws their samples, builds all of a round's points in one array
 operation and takes all its slopes in another.  A :class:`DirectionalProbe`
 is a table of one line, so the searches and the training grid evaluate F
 and F' along a line through one path; :func:`scan_probes` evaluates whole
-step-size grids of several probes in one stacked call.  Probes that repeat
-one line of a :class:`BatchObjective`, as the repeats of one batch size in
-``gols scan`` do, take a third call when their batches outnumber its rows:
-``table_losses_and_gradients(points, index)`` evaluates each node on every
-repeat's batch from one table of (node, row) pairs.
+step-size grids of several probes in one stacked call.
+
+Every batch of a :class:`BatchObjective` on one line is a subset of the
+same partition rows at the same points, so the scans of a line need no
+stack of batches.  A :class:`LineCurves` runs the network once over the
+table of every (node, partition row) pair, with the tangent of the line's
+direction, and keeps each pair's residuals and slope; each batch then
+gathers its F and F' from that table.  :func:`scan_probes` does so when the
+table is smaller than the stack or when the caller hands it the curves, as
+``gols scan`` does for every batch size and repeat of its one line.
 """
 
 from __future__ import annotations
@@ -34,12 +39,13 @@ import math
 import numpy as np
 
 from gols.data import check_count
-from gols.net import _pad
+from gols.net import _loss, _pad, _tangents
 
 __all__ = [
     "POLICIES",
     "EvalCounter",
     "BatchObjective",
+    "LineCurves",
     "SyntheticObjective",
     "KeyStream",
     "DirectionalProbe",
@@ -137,30 +143,6 @@ class BatchObjective:
                 points[block], inputs, targets)
         return values, grads
 
-    def table_losses_and_gradients(self, points, index):
-        """Loss and gradient of each of the ``M`` rows of ``points`` on each
-        of ``R`` batches: ``index`` is an ``(R, M, P)`` array of row indices,
-        ``index[q, j]`` the batch of evaluation ``q`` of point ``j``, and the
-        results are ``(R, M)`` and ``(R, M, num_params)``.
-
-        Each block of consecutive points, at most ``_BLOCK_ROWS`` gathered
-        rows, takes one backprop on the table of its ``(point, matrix row)``
-        pairs, whose per-batch sums gather their rows from it (the row map of
-        :func:`gols.net._backprop`).  At ``P >= 2`` every result has the bits
-        of :meth:`losses_and_gradients` on the stack of the ``R * M``
-        batches.
-        """
-        points = self.net._check_points(points)
-        batches, _, rows = index.shape
-        values = np.empty((batches, len(points)))
-        grads = np.empty((batches,) + points.shape)
-        per_block = max(1, _BLOCK_ROWS // (batches * rows))
-        for start in range(0, len(points), per_block):
-            block = slice(start, start + per_block)
-            values[:, block], grads[:, block] = self.net._losses_and_gradients(
-                points[block], self._padded, self.targets, index[:, block])
-        return values, grads
-
     def _stacks(self, samples):
         """``(block, inputs, targets)`` for consecutive blocks of at most
         ``_BLOCK_ROWS`` stacked rows, at least one point per block.
@@ -181,6 +163,61 @@ class BatchObjective:
                 inputs = self._padded.take(index[block], axis=0)
                 targets = self.targets.take(index[block], axis=0)
             yield block, inputs, targets
+
+
+class LineCurves:
+    """The per-row curves of a :class:`BatchObjective` ``model`` along one
+    line: at each of the ``M`` steps of ``alphas``, the residuals
+    ``prediction - target`` of every one of the ``n`` partition rows,
+    ``residuals`` ``(M, n, K)``, and each row's slope r·ȧ along the line,
+    ``slopes`` ``(M, n)``, from one forward pass with its tangent
+    (``gols.net._tangents``), in blocks of consecutive nodes of at most
+    ``_BLOCK_ROWS`` (node, row) pairs.
+
+    Every batch on the line takes its F and F' from these curves
+    (:meth:`batches`): F is the loss of its rows' residuals, with the bits
+    of a stacked batch of at least 2 rows, and F' is 200 / (K·P) times the
+    sum of its ``P`` rows' slopes.
+    """
+
+    def __init__(self, model, origin, direction, alphas):
+        self.model = model
+        self.origin = np.asarray(origin, dtype=float)
+        self.direction = np.asarray(direction, dtype=float)
+        self.alphas = np.asarray(alphas, dtype=float)
+        net, rows = model.net, model.num_rows
+        dots = net._layers(self.direction)
+        self.residuals = np.empty((len(self.alphas), rows, net.output_dim))
+        self.slopes = np.empty((len(self.alphas), rows))
+        per_block = max(1, _BLOCK_ROWS // rows)
+        for start in range(0, len(self.alphas), per_block):
+            block = slice(start, start + per_block)
+            points = self.alphas[block, None] * self.direction
+            points += self.origin
+            self.residuals[block], self.slopes[block] = _tangents(
+                net._layers(points), dots, model._padded, model.targets)
+
+    def batches(self, index):
+        """F and F' of each node on each of ``R`` batches, ``(R, M)`` each:
+        ``index`` is an ``(R, M, P)`` array of partition rows, ``index[q,
+        j]`` the rows of batch ``q`` at node ``j``.  Each block of
+        consecutive nodes, at most ``_BLOCK_ROWS`` gathered rows, gathers
+        its batches' residuals and slopes from the curves."""
+        batches, nodes, rows = index.shape
+        n, k = self.slopes.shape[1], self.residuals.shape[2]
+        residuals, row_slopes = self.residuals.reshape(-1, k), self.slopes.reshape(-1)
+        values, slopes = np.empty((batches, nodes)), np.empty((batches, nodes))
+        # Row i of node j is row j * n + i of the curves flattened over their
+        # (node, row) pairs.
+        offsets = n * np.arange(nodes)[:, None]
+        per_block = max(1, _BLOCK_ROWS // (batches * rows))
+        for start in range(0, nodes, per_block):
+            block = slice(start, start + per_block)
+            flat = index[:, block] + offsets[block]
+            values[:, block] = _loss(residuals.take(flat, axis=0))
+            slopes[:, block] = np.add.reduce(row_slopes.take(flat), axis=-1)
+        slopes *= 200.0 / (k * rows)
+        return values, slopes
 
 
 class SyntheticObjective:
@@ -394,10 +431,9 @@ class DirectionalProbe(LineTable):
     :meth:`ask` answers a search's whole request list in one round
     (:meth:`answer`), ``value`` and ``deriv`` are lists of one request, and
     :func:`scan_probes` answers a whole grid of step sizes, in blocks of at
-    most 4096 batch rows for a :class:`BatchObjective`.  So the objective
-    needs only ``losses`` and ``losses_and_gradients``; a
-    :class:`BatchObjective` adds ``table_losses_and_gradients``, which
-    scans the repeats of one line from one table.
+    most 4096 batch rows for a :class:`BatchObjective`, or from the
+    :class:`LineCurves` of a line that several probes share.  So the
+    objective needs only ``losses`` and ``losses_and_gradients``.
 
     The direction is used exactly as given (unnormalized).  Counters only
     ever increase.  A step size that is not one finite scalar raises
@@ -470,29 +506,34 @@ class DirectionalProbe(LineTable):
         return float(values[0, 0]), float(slopes[0, 0])
 
 
-def scan_probes(probes, alphas):
+def scan_probes(probes, alphas, curves=None):
     """F and F' of every probe of ``probes`` at every step size of
     ``alphas``: arrays of shape ``(len(probes), len(alphas))``.
 
     Each probe draws the samples of its nodes under its own policy, one per
     node in grid order, probe after probe, and counts one loss and one
     gradient eval per node, as a :meth:`DirectionalProbe.value_and_deriv`
-    loop over ``alphas`` does.  Then every node of every probe takes one
-    stacked ``losses_and_gradients`` call of the probes' one model (in blocks of at
-    most 4096 batch rows for a :class:`BatchObjective`), and all the slopes
-    one dot product per row.  So the probes must share their model, and
-    their samples must be of one shape; each row is evaluated on its own,
-    so every F and F' has the bits that a scan of its probe alone gives.
+    loop over ``alphas`` does.  So the probes must share their model, and
+    their samples must be of one shape.  An empty grid gives ``(len(probes),
+    0)`` arrays and draws and counts nothing.
 
-    The ``R`` probes take one ``table_losses_and_gradients`` call in place
-    of the stacked one when all of these hold: the model is a
-    :class:`BatchObjective`; every probe has the same origin and direction;
-    the samples are row-index arrays of ``P >= 2`` rows; and ``R * P``
-    exceeds the model's rows, so the table of (node, row) pairs is smaller
-    than the stack.  Its F and F' have the same bits.  At ``P = 1`` they
-    would not: on 400 random networks of the builtin datasets, with weights
-    up to saturation, all 200 cases at ``P = 1`` differed in some bit and
-    none of the 200 at ``P >= 2`` did.
+    The ``R`` probes' ``M`` nodes take their F and F' from the
+    :class:`LineCurves` of their one line, gathering each batch's rows
+    (:meth:`LineCurves.batches`), when ``curves`` gives them or when all of
+    these hold: the model is a :class:`BatchObjective`; every probe has the
+    same origin and direction; and the ``M * n`` (node, row) pairs of the
+    curves are fewer than the ``R * M * P`` rows of the stacked batches
+    (``P = n`` without sub-sampling).  Given ``curves``, the probes must
+    share their model, line and grid bit for bit.  Otherwise every node of
+    every probe takes one stacked ``losses_and_gradients`` call of the
+    model (in blocks of at most 4096 batch rows for a
+    :class:`BatchObjective`), and all the slopes one dot product per row,
+    so every F and F' has the bits that a scan of its probe alone gives.
+    From the curves, F has those bits at batches of ``P >= 2`` rows, and
+    mostly at ``P = 1``, where the stack takes numpy's vector path; F'
+    differs from the stacked slope only by the rounding of their terms,
+    about 1e-13 of the sum of its rows' absolute slopes on the scans of
+    ``gols scan``.
 
     A non-finite step size raises ``ValueError`` before anything is counted
     or drawn.  A non-finite F or F' raises one that names the first bad
@@ -509,22 +550,32 @@ def scan_probes(probes, alphas):
         raise ValueError("step sizes must form a 1-d grid")
     if not np.all(np.isfinite(alphas)):
         raise ValueError("step size must be finite")
-    nodes = len(alphas)
-    samples = _node_samples(probes, nodes)
     origins = np.array([probe.origin for probe in probes])
     directions = np.array([probe.direction for probe in probes])
-    if _one_table(model, origins, directions, samples):
-        points = alphas[:, None] * directions[0]
-        points += origins[0]
-        values, grads = model.table_losses_and_gradients(
-            points, samples.reshape(len(probes), nodes, -1))
+    if curves is not None and not (
+            curves.model is model and _repeats(alphas[None], curves.alphas)
+            and _repeats(origins, curves.origin) and _repeats(directions, curves.direction)):
+        raise ValueError("probes must share the model, line and grid of their curves")
+    nodes = len(alphas)
+    if not nodes:
+        return np.empty((len(probes), 0)), np.empty((len(probes), 0))
+    samples = _node_samples(probes, nodes)
+    if (curves is None and isinstance(model, BatchObjective)
+            and _repeats(origins, origins[0]) and _repeats(directions, directions[0])):
+        rows = model.num_rows if samples[0] is None else len(samples[0])
+        if model.num_rows < len(probes) * rows:
+            curves = LineCurves(model, origins[0], directions[0], alphas)
+    if curves is not None:
+        if samples[0] is None:
+            samples = np.broadcast_to(np.arange(model.num_rows), (len(samples), model.num_rows))
+        values, slopes = curves.batches(np.reshape(samples, (len(probes), nodes, -1)))
     else:
         points = alphas[:, None] * directions[:, None]
         points += origins[:, None]
         values, grads = model.losses_and_gradients(
             points.reshape(-1, origins.shape[1]), samples)
         values = values.reshape(len(probes), nodes)
-    slopes = np.vecdot(grads.reshape(len(probes), nodes, -1), directions[:, None])
+        slopes = np.vecdot(grads.reshape(len(probes), nodes, -1), directions[:, None])
     bad = ~(np.isfinite(values) & np.isfinite(slopes))
     if bad.any():
         p, i = divmod(int(np.argmax(bad)), nodes)
@@ -533,18 +584,9 @@ def scan_probes(probes, alphas):
     return values, slopes
 
 
-def _one_table(model, origins, directions, samples):
-    """Whether :func:`scan_probes` evaluates its nodes on one table
-    (:meth:`BatchObjective.table_losses_and_gradients`): the ``R`` probes
-    share one line, ``origins[0]`` and ``directions[0]`` bit for bit, of a
-    :class:`BatchObjective`, their samples are row-index arrays of ``P >=
-    2`` rows, and the ``R * P`` rows of a node's batches outnumber the
-    matrix rows, so the table is smaller than the stack."""
-    return (isinstance(model, BatchObjective) and type(samples) is np.ndarray
-            and samples.ndim == 2 and samples.shape[1] >= 2
-            and len(origins) * samples.shape[1] > model.num_rows
-            and all(line.tobytes() == (line[0].tobytes() * len(line))
-                    for line in (origins, directions)))
+def _repeats(lines, line) -> bool:
+    """Whether every row of ``lines`` is ``line``, bit for bit."""
+    return lines.tobytes() == line.tobytes() * len(lines)
 
 
 def _node_samples(probes, nodes):

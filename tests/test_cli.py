@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gols.cli import main
-from gols.probe import BatchObjective
+from gols.probe import BatchObjective, LineCurves
 
 
 def read_csv(path):
@@ -200,6 +200,29 @@ class TestScanCommand:
             assert len(read_csv(out / "scan_full.csv")) == 1 + repeats * 21
         assert rows[4] == rows[1]
         assert rows[1][-1] == 21 and rows[1].count(21) == 1
+
+    @pytest.mark.parametrize("sizes, repeats, passes", [
+        ("1", "2", 0),          # 2 stacked rows a node, fewer than 90
+        ("1,10", "8", 0),       # 88 rows
+        ("1,10", "9", 1),       # 99 rows
+        ("full", "3", 0),       # no sub-sampled rows
+        ("10,full", "9", 0),    # 90 rows
+        ("10,full", "10", 1),   # 100 rows
+    ])
+    def test_one_curve_pass_where_it_is_smaller(self, tmp_path, monkeypatch, sizes,
+                                                 repeats, passes):
+        # A job makes its one pass over the line's (node, row) pairs only
+        # when they are fewer than the batch rows of its sub-sampled scans.
+        curves, made = LineCurves.__init__, []
+
+        def counting(self, *args):
+            made.append(len(args[-1]))
+            return curves(self, *args)
+
+        monkeypatch.setattr(LineCurves, "__init__", counting)
+        run_ok(["scan", "--dataset", "iris", "--batch-sizes", sizes, "--repeats", repeats,
+                "--scan-steps", "20", "--out", str(tmp_path)])
+        assert made == [21] * passes
 
     @pytest.mark.parametrize("target", ["1e-300", "1e300"])
     def test_out_of_range_target_alpha_fails_naming_it(self, tmp_path, capsys, target):

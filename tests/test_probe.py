@@ -8,11 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from gols.analysis import scaled_descent_direction, scan_line
+from gols.analysis import line_curves, scaled_descent_direction, scan_line, scan_lines
 from gols.data import BUILTIN_DATASETS, BatchSampler, builtin_dataset, split_3_1_1
 from gols.linesearch import (armijo, bisection_gols, golden_section, inexact_gols,
                              make_search)
-from gols.net import Network
+from gols.net import Network, _pad, sigmoid
 from gols import probe as probe_module
 from gols.probe import (
     _GRAD,
@@ -21,6 +21,7 @@ from gols.probe import (
     DirectionalProbe,
     EvalCounter,
     KeyStream,
+    LineCurves,
     LineTable,
     SyntheticObjective,
     scan_probes,
@@ -674,40 +675,62 @@ class TestScanProbes:
     @pytest.mark.parametrize("batch, repeats", [(10, 10), (50, 12), (89, 2)])
     def test_one_table_matches_one_scan_per_probe(self, iris_objective, batch, repeats):
         # Probes of one line whose batches outnumber the 90 partition rows
-        # share one table, and each scan has the bits of its probe alone.
+        # take their scans from one table of (node, row) pairs, the line's
+        # curves: each F has the bits of its probe alone, each F' agrees to
+        # 1e-12 of its rounding scale (rounding_scales), and every probe
+        # draws and counts as it would alone.
         model = iris_objective[1]
-        values, slopes = scan_probes(self.one_line(model, batch, repeats), self.alphas)
+        probes = self.one_line(model, batch, repeats)
+        values, slopes = scan_probes(probes, self.alphas)
+        curves = LineCurves(model, probes[0].origin, probes[0].direction, self.alphas)
         for k, probe in enumerate(self.one_line(model, batch, repeats)):
+            index = BatchSampler(np.arange(model.num_rows), batch, seed=(0, k)).samples(
+                len(self.alphas))
             want_values, want_slopes = scan_one(probe, self.alphas)
             assert values[k].tobytes() == want_values.tobytes()
-            assert slopes[k].tobytes() == want_slopes.tobytes()
+            scale = rounding_scales(curves, index)[1]
+            assert np.all(np.abs(slopes[k] - want_slopes) <= 1e-12 * scale)
+            assert counts(probes[k]) == counts(probe) == (41, 41)
+            assert np.array_equal(probes[k]._sampler.sample(), probe._sampler.sample())
 
     @pytest.mark.parametrize("case, path", [
         ("one line", "table"),
-        ("batch of 1", "stack"),        # P = 1
-        ("as many rows", "stack"),      # R * P = 9 * 10, the partition's rows
+        ("batch of 1", "stack"),        # R * P = 90 * 1, the partition's rows
+        ("batch of 1, more repeats", "table"),
+        ("as many rows", "stack"),      # R * P = 9 * 10
         ("two lines", "stack"),
         ("two directions", "stack"),
         ("synthetic", "stack"),
-        ("fixed", "stack"),
-        ("full", "stack"),
+        ("fixed", "stack"),             # 9 repeats of 10 rows
+        ("fixed, more repeats", "table"),
+        ("full", "stack"),              # one scan of all 90 rows
+        ("full, repeated", "table"),
     ])
     def test_table_only_where_it_is_smaller(self, iris_objective, monkeypatch, case, path):
+        # The curves of a line, M * n (node, row) pairs, replace the stack
+        # of R * M * P batch rows only where they are fewer.
         model = iris_objective[1]
         calls = []
 
-        def counted(owner, name, label):
-            method = getattr(owner, name)
+        class Counted(LineCurves):
+            def __init__(self, *args):
+                calls.append("table")
+                super().__init__(*args)
+
+        def counted(owner):
+            method = owner.losses_and_gradients
 
             def call(self, *args):
-                calls.append(label)
+                calls.append("stack")
                 return method(self, *args)
-            monkeypatch.setattr(owner, name, call)
+            monkeypatch.setattr(owner, "losses_and_gradients", call)
 
-        counted(BatchObjective, "table_losses_and_gradients", "table")
-        counted(BatchObjective, "losses_and_gradients", "stack")
-        counted(SyntheticObjective, "losses_and_gradients", "stack")
-        batch, repeats = {"batch of 1": (1, 100), "as many rows": (10, 9)}.get(case, (10, 12))
+        monkeypatch.setattr(probe_module, "LineCurves", Counted)
+        counted(BatchObjective)
+        counted(SyntheticObjective)
+        batch, repeats = {"batch of 1": (1, 90), "batch of 1, more repeats": (1, 100),
+                          "as many rows": (10, 9), "fixed": (10, 9),
+                          "full": (10, 1)}.get(case, (10, 12))
         probes = self.one_line(model, batch, repeats)
         if case in ("two lines", "two directions"):
             other = self.one_line(model, batch, 1, seed=1)[0]
@@ -718,12 +741,44 @@ class TestScanProbes:
             synthetic = self.synthetic()
             probes = [DirectionalProbe(synthetic, np.ones(2), np.ones(2), sampler=KeyStream(k))
                       for k in range(repeats)]
-        elif case in ("fixed", "full"):
+        elif case.startswith(("fixed", "full")):
             probes = [DirectionalProbe(model, probes[0].origin, probes[0].direction,
-                                       policy=case, sampler=probe._sampler)
+                                       policy=case.split(",")[0], sampler=probe._sampler)
                       for probe in probes]
         scan_probes(probes, self.alphas)
         assert calls == [path]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("objective", ["batch", "one line", "synthetic"])
+    def test_empty_grid_draws_and_counts_nothing(self, iris_objective, objective, policy):
+        model = self.models("batch" if objective == "one line" else objective,
+                            iris_objective)
+        if objective == "one line":
+            made = [self.one_line(model, 10, 12, seed=4) for _ in range(2)]
+            made = [[DirectionalProbe(model, p.origin, p.direction, policy=policy,
+                                      sampler=p._sampler) for p in probes]
+                    for probes in made]
+        else:
+            made = [self.probes(model, policy, seed=4)[0] for _ in range(2)]
+        probes, fresh = made
+        values, slopes = scan_probes(probes, [])
+        assert values.shape == slopes.shape == (len(probes), 0)
+        for probe, twin in zip(probes, fresh):
+            assert counts(probe) == (0, 0)
+            assert np.array_equal(probe._sampler.sample(), twin._sampler.sample())
+
+    def test_curves_of_another_line_or_grid_rejected(self, iris_objective):
+        model = iris_objective[1]
+        probes = self.one_line(model, 10, 12)
+        origin, direction = probes[0].origin, probes[0].direction
+        twin = BatchObjective(model.net, model.inputs, model.targets)
+        for curves in (LineCurves(model, origin + 1e-9, direction, self.alphas),
+                       LineCurves(model, origin, 2.0 * direction, self.alphas),
+                       LineCurves(model, origin, direction, self.alphas[:-1]),
+                       LineCurves(twin, origin, direction, self.alphas)):
+            with pytest.raises(ValueError, match="line and grid of their curves"):
+                scan_probes(probes, self.alphas, curves)
+        assert counts(probes[0]) == (0, 0)
 
     def block_bound_results(self, model):
         """The scans of every policy, under ``resample`` at batches 1, 10 and
@@ -777,10 +832,54 @@ def partition(name):
     return ds.features[split.train], ds.one_hot()[split.train]
 
 
+def rounding_scales(curves, index):
+    """The scales of the rounding in F and F' of the ``(..., M, P)`` batches
+    ``index`` on the line of ``curves``: 200 / (K * P) times the sum over
+    each batch's rows and outputs of |r| times the tangent taken with every
+    term in absolute value, along |W| for F and along the direction for F'.
+
+    A sum of |r . a'| alone bounds neither F': next to saturated sigmoids
+    (weights of 1e3) the terms of one z' cancel, and both the curves and
+    the backprop round on the scale of the terms.  At ``P = 1`` the stack
+    takes numpy's vector path, so its z itself rounds otherwise, and a'
+    moves with z by up to the largest sum of |x| |w| of the row's layers;
+    each row's F' term then carries that factor too.
+    """
+    model, net = curves.model, curves.model.net
+    mats = net._layers(curves.alphas[:, None] * curves.direction + curves.origin)
+
+    def abs_slopes(dots):
+        x, dx, z_abs = model._padded, None, 0.0
+        for c, (w, dw) in enumerate(zip(mats, dots)):
+            a = sigmoid(x @ w.mT)
+            z_abs = np.maximum(z_abs, (np.abs(x) @ np.abs(w).mT).max(axis=-1))
+            dz = np.abs(x) @ np.abs(dw).mT
+            if dx is not None:
+                dz = dz + dx @ np.abs(w[..., 1:]).mT
+            dx = a * (1.0 - a) * dz
+            if c < len(mats) - 1:
+                x = _pad(a)
+        return np.vecdot(np.abs(a - model.targets), dx), z_abs
+
+    k, rows = curves.residuals.shape[-1], index.shape[-1]
+    flat = index + curves.slopes.shape[1] * np.arange(index.shape[-2])[:, None]
+    value_terms = abs_slopes([np.abs(w) for w in mats])[0]
+    slope_terms, z_abs = abs_slopes(net._layers(curves.direction))
+    if rows == 1:
+        slope_terms *= 1.0 + z_abs
+    return [200.0 / (k * rows) * terms.take(flat).sum(axis=-1)
+            for terms in (value_terms, slope_terms)]
+
+
 class TestTableEvaluation:
+    """Scans from the table of a line's (node, partition row) pairs, its
+    :class:`LineCurves`, against the stacked backprop and ``np.vecdot(grad,
+    direction)``."""
+
     @given(
         dataset=st.sampled_from(BUILTIN_DATASETS),
         hidden=st.lists(st.integers(1, 7), min_size=1, max_size=2),
+        policy=st.sampled_from(POLICIES),
         batch_share=st.floats(0.0, 1.0),
         repeats=st.integers(1, 16),
         nodes=st.integers(1, 30),
@@ -789,51 +888,103 @@ class TestTableEvaluation:
         seed=st.integers(0, 2**31),
     )
     # Weights of about 1e3 saturate every sigmoid.
-    @example(dataset="iris", hidden=[7, 7], batch_share=1.0, repeats=16, nodes=30,
-             scale=3.0, bound=1, seed=1)
-    @example(dataset="noisy-quadratic", hidden=[2], batch_share=0.0, repeats=1,
-             nodes=1, scale=0.0, bound=7, seed=2)
+    @example(dataset="iris", hidden=[7, 7], policy="resample", batch_share=1.0,
+             repeats=16, nodes=30, scale=3.0, bound=1, seed=1)
+    @example(dataset="noisy-quadratic", hidden=[2], policy="resample", batch_share=0.0,
+             repeats=1, nodes=1, scale=0.0, bound=7, seed=2)
+    @example(dataset="blobs", hidden=[3, 3], policy="fixed", batch_share=0.1,
+             repeats=12, nodes=30, scale=2.0, bound=4096, seed=3)
+    @example(dataset="iris", hidden=[3], policy="full", batch_share=0.0,
+             repeats=3, nodes=30, scale=0.5, bound=7, seed=4)
     @settings(max_examples=60, deadline=None)
-    def test_equals_the_stacked_call(self, dataset, hidden, batch_share, repeats, nodes,
-                                     scale, bound, seed):
-        # Each of M points on each of R batches of P >= 2 rows, in blocks of
-        # any bound, has the bits of the stack of the R * M batches.
+    def test_equals_the_stacked_call(self, dataset, hidden, policy, batch_share, repeats,
+                                     nodes, scale, bound, seed):
+        # The scans of R probes of one line from its curves, in blocks of any
+        # bound: F has the bits of each probe's stacked scan alone at P >= 2,
+        # and F' agrees with its np.vecdot(grad, direction) to 1e-12 of the
+        # rounding scale of rounding_scales, not of |F'|, which cancels near
+        # a sign change.  At P = 1, F agrees to 1e-12 of its own scale.
         inputs, targets = partition(dataset)
         net = Network(inputs.shape[1], hidden, targets.shape[1])
         model = BatchObjective(net, inputs, targets)
+        rows = model.num_rows
+        batch = 1 + int(batch_share * (rows - 1))
         rng = np.random.default_rng(seed)
-        rows = 2 + int(batch_share * (model.num_rows - 2))
-        index = rng.random((repeats, nodes, model.num_rows)).argsort(axis=-1)[..., :rows]
         origin, direction = 10.0 ** scale * rng.normal(size=(2, net.num_params))
-        points = np.linspace(0.0, 2.0, nodes)[:, None] * direction + origin
+        alphas = np.linspace(0.0, 2.0, nodes)
+
+        def probes():
+            return [DirectionalProbe(model, origin, direction, policy=policy,
+                                     sampler=BatchSampler(np.arange(rows), batch,
+                                                          seed=(seed, k)))
+                    for k in range(repeats)]
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(probe_module, "_BLOCK_ROWS", bound)
-            values, grads = model.table_losses_and_gradients(points, index)
-        want_values, want_grads = model.losses_and_gradients(
-            np.tile(points, (repeats, 1)), index.reshape(-1, rows))
-        assert values.shape == (repeats, nodes)
-        assert grads.shape == (repeats, nodes, net.num_params)
-        assert values.tobytes() == want_values.tobytes()
-        assert grads.tobytes() == want_grads.tobytes()
+            curves = LineCurves(model, origin, direction, alphas)
+            values, slopes = scan_probes(probes(), alphas, curves)
+        assert curves.residuals.shape == (nodes, rows, net.output_dim)
+        assert curves.slopes.shape == (nodes, rows)
+        for k, probe in enumerate(probes()):
+            if policy == "full":
+                index = np.broadcast_to(np.arange(rows), (nodes, rows))
+            elif policy == "fixed":
+                index = np.broadcast_to(probe.fixed_sample, (nodes, batch))
+            else:
+                index = BatchSampler(np.arange(rows), batch, seed=(seed, k)).samples(nodes)
+            want_values, want_slopes = scan_one(probe, alphas)
+            value_scale, slope_scale = rounding_scales(curves, index)
+            if index.shape[-1] >= 2:
+                assert values[k].tobytes() == want_values.tobytes()
+            else:
+                assert np.all(np.abs(values[k] - want_values) <= 1e-12 * value_scale)
+            assert np.all(np.abs(slopes[k] - want_slopes) <= 1e-12 * slope_scale)
 
     @pytest.mark.parametrize("dims", [(1, [1], 1), (1, [3, 1], 2), (2, [1, 2], 1),
                                       (4, [8, 1], 3), (2, [1, 9], 1)])
     @pytest.mark.parametrize("rows", [2, 9, 40])
     def test_layers_of_width_one(self, dims, rows):
         # A width of 1 sends numpy's matmul down its vector paths, in the
-        # table as in the stack; next to a layer of 8 or more nodes, a
+        # curves as in the stack; next to a layer of 8 or more nodes, a
         # matrix-vector product rounds each row by its position.
         net = Network(*dims)
         rng = np.random.default_rng(rows)
         model = BatchObjective(net, rng.normal(size=(50, net.input_dim)),
                                rng.uniform(size=(50, net.output_dim)))
         index = rng.random((4, 6, 50)).argsort(axis=-1)[..., :rows]
-        points = rng.normal(size=(6, net.num_params))
-        values, grads = model.table_losses_and_gradients(points, index)
-        want_values, want_grads = model.losses_and_gradients(
-            np.tile(points, (4, 1)), index.reshape(-1, rows))
+        origin, direction = rng.normal(size=(2, net.num_params))
+        alphas = np.linspace(0.0, 1.0, 6)
+        curves = LineCurves(model, origin, direction, alphas)
+        values, slopes = curves.batches(index)
+        want_values, grads = model.losses_and_gradients(
+            np.tile(alphas[:, None] * direction + origin, (4, 1)), index.reshape(-1, rows))
+        want_slopes = np.vecdot(grads, direction).reshape(4, 6)
         assert values.tobytes() == want_values.tobytes()
-        assert grads.tobytes() == want_grads.tobytes()
+        assert np.all(np.abs(slopes - want_slopes) <= 1e-12 * rounding_scales(curves, index)[1])
+
+    def test_seeded_scans_keep_their_counts(self):
+        # The scan-study line (iris 4-3-3 at seed 0, 12 repeats at batches 1,
+        # 10, 30 and 50): each scan from the curves finds the minima and sign
+        # changes of its probe's stacked scan alone.
+        ds = builtin_dataset("iris")
+        split = split_3_1_1(ds, seed=(0, 9))
+        net = Network(4, [3], 3)
+        model = BatchObjective(net, ds.features[split.train], ds.one_hot()[split.train])
+        origin = net.init_params((0, 101, 0))
+        direction = scaled_descent_direction(model, origin)
+        curves = line_curves(model, origin, direction)
+        rows = model.num_rows
+        for i, batch in enumerate((1, 10, 30, 50)):
+            def probes():
+                return [DirectionalProbe(model, origin, direction,
+                                         sampler=BatchSampler(np.arange(rows), batch,
+                                                              seed=(0, 303, i, k)))
+                        for k in range(12)]
+
+            for scan, probe in zip(scan_lines(probes(), curves=curves), probes()):
+                alone = scan_line(probe)
+                assert np.array_equal(scan.minima_alphas, alone.minima_alphas)
+                assert np.array_equal(scan.snngpp_alphas, alone.snngpp_alphas)
 
 
 class StackedOnly:

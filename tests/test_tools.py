@@ -68,7 +68,7 @@ def test_main_prints_every_module_and_their_total(capsys):
 # The most code lines `src/gols/` may hold (ROADMAP item 2).  A change
 # that adds lines raises it and says in CHANGES.md which output or fix they
 # buy.
-CODE_CEILING = 1489
+CODE_CEILING = 1533
 
 
 def test_code_lines_stay_under_the_ceiling(capsys):
@@ -87,15 +87,16 @@ def test_round_counts_pin_every_count(monkeypatch, capsys):
         # GS and B-GOLS ask no step beyond the cap, and I-GOLS stops at it.
         "train-exact  grid 1381 rounds / 16844 requests  probe 0 rounds / 0 requests  "
         "metrics 32 calls / 416 points  net 1413 calls / 17260 points  "
-        "table 0 calls / 0 points / 0 table rows / 0 gathered rows",
+        "curves 0 calls / 0 nodes / 0 partition rows / 0 gathered rows",
         "train-inexact  grid 796 rounds / 6100 requests  probe 0 rounds / 0 requests  "
         "metrics 64 calls / 1008 points  net 860 calls / 7108 points  "
-        "table 0 calls / 0 points / 0 table rows / 0 gathered rows",
-        # Batches 10, 30 and 50 of 12 repeats take the table path (3 x 1212
-        # evaluations), batch 1 and the direction search the stacked one.
+        "curves 0 calls / 0 nodes / 0 partition rows / 0 gathered rows",
+        # One curve pass over the line's 101 nodes and 90 partition rows
+        # serves the 12 repeats of batches 1, 10, 30 and 50 (12 x 101 x 91
+        # gathered rows); the direction search takes the stacked calls.
         "scan-study  grid 0 rounds / 0 requests  probe 45 rounds / 46 requests  "
-        "metrics 0 calls / 0 points  net 47 calls / 1259 points  "
-        "table 30 calls / 3636 points / 27270 table rows / 109080 gathered rows",
+        "metrics 0 calls / 0 points  net 46 calls / 47 points  "
+        "curves 1 calls / 101 nodes / 90 partition rows / 110292 gathered rows",
     ]
 
 
@@ -108,3 +109,17 @@ def test_kernel_us_times_both_kernels_at_each_point_count(monkeypatch, capsys):
     assert header.split() == ["points", "backprop_us", "forward_us"]
     assert [int(row.split()[0]) for row in rows] == [1, 12, 20, 64]
     assert all(float(us) > 0.0 for row in rows for us in row.split()[1:])
+
+
+def test_phase_ms_times_every_phase_of_a_job(monkeypatch, capsys):
+    # A smoke test: one timed scan-study job, and no bound on the times.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # restored after
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    assert _load("phase_ms").main([str(ROOT), "scan-study", "1"]) == 0
+    title, *rows = capsys.readouterr().out.splitlines()
+    assert title.startswith("scan-study at seed 7, median ms of 1 jobs")
+    ms = {name: float(value) for name, value in map(str.split, rows)}
+    assert list(ms) == ["draws", "stacked_network", "curves", "csv_writing",
+                        "direction_search", "total"]
+    assert all(value >= 0.0 for value in ms.values())
+    assert ms["curves"] > 0.0 and ms["total"] >= sum(ms.values()) - ms["total"]

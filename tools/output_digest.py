@@ -3,8 +3,7 @@ and one per demo's standard output.
 
 The jobs cover every command and every file it writes: ``train`` under each
 probe policy with all five kinds of resolver, ``scan`` under each policy,
-a ``scan`` whose every batch size is evaluated on one table (at 2 rows a
-batch and on two hidden layers), ``compare``, and the jobs of the three
+a ``scan`` on two hidden layers with batches down to 2 rows, ``compare``, and the jobs of the three
 ``bench/run.py`` workloads at seed 7.  Each line reads
 ``<sha256>  <job>/<file>``.  Then each ``demos/*.py`` runs in-process, and
 its line reads ``<sha256>  demo-<name>/stdout``: 88 lines in all.  Two
@@ -33,8 +32,9 @@ TRAIN = ["train", "--dataset", "blobs", "--arch", "3,3",
 SCAN = ["scan", "--dataset", "iris", "--batch-sizes", "1,10,50,full",
         "--repeats", "3", "--scan-steps", "40", "--seed", "7"]
 # Batches of 2, 10 and 50 rows, 50 repeats each, on blobs' 90 partition
-# rows and two hidden layers: every batch size's scan is evaluated on one
-# table (gols.probe.scan_probes), the smallest at the least P it allows.
+# rows and two hidden layers: every scan gathers its batches from the line's
+# curves (gols.probe.LineCurves), the smallest at 2 rows, the least at which
+# F keeps the bits of a stacked batch.
 SCAN_TABLE = ["scan", "--dataset", "blobs", "--arch", "3,3", "--batch-sizes", "2,10,50",
               "--repeats", "50", "--scan-steps", "20", "--seed", "7"]
 COMPARE = ["compare", "--dataset", "blobs", "--resolver", "gs,igols,fixed:0.1",

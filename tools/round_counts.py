@@ -1,7 +1,7 @@
 """Count the rounds of ``LineTable.answer`` in the jobs of the three
 ``bench/run.py`` workloads at seed 7, the requests those rounds answer, the
-calls and points of the trace-loss metrics, and the stacked network calls
-and the parameter points they stack.
+calls and points of the trace-loss metrics, the stacked network calls and
+the parameter points they stack, and the passes over a line's curves.
 
 A round is one ``LineTable.answer`` call, and a request one entry of the
 lists it answers: an F, an F' or a direction gradient, one stacked row
@@ -11,16 +11,15 @@ direction search of ``gols scan``.  A metrics call is one call of the
 closure ``gols.trainer.dataset_metrics`` returns, and its points the rows of
 the stack it measures.  A net call is one call of ``Network._losses`` or
 ``Network._losses_and_gradients``, a forward pass or a backprop of a stack
-of parameter points, its points; every evaluation of a job, a metric's
-included, goes through one of them.  A table call is one such backprop with
-a row map, a block of ``gols.probe.BatchObjective.table_losses_and_gradients``
-that evaluates ``M`` points on ``R`` batches of ``P`` rows each: its points
-are its ``R * M`` evaluations, its table rows the ``M * n`` (point, partition
-row) pairs it runs the network on, and its gathered rows the ``R * M * P``
-rows its sums take from the table.  The net counts leave table calls out.
+of parameter points, its points; every evaluation of a job that is not
+gathered from a line's curves, a metric's included, goes through one of
+them.  A curve call is one ``gols.probe.LineCurves``, the forward pass with
+its tangent over the ``M`` nodes of one line on all ``n`` partition rows:
+its nodes are ``M``, its partition rows ``n``, and its gathered rows the
+batch rows that every scan on the line gathers from it.
 Prints one line per job:
 
-    <workload>  grid <rounds> rounds / <requests> requests  probe <rounds> rounds / <requests> requests  metrics <calls> calls / <points> points  net <calls> calls / <points> points  table <calls> calls / <points> points / <rows> table rows / <rows> gathered rows
+    <workload>  grid <rounds> rounds / <requests> requests  probe <rounds> rounds / <requests> requests  metrics <calls> calls / <points> points  net <calls> calls / <points> points  curves <calls> calls / <nodes> nodes / <rows> partition rows / <rows> gathered rows
 
 Run it as
 
@@ -28,7 +27,9 @@ Run it as
 
 As with ``output_digest.py``, the root defaults to the checkout this file
 lives in, and its ``src/`` and ``bench/run.py`` are the ones used, so the
-counts of two checkouts (say, a change and its parent) can be compared.
+counts of two checkouts (say, a change and its parent) can be compared.  A
+checkout from before ``LineCurves`` has no curves to count: run its own
+copy of this file, which counts its table calls in their place.
 """
 
 import sys
@@ -45,9 +46,10 @@ def main(argv=None) -> int:
     from gols.cli import main as gols_main
     from gols import trainer
     from gols.net import Network
-    from gols.probe import DirectionalProbe, LineTable
+    from gols.probe import DirectionalProbe, LineCurves, LineTable
 
     answer, dataset_metrics = LineTable.answer, trainer.dataset_metrics
+    curves_init, batches = LineCurves.__init__, LineCurves.batches
     counts = {}
 
     def counting_net(method):
@@ -72,42 +74,43 @@ def main(argv=None) -> int:
             return metrics(points)
         return measure
 
+    def counting_curves(curves, model, origin, direction, alphas):
+        tally = counts["curves"]
+        tally[0] += 1
+        tally[1] += len(alphas)
+        tally[2] += model.num_rows
+        return curves_init(curves, model, origin, direction, alphas)
+
+    def counting_batches(curves, index):
+        counts["curves"][3] += index.size
+        return batches(curves, index)
+
     net_calls = Network._losses, Network._losses_and_gradients
-    counting_losses, counting_stack = map(counting_net, net_calls)
-
-    def counting_backprop(net, points, inputs, targets, rows=None):
-        if rows is None:
-            return counting_stack(net, points, inputs, targets)
-        table = counts["table"]
-        table[0] += 1
-        table[1] += rows.size // rows.shape[-1]
-        table[2] += len(points) * len(inputs)
-        table[3] += rows.size
-        return net_calls[1](net, points, inputs, targets, rows)
-
     LineTable.answer, trainer.dataset_metrics = counting, counting_metrics
-    Network._losses, Network._losses_and_gradients = counting_losses, counting_backprop
+    Network._losses, Network._losses_and_gradients = map(counting_net, net_calls)
+    LineCurves.__init__, LineCurves.batches = counting_curves, counting_batches
     failed = 0
     try:
         with tempfile.TemporaryDirectory() as scratch:
             for name, job in bench_jobs(root).items():
                 counts.update(grid=[0, 0], probe=[0, 0], metrics=[0, 0], net=[0, 0],
-                              table=[0, 0, 0, 0])
+                              curves=[0, 0, 0, 0])
                 code = gols_main(job + ["--out", str(Path(scratch) / name)])
                 if code != 0:
                     print(f"{name}: exit code {code}")
                     failed += 1
                     continue
-                grid, probe, metrics, net, table = counts.values()
+                grid, probe, metrics, net, curves = counts.values()
                 print(f"{name}  grid {grid[0]} rounds / {grid[1]} requests  "
                       f"probe {probe[0]} rounds / {probe[1]} requests  "
                       f"metrics {metrics[0]} calls / {metrics[1]} points  "
                       f"net {net[0]} calls / {net[1]} points  "
-                      f"table {table[0]} calls / {table[1]} points / "
-                      f"{table[2]} table rows / {table[3]} gathered rows")
+                      f"curves {curves[0]} calls / {curves[1]} nodes / "
+                      f"{curves[2]} partition rows / {curves[3]} gathered rows")
     finally:  # a caller in the same process, a test say, gets the originals back
         LineTable.answer, trainer.dataset_metrics = answer, dataset_metrics
         Network._losses, Network._losses_and_gradients = net_calls
+        LineCurves.__init__, LineCurves.batches = curves_init, batches
     return 1 if failed else 0
 
 
