@@ -12,13 +12,14 @@ Each probe draws every node's sample first, in node order, exactly as a
 node-by-node walk would.  :func:`scan_lines` then evaluates all the nodes of
 several probes, say every repeat of one batch size, in one call
 (:func:`gols.probe.scan_probes`), and its scans share one step-size grid,
-whose text a CSV writes once (:func:`write_scan_csv`).  Probes on lines of
-their own stack every batch, in blocks of at most 4096 batch rows, and each
-scan has the bits of its probe scanned alone.  The scans of one line, as
-``gols scan`` makes them for every batch size and repeat, take their F and
-F' from the line's per-row curves (:func:`line_curves`, one
-:class:`~gols.probe.LineCurves`): each partition row's residuals and slope
-at every node, from one forward pass with the tangent of the direction.  A
+whose text a CSV writes once (:func:`write_scan_csv`).  By default every
+batch is stacked, in blocks of at most 4096 batch rows, and each scan has
+the bits of its probe scanned alone.  Scans of one line whose caller
+passes the line's per-row curves (:func:`line_curves`, one
+:class:`~gols.probe.LineCurves`), as ``gols scan`` does for every batch
+size and repeat when they are fewer rows than its batches, take their F
+and F' from them instead: each partition row's residuals and slope at
+every node, from one forward pass with the tangent of the direction.  A
 batch's F is the loss of its rows' residuals, with the bits of its stacked
 batch at 2 rows or more; its F' is 200 / (K·P) times the sum of its ``P``
 rows' slopes r·ȧ, which differs from the stacked backprop's only by the
@@ -101,13 +102,13 @@ def scan_lines(probes, step=0.1, steps=100, batch_size=0, curves=None) -> list:
     ``0, step, ..., steps * step``, all from one evaluation
     (:func:`gols.probe.scan_probes`): from ``curves``, the
     :class:`~gols.probe.LineCurves` of :func:`line_curves` on this grid,
-    when given, else from the curves of the probes' one line when those are
-    cheaper than stacking every batch.
+    when given, else by stacking every batch.
 
     The scans share one ``alphas`` array.  ``step`` must be positive and
     ``steps`` a whole number of at least 1; a grid whose last node is not
     finite raises the ``ValueError`` of :func:`scan_probes` before anything
-    is drawn, without a numpy warning.
+    is drawn, without a numpy warning, as :func:`line_curves` does before
+    its pass.
     """
     alphas = _grid(step, steps)
     values, slopes = scan_probes(probes, alphas, curves)
@@ -120,7 +121,9 @@ def line_curves(model, origin, direction, step=0.1, steps=100) -> LineCurves:
     ``model`` along the line from ``origin`` along ``direction``, at the
     nodes of :func:`scan_lines`: every partition row's residuals and slope
     at each node, from which the scans of every batch size and repeat on
-    that line take their F and F'."""
+    that line can take their F and F'.  A grid whose last node is not
+    finite raises ``ValueError`` before the pass, without a numpy
+    warning."""
     return LineCurves(model, origin, direction, _grid(step, steps))
 
 

@@ -4,11 +4,13 @@ All randomness flows from ``--seed``; identical invocations produce
 byte-identical outputs.  The training runs of ``train`` and ``compare``, one
 per resolver and repeat, go through one call of
 :func:`gols.trainer.train_on_dataset`, which trains them in lockstep; the
-scans of ``scan``, one per batch size and repeat, all lie on one line and
-gather their F and F' from its per-row curves, one pass for the job
-(:func:`gols.analysis.line_curves`), when those are fewer rows than the
-sub-sampled batches, and the repeats of ``full`` share its one
-deterministic scan.
+scans of ``scan``, one per batch size and repeat, all lie on one line.
+``scan`` alone decides, once for the job, whether they gather their F and
+F' from the line's per-row curves, one pass for the job
+(:func:`gols.analysis.line_curves`): they do when those are fewer rows
+than the sub-sampled batches, and stack their batches otherwise.  A batch
+size whose scans draw no samples, ``full`` or any under ``--policy full``,
+is scanned once, and its repeats share that deterministic scan.
 Everything runs in one thread.  Exit codes: 0 on success, 2 on a bad
 invocation, 1 on a runtime failure.
 """
@@ -221,12 +223,7 @@ def cmd_train(spec) -> None:
         for repeat, rows in enumerate(table):
             write_csv(spec.out / f"train_{_safe(resolver)}_rep{repeat:02d}.csv",
                       TRACE_COLUMNS, [[rows[name] for name in TRACE_COLUMNS]])
-    write_csv(spec.out / "train_summary.csv",
-              ["resolver", "iteration", "mean_cost", "mean_info_calls",
-               "mean_train_loss", "std_train_loss",
-               "mean_validation_loss", "std_validation_loss",
-               "mean_test_loss", "std_test_loss"],
-              _summary_blocks(spec, tables))
+    write_csv(spec.out / "train_summary.csv", _SUMMARY_HEADER, _summary_blocks(spec, tables))
 
 
 def cmd_compare(spec) -> None:
@@ -247,9 +244,11 @@ def cmd_scan(spec) -> None:
     origin = net.init_params((spec.seed, 101, 0))
     direction = scaled_descent_direction(model, origin, spec.target_alpha)
     rows = len(split.train)
-    # One pass over the line's (node, row) pairs serves every scan when they
-    # are fewer than the batch rows of the job's sub-sampled stacked scans; a
-    # full scan stacks as many rows as the pass, in bounded blocks.
+    # The one choice between the line's curves and the stack (scan_probes
+    # gathers from curves only when handed them): one pass over the line's
+    # (node, row) pairs serves every scan when they are fewer than the batch
+    # rows of the job's sub-sampled stacked scans; a full scan stacks as many
+    # rows as the pass, in bounded blocks.
     stacked = sum(spec.repeats * min(size, rows) for size in spec.batch_sizes
                   if size != "full")
     curves = (line_curves(model, origin, direction, spec.scan_step, spec.scan_steps)
@@ -257,17 +256,19 @@ def cmd_scan(spec) -> None:
 
     def scans(size_index, size):
         """Every repeat's scan of one batch size, gathered from the line's
-        curves when the job has them; the repeats of ``full`` share its one
-        deterministic scan."""
-        if size == "full":
+        curves when the job has them.  A size whose scans draw no samples,
+        ``full`` or any under ``--policy full``, is one deterministic scan
+        that its repeats share."""
+        label = rows if size == "full" else min(size, rows)
+        if size == "full" or spec.policy == "full":
             probe = DirectionalProbe(model, origin, direction, policy="full")
-            return scan_lines([probe], spec.scan_step, spec.scan_steps, rows,
+            return scan_lines([probe], spec.scan_step, spec.scan_steps, label,
                               curves) * spec.repeats
         probes = [DirectionalProbe(model, origin, direction, policy=spec.policy,
                                    sampler=BatchSampler(np.arange(rows), size,
                                                         seed=(spec.seed, 303, size_index, rep)))
                   for rep in range(spec.repeats)]
-        return scan_lines(probes, spec.scan_step, spec.scan_steps, min(size, rows), curves)
+        return scan_lines(probes, spec.scan_step, spec.scan_steps, label, curves)
 
     groups = [scans(si, size) for si, size in enumerate(spec.batch_sizes)]
     for size, group in zip(spec.batch_sizes, groups):
@@ -309,7 +310,13 @@ def _safe(name: str) -> str:
     return name.replace(":", "-").replace("/", "-")
 
 
-_SUMMARY_COLUMNS = ("cost", "info_calls", "train_loss", "validation_loss", "test_loss")
+# The trace columns of train_summary.csv, each with the statistics across
+# repeats that it gets, in column order.
+_SUMMARY_COLUMNS = (("cost", ("mean",)), ("info_calls", ("mean",)),
+                    ("train_loss", ("mean", "std")), ("validation_loss", ("mean", "std")),
+                    ("test_loss", ("mean", "std")))
+_SUMMARY_HEADER = ["resolver", "iteration"] + [f"{stat}_{name}" for name, stats in _SUMMARY_COLUMNS
+                                               for stat in stats]
 
 
 def _summary_blocks(spec, tables):
@@ -320,10 +327,11 @@ def _summary_blocks(spec, tables):
         # repeats lie on its last, contiguous axis: each mean and std then
         # sums its values in the order np.mean of that one list would.
         # (np.stack would keep the transposed layout and change the sums.)
-        stats = np.array([table[name].T for name in _SUMMARY_COLUMNS])
-        mean, std = stats.mean(axis=2), stats.std(axis=2)
-        yield (resolver, np.arange(spec.iterations + 1), mean[0], mean[1],
-               mean[2], std[2], mean[3], std[3], mean[4], std[4])
+        values = np.array([table[name].T for name, _ in _SUMMARY_COLUMNS])
+        computed = {"mean": values.mean(axis=2), "std": values.std(axis=2)}
+        yield (resolver, np.arange(spec.iterations + 1),
+               *(computed[stat][c] for c, (_, stats) in enumerate(_SUMMARY_COLUMNS)
+                 for stat in stats))
 
 
 def _scan_summary(size, scans):

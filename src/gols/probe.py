@@ -27,9 +27,9 @@ same partition rows at the same points, so the scans of a line need no
 stack of batches.  A :class:`LineCurves` runs the network once over the
 table of every (node, partition row) pair, with the tangent of the line's
 direction, and keeps each pair's residuals and slope; each batch then
-gathers its F and F' from that table.  :func:`scan_probes` does so when the
-table is smaller than the stack or when the caller hands it the curves, as
-``gols scan`` does for every batch size and repeat of its one line.
+gathers its F and F' from that table.  :func:`scan_probes` does so only
+when its caller hands it the curves, and stacks every batch otherwise;
+``gols scan`` makes that choice once for its whole job.
 """
 
 from __future__ import annotations
@@ -156,9 +156,7 @@ class BatchObjective:
         else:
             index = np.asarray(samples)
             rows = index.shape[1]
-        per_block = max(1, _BLOCK_ROWS // rows)
-        for start in range(0, len(samples), per_block):
-            block = slice(start, start + per_block)
+        for block in _blocks(len(samples), rows):
             if index is not None:
                 inputs = self._padded.take(index[block], axis=0)
                 targets = self.targets.take(index[block], axis=0)
@@ -172,7 +170,8 @@ class LineCurves:
     ``residuals`` ``(M, n, K)``, and each row's slope r·ȧ along the line,
     ``slopes`` ``(M, n)``, from one forward pass with its tangent
     (``gols.net._tangents``), in blocks of consecutive nodes of at most
-    ``_BLOCK_ROWS`` (node, row) pairs.
+    ``_BLOCK_ROWS`` (node, row) pairs.  A step of ``alphas`` that is not
+    finite raises ``ValueError`` before the pass.
 
     Every batch on the line takes its F and F' from these curves
     (:meth:`batches`): F is the loss of its rows' residuals, with the bits
@@ -184,14 +183,12 @@ class LineCurves:
         self.model = model
         self.origin = np.asarray(origin, dtype=float)
         self.direction = np.asarray(direction, dtype=float)
-        self.alphas = np.asarray(alphas, dtype=float)
+        self.alphas = _steps(alphas)
         net, rows = model.net, model.num_rows
         dots = net._layers(self.direction)
         self.residuals = np.empty((len(self.alphas), rows, net.output_dim))
         self.slopes = np.empty((len(self.alphas), rows))
-        per_block = max(1, _BLOCK_ROWS // rows)
-        for start in range(0, len(self.alphas), per_block):
-            block = slice(start, start + per_block)
+        for block in _blocks(len(self.alphas), rows):
             points = self.alphas[block, None] * self.direction
             points += self.origin
             self.residuals[block], self.slopes[block] = _tangents(
@@ -210,9 +207,7 @@ class LineCurves:
         # Row i of node j is row j * n + i of the curves flattened over their
         # (node, row) pairs.
         offsets = n * np.arange(nodes)[:, None]
-        per_block = max(1, _BLOCK_ROWS // (batches * rows))
-        for start in range(0, nodes, per_block):
-            block = slice(start, start + per_block)
+        for block in _blocks(nodes, batches * rows):
             flat = index[:, block] + offsets[block]
             values[:, block] = _loss(residuals.take(flat, axis=0))
             slopes[:, block] = np.add.reduce(row_slopes.take(flat), axis=-1)
@@ -432,7 +427,7 @@ class DirectionalProbe(LineTable):
     (:meth:`answer`), ``value`` and ``deriv`` are lists of one request, and
     :func:`scan_probes` answers a whole grid of step sizes, in blocks of at
     most 4096 batch rows for a :class:`BatchObjective`, or from the
-    :class:`LineCurves` of a line that several probes share.  So the
+    :class:`LineCurves` of the probe's line that its caller passes.  So the
     objective needs only ``losses`` and ``losses_and_gradients``.
 
     The direction is used exactly as given (unnormalized).  Counters only
@@ -517,18 +512,17 @@ def scan_probes(probes, alphas, curves=None):
     their samples must be of one shape.  An empty grid gives ``(len(probes),
     0)`` arrays and draws and counts nothing.
 
-    The ``R`` probes' ``M`` nodes take their F and F' from the
-    :class:`LineCurves` of their one line, gathering each batch's rows
-    (:meth:`LineCurves.batches`), when ``curves`` gives them or when all of
-    these hold: the model is a :class:`BatchObjective`; every probe has the
-    same origin and direction; and the ``M * n`` (node, row) pairs of the
-    curves are fewer than the ``R * M * P`` rows of the stacked batches
-    (``P = n`` without sub-sampling).  Given ``curves``, the probes must
-    share their model, line and grid bit for bit.  Otherwise every node of
-    every probe takes one stacked ``losses_and_gradients`` call of the
-    model (in blocks of at most 4096 batch rows for a
-    :class:`BatchObjective`), and all the slopes one dot product per row,
-    so every F and F' has the bits that a scan of its probe alone gives.
+    Given ``curves``, a :class:`LineCurves`, the ``R`` probes' ``M`` nodes
+    take their F and F' from it, gathering each batch's rows
+    (:meth:`LineCurves.batches`), and the probes must share its model, line
+    and grid bit for bit.  The caller decides: the curves pay when their
+    ``M * n`` (node, row) pairs are fewer than the ``R * M * P`` rows of
+    the stacked batches (``P = n`` without sub-sampling), or when other
+    scans on the line share them.  Without ``curves`` every node of every
+    probe takes one stacked ``losses_and_gradients`` call of the model (in
+    blocks of at most 4096 batch rows for a :class:`BatchObjective`), and
+    all the slopes one dot product per row, so every F and F' has the bits
+    that a scan of its probe alone gives.
     From the curves, F has those bits at batches of ``P >= 2`` rows, and
     mostly at ``P = 1``, where the stack takes numpy's vector path; F'
     differs from the stacked slope only by the rounding of their terms,
@@ -545,11 +539,7 @@ def scan_probes(probes, alphas, curves=None):
     model = probes[0].model
     if any(probe.model is not model for probe in probes):
         raise ValueError("probes must share one model")
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 1:
-        raise ValueError("step sizes must form a 1-d grid")
-    if not np.all(np.isfinite(alphas)):
-        raise ValueError("step size must be finite")
+    alphas = _steps(alphas)
     origins = np.array([probe.origin for probe in probes])
     directions = np.array([probe.direction for probe in probes])
     if curves is not None and not (
@@ -560,11 +550,6 @@ def scan_probes(probes, alphas, curves=None):
     if not nodes:
         return np.empty((len(probes), 0)), np.empty((len(probes), 0))
     samples = _node_samples(probes, nodes)
-    if (curves is None and isinstance(model, BatchObjective)
-            and _repeats(origins, origins[0]) and _repeats(directions, directions[0])):
-        rows = model.num_rows if samples[0] is None else len(samples[0])
-        if model.num_rows < len(probes) * rows:
-            curves = LineCurves(model, origins[0], directions[0], alphas)
     if curves is not None:
         if samples[0] is None:
             samples = np.broadcast_to(np.arange(model.num_rows), (len(samples), model.num_rows))
@@ -582,6 +567,25 @@ def scan_probes(probes, alphas, curves=None):
         _finite("F", alphas[i], values[p, i])
         _finite("F'", alphas[i], slopes[p, i])
     return values, slopes
+
+
+def _steps(alphas) -> np.ndarray:
+    """The step sizes ``alphas`` as a 1-d float array, each finite, else
+    ``ValueError``."""
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1:
+        raise ValueError("step sizes must form a 1-d grid")
+    if not np.all(np.isfinite(alphas)):
+        raise ValueError("step size must be finite")
+    return alphas
+
+
+def _blocks(count, rows):
+    """Slices of ``range(count)`` in order, each of at least one item and of
+    at most ``_BLOCK_ROWS`` rows at ``rows`` rows an item."""
+    step = max(1, _BLOCK_ROWS // rows)
+    for start in range(0, count, step):
+        yield slice(start, start + step)
 
 
 def _repeats(lines, line) -> bool:

@@ -200,19 +200,36 @@ class TestScanCommand:
             assert len(read_csv(out / "scan_full.csv")) == 1 + repeats * 21
         assert rows[4] == rows[1]
         assert rows[1][-1] == 21 and rows[1].count(21) == 1
+        # Under --policy full every size is such a scan: one each, whatever
+        # --repeats is, labelled with its size.
+        calls.clear()
+        out = tmp_path / "policy-full"
+        run_ok(["scan", "--dataset", "iris", "--batch-sizes", "1,10", "--policy", "full",
+                "--repeats", "4", "--scan-steps", "20", "--out", str(out)])
+        assert calls[-2:] == [21, 21] and calls.count(21) == 2
+        for size in ("1", "10"):
+            rows = read_csv(out / f"scan_{size}.csv")
+            assert len(rows) == 1 + 4 * 21
+            assert {row[3] for row in rows[1:]} == {size}
+            assert len({tuple(row[:3]) for row in rows[1:]}) == 21
 
-    @pytest.mark.parametrize("sizes, repeats, passes", [
-        ("1", "2", 0),          # 2 stacked rows a node, fewer than 90
-        ("1,10", "8", 0),       # 88 rows
-        ("1,10", "9", 1),       # 99 rows
-        ("full", "3", 0),       # no sub-sampled rows
-        ("10,full", "9", 0),    # 90 rows
-        ("10,full", "10", 1),   # 100 rows
+    @pytest.mark.parametrize("sizes, repeats, policy, passes", [
+        # 2 stacked rows a node, fewer than 90
+        pytest.param("1", "2", "resample", 0, id="1-2-0"),
+        pytest.param("1,10", "8", "resample", 0, id="1,10-8-0"),        # 88 rows
+        pytest.param("1,10", "9", "resample", 1, id="1,10-9-1"),        # 99 rows
+        pytest.param("full", "3", "resample", 0, id="full-3-0"),        # no sub-sampled rows
+        pytest.param("10,full", "9", "resample", 0, id="10,full-9-0"),  # 90 rows
+        pytest.param("10,full", "10", "resample", 1, id="10,full-10-1"),  # 100 rows
+        # 22 rows, and one full scan a size
+        pytest.param("1,10", "2", "full", 0, id="1,10-2-full-0"),
+        pytest.param("1,10", "9", "full", 1, id="1,10-9-full-1"),       # 99 rows, the same rule
     ])
     def test_one_curve_pass_where_it_is_smaller(self, tmp_path, monkeypatch, sizes,
-                                                 repeats, passes):
+                                                 repeats, policy, passes):
         # A job makes its one pass over the line's (node, row) pairs only
-        # when they are fewer than the batch rows of its sub-sampled scans.
+        # when they are fewer than the batch rows of its sub-sampled scans,
+        # and no scan makes a pass of its own.
         curves, made = LineCurves.__init__, []
 
         def counting(self, *args):
@@ -221,8 +238,21 @@ class TestScanCommand:
 
         monkeypatch.setattr(LineCurves, "__init__", counting)
         run_ok(["scan", "--dataset", "iris", "--batch-sizes", sizes, "--repeats", repeats,
-                "--scan-steps", "20", "--out", str(tmp_path)])
+                "--policy", policy, "--scan-steps", "20", "--out", str(tmp_path)])
         assert made == [21] * passes
+
+    @pytest.mark.parametrize("repeats", ["1", "10"])
+    def test_non_finite_grid_fails_before_any_pass(self, tmp_path, capsys, repeats):
+        # The last node, 100 * 1e307, overflows: with the curve pass of 10
+        # repeats as with the stacked scan of 1, one failure line and no
+        # numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["scan", "--dataset", "iris", "--scan-step", "1e307",
+                         "--scan-steps", "100", "--batch-sizes", "10",
+                         "--repeats", repeats, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "gols: failed: step size must be finite\n"
 
     @pytest.mark.parametrize("target", ["1e-300", "1e300"])
     def test_out_of_range_target_alpha_fails_naming_it(self, tmp_path, capsys, target):

@@ -68,7 +68,7 @@ def test_main_prints_every_module_and_their_total(capsys):
 # The most code lines `src/gols/` may hold (ROADMAP item 2).  A change
 # that adds lines raises it and says in CHANGES.md which output or fix they
 # buy.
-CODE_CEILING = 1533
+CODE_CEILING = 1530
 
 
 def test_code_lines_stay_under_the_ceiling(capsys):

@@ -3,10 +3,11 @@ and one per demo's standard output.
 
 The jobs cover every command and every file it writes: ``train`` under each
 probe policy with all five kinds of resolver, ``scan`` under each policy,
-a ``scan`` on two hidden layers with batches down to 2 rows, ``compare``, and the jobs of the three
-``bench/run.py`` workloads at seed 7.  Each line reads
+a ``scan`` on two hidden layers with batches down to 2 rows, a ``scan`` of
+two batch sizes under ``--policy full``, ``compare``, and the jobs of the
+three ``bench/run.py`` workloads at seed 7.  Each line reads
 ``<sha256>  <job>/<file>``.  Then each ``demos/*.py`` runs in-process, and
-its line reads ``<sha256>  demo-<name>/stdout``: 88 lines in all.  Two
+its line reads ``<sha256>  demo-<name>/stdout``: 91 lines in all.  Two
 checkouts write the same bytes when the outputs of
 
     python tools/output_digest.py [checkout root]
@@ -37,6 +38,11 @@ SCAN = ["scan", "--dataset", "iris", "--batch-sizes", "1,10,50,full",
 # F keeps the bits of a stacked batch.
 SCAN_TABLE = ["scan", "--dataset", "blobs", "--arch", "3,3", "--batch-sizes", "2,10,50",
               "--repeats", "50", "--scan-steps", "20", "--seed", "7"]
+# Batch sizes 1 and 10 under --policy full, 2 repeats each: 22 sub-sampled
+# rows a node, fewer than iris' 90 partition rows, so no curve pass, and
+# each size is one stacked full scan that its repeats share.
+SCAN_FULL_SIZES = ["scan", "--dataset", "iris", "--policy", "full", "--batch-sizes", "1,10",
+                   "--repeats", "2", "--scan-steps", "20", "--seed", "7"]
 COMPARE = ["compare", "--dataset", "blobs", "--resolver", "gs,igols,fixed:0.1",
            "--repeats", "2", "--iterations", "20", "--seed", "7"]
 BENCH_SEED = 7
@@ -49,6 +55,7 @@ def jobs(root) -> dict:
         listed[f"train-{policy}"] = TRAIN + ["--policy", policy]
         listed[f"scan-{policy}"] = SCAN + ["--policy", policy]
     listed["scan-table"] = SCAN_TABLE
+    listed["scan-full-sizes"] = SCAN_FULL_SIZES
     listed["compare"] = COMPARE
     for name, argv in bench_jobs(root).items():
         listed[f"bench-{name}"] = argv
